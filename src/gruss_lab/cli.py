@@ -5,16 +5,18 @@ Every subcommand reads/writes JSON only and emits a single report document
     {"command": ..., "config": ..., "result": ..., "residuals": ...,
      "wallTimeMs": ...}
 
-on stdout (or --output).  Exit codes: 0 success, 1 I/O or contract error
-(with a one-line JSON error object on stderr), 2 mathematical violation
-found.  GRUSS_LAB_THREADS caps trial parallelism (0 = sequential); results
-are deterministic either way.
+on stdout (or --output).  JSON has no infinities or NaNs, so a non-finite
+number is written as the string "inf", "-inf" or "nan".  Exit codes:
+0 success, 1 I/O or contract error (with a one-line JSON error object on
+stderr), 2 mathematical violation found.  GRUSS_LAB_THREADS caps trial
+parallelism (0 = sequential); results are deterministic either way.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -115,8 +117,19 @@ def _load_map(path: str):
     return map_from_json(_load_json(path))
 
 
+def _encode_non_finite(obj):
+    """Copy of ``obj`` with every non-finite float written as a string."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {key: _encode_non_finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_encode_non_finite(value) for value in obj]
+    return obj
+
+
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
+    text = json.dumps(_encode_non_finite(report), sort_keys=True, allow_nan=False) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -310,18 +323,18 @@ def route(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         config, result, residuals, code = _run_command(args)
+        report = {
+            "command": args.command,
+            "config": config,
+            "result": result,
+            "residuals": residuals,
+            "wallTimeMs": (time.perf_counter() - t0) * 1000.0,
+        }
+        _emit(report, args.output)
     except (GrussLabError, OSError, json.JSONDecodeError, ValueError) as exc:
         err = {"error": {"type": _error_type(exc), "message": str(exc)}}
         sys.stderr.write(json.dumps(err) + "\n")
         return 1
-    report = {
-        "command": args.command,
-        "config": config,
-        "result": result,
-        "residuals": residuals,
-        "wallTimeMs": (time.perf_counter() - t0) * 1000.0,
-    }
-    _emit(report, args.output)
     return code
 
 

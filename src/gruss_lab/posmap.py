@@ -197,8 +197,9 @@ def apply(phi: MapRep, x) -> Matrix:
     if x.shape != (k, k):
         raise DimensionError(f"input is {x.shape}, map expects {(k, k)}")
     if phi.kraus is not None:
-        ks = np.stack(phi.kraus)
-        return np.einsum("lab,bc,ldc->ad", ks, x, ks.conj())
+        # [K_1 X ... K_L X] [K_1 ... K_L]*: two GEMMs through the d x Lk stack
+        wide = np.concatenate(phi.kraus, axis=1)
+        return (wide.reshape(-1, k) @ x).reshape(d, -1) @ dag(wide)
     if phi.choi is not None:
         j4 = phi.choi.reshape(k, d, k, d)
         return np.einsum("ij,iajb->ab", x, j4)

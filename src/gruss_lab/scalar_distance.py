@@ -9,21 +9,30 @@ in operator norm.  Three routes are implemented:
 * ``delta_normal``  -- for normal C the infimum equals the radius of the
   smallest disk enclosing the spectrum (the Chebyshev radius), so it reduces
   to an eigenvalue computation plus a smallest-enclosing-disk problem.
-* ``delta_general`` -- f(lambda) = ||C - lambda I|| is convex and 1-Lipschitz
-  in lambda; a coarse grid start followed by adaptive pattern search
-  converges to the global minimum.
+* ``delta_general`` -- any C, by column generation over states on the
+  duality
+
+      delta(C)^2 = max over states rho of  tr(C*C rho) - |tr(C rho)|^2
+
+  (J. G. Stampfli, Pacific J. Math. 33 (1970); R. Bhatia and P. Semrl,
+  Linear Algebra Appl. 287 (1999)).  Each step evaluates ||C - lambda I||,
+  an upper bound, and turns its top right singular vector into a state whose
+  mixtures give lower bounds; the solver stops when the two meet.
 * ``delta_grid_oracle`` -- exhaustive minimum over a square grid, kept
-  deliberately independent of the descent so the two can cross-check each
+  deliberately independent of the other routes so they can cross-check each
   other.
+
+Every route reports a two-sided bracket: ``value`` is an evaluated norm
+||C - minimizer*I|| and ``value - certified_gap`` a lower bound on delta(C).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .errors import ContractError, NumericError
 from .linalg import Matrix, as_matrix, dag, operator_norm, operator_norms
@@ -31,8 +40,12 @@ from .linalg import Matrix, as_matrix, dag, operator_norm, operator_norms
 #: relative tolerance on ||CC* - C*C|| below which C is treated as normal
 NORMALITY_TOL = 1e-9
 
+#: delta_general stops once its bracket is this narrow, relative to 1 + ||C||
+BRACKET_TOL = 1e-12
+
 _CONTAINS_EPS = 1e-12
 _DEDUPE_EPS = 1e-12
+_MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -49,9 +62,12 @@ class DeltaResult:
     """Achieved distance to the scalars, with the minimizing scalar.
 
     ``value`` is always an evaluated norm ||C - minimizer*I||, never just a
-    claim; ``certified_gap`` bounds the distance from the true infimum
-    (0 for the spectral-disk route, final step size for the descent, grid
-    spacing for the oracle -- both via 1-Lipschitzness of f).
+    claim, so it bounds delta(C) from above; ``value - certified_gap`` bounds
+    it from below (up to rounding).  The lower bound is the distance from the
+    disk's center to its nearest support eigenvalue for the disk route
+    (eigenvector states), the best mixture of the solver's states for the
+    convex route, and the grid minimum less the grid spacing for the oracle
+    (f is 1-Lipschitz).
     """
 
     value: float
@@ -170,6 +186,8 @@ def normal_eigenvalues(c) -> tuple[np.ndarray, Matrix]:
     Returns (eigenvalues, Q) with Q unitary and C = Q diag(eig) Q* up to the
     (tiny, for normal C) off-diagonal part of the Schur factor.
     """
+    import scipy.linalg  # deferred: nothing on the CLI's paths needs scipy
+
     c = as_matrix(c, square=True)
     try:
         t, q = scipy.linalg.schur(c, output="complex")
@@ -179,17 +197,29 @@ def normal_eigenvalues(c) -> tuple[np.ndarray, Matrix]:
 
 
 def delta_normal(c, seed=0) -> DeltaResult:
-    """Distance to the scalars for a normal matrix, via the spectral disk."""
+    """Distance to the scalars for a normal matrix, via the spectral disk.
+
+    The value is ||C - center*I|| at the center of the smallest disk holding
+    the spectrum.  A mixture of unit-eigenvector states is a state, so the
+    smallest distance from the center to the disk's support eigenvalues is a
+    lower bound on delta(C) for any C; the gap is what separates the two,
+    0 up to rounding for an exactly normal C.
+    """
     c = as_matrix(c, square=True)
     if not is_normal(c):
         raise ContractError(
             "delta_normal requires a normal matrix (||CC*-C*C|| too large); "
             "use delta_general instead"
         )
-    eigs, _ = normal_eigenvalues(c)
+    try:
+        eigs = np.linalg.eigvals(c)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigenvalues did not converge: {exc}") from exc
     disk = smallest_enclosing_disk(eigs, seed=seed)
-    return DeltaResult(value=float(disk.radius), minimizer=disk.center,
-                       method="disk", certified_gap=0.0)
+    value = operator_norm(c - disk.center * np.eye(c.shape[0]))
+    lower = min(abs(p - disk.center) for p in disk.support)
+    return DeltaResult(value=value, minimizer=disk.center, method="disk",
+                       certified_gap=max(value - lower, 0.0))
 
 
 def _norms_minus_scalars(c: Matrix, lams: np.ndarray) -> np.ndarray:
@@ -198,73 +228,119 @@ def _norms_minus_scalars(c: Matrix, lams: np.ndarray) -> np.ndarray:
     return operator_norms(stack)
 
 
-_N_DIRECTIONS = 16
-_MAX_DESCENT_EVALS = 200_000
+# An atom (z, s) stands for a state rho with z = tr(C rho) and
+# s = tr(C*C rho) - |z|^2, so that tr((C-lam)*(C-lam) rho) = |z - lam|^2 + s.
+# For weights p on atoms the mixture is a state too, which makes
+#     sum_i p_i (|z_i - lam|^2 + s_i)  at  lam = sum_i p_i z_i
+# a lower bound on delta(C)^2 for every p in the simplex.  Maximizing it over
+# p is the dual of  min over lam of max_i |z_i - lam|^2 + s_i,  a weighted
+# smallest-enclosing-disk problem that, in the plane, some 1, 2 or 3 atoms
+# with every atom active decide.
 
 
-def _pattern_descent(c: Matrix, lam: complex, f: float, h: float,
-                     min_step: float) -> tuple[complex, float, float]:
-    dirs = np.exp(2j * np.pi * np.arange(_N_DIRECTIONS) / _N_DIRECTIONS)
-    evals = 0
-    while h >= min_step:
-        cand = lam + h * dirs
-        vals = _norms_minus_scalars(c, cand)
-        evals += _N_DIRECTIONS
-        if evals > _MAX_DESCENT_EVALS:
-            raise NumericError("pattern search exceeded its evaluation budget")
-        j = int(np.argmin(vals))
-        if vals[j] < f:
-            lam = complex(cand[j])
-            f = float(vals[j])
-        else:
-            h /= 2.0
-    return lam, f, h
+def _mixture(atoms, weights) -> tuple[float, complex]:
+    """(lower bound on delta^2, lam) of the mixture with these weights."""
+    lam = sum(p * z for p, (z, _) in zip(weights, atoms))
+    g = sum(p * (abs(z - lam) ** 2 + s) for p, (z, s) in zip(weights, atoms))
+    return g, lam
+
+
+def _all_active(atoms) -> tuple[float, complex] | None:
+    """Mixture of 2 or 3 atoms at the point where all are active, or None
+    when that point has a negative weight (another support decides) or the
+    atoms are degenerate."""
+    (za, sa), (zb, sb) = atoms[:2]
+    e1 = zb - za
+    l1 = e1.real * e1.real + e1.imag * e1.imag
+    if len(atoms) == 2:
+        if l1 == 0.0:
+            return None
+        t = (l1 + sb - sa) / (2.0 * l1)
+        if not 0.0 <= t <= 1.0:
+            return None
+        return _mixture(atoms, (1.0 - t, t))
+    zc, sc = atoms[2]
+    e2 = zc - za
+    det = e1.real * e2.imag - e1.imag * e2.real
+    if det == 0.0:
+        return None
+    # lam = za + x with Re(conj(e_i) x) = (|e_i|^2 + s_i - sa) / 2
+    r1 = (l1 + sb - sa) / 2.0
+    r2 = (e2.real * e2.real + e2.imag * e2.imag + sc - sa) / 2.0
+    x = complex(r1 * e2.imag - r2 * e1.imag, e1.real * r2 - e2.real * r1) / det
+    # barycentric weights of lam in the triangle
+    pb = (x.real * e2.imag - x.imag * e2.real) / det
+    pc = (e1.real * x.imag - e1.imag * x.real) / det
+    if pb < 0.0 or pc < 0.0 or pb + pc > 1.0:
+        return None
+    return _mixture(atoms, (1.0 - pb - pc, pb, pc))
+
+
+def _add_atom(support: list, atom) -> tuple[float, complex, list]:
+    """Optimum of the model over ``support`` plus ``atom``, with its support.
+
+    ``atom`` is violated at the current optimum, so it belongs to the new
+    support; the best all-active mixture among the subsets holding it is the
+    new optimum.
+    """
+    best = (atom[1], atom[0], [atom])  # the atom alone is always a support
+    for others in itertools.chain(itertools.combinations(support, 1),
+                                  itertools.combinations(support, 2)):
+        atoms = [atom, *others]
+        res = _all_active(atoms)
+        if res is not None and res[0] > best[0]:
+            best = (res[0], res[1], atoms)
+    return best
 
 
 def delta_general(c) -> DeltaResult:
     """Distance to the scalars for an arbitrary square matrix.
 
-    Minimizes the convex function f(lambda) = ||C - lambda I|| by a 21x21
-    coarse grid over the square containing the disk |lambda| <= ||C||,
-    followed by 16-direction pattern search with step halving down to
-    1e-9 * (1 + ||C||).  Compass steps alone can stall where two farthest
-    spectrum directions are nearly antipodal (the descent cone gets narrower
-    than the direction spacing), so a simplex polish that adapts its
-    geometry to the kinked valley runs in between two pattern phases; the
-    reported value is always the best evaluated norm.
+    Column generation over states, starting at lambda = tr(C)/dim.  Each
+    step takes one SVD of C - lambda I: its top singular value is an upper
+    bound, and its top right singular vector v becomes the atom
+    z = <v, Cv>, s = ||Cv||^2 - |z|^2.  The model
+    min over lambda of max_i |z_i - lambda|^2 + s_i  over the retained
+    atoms is re-solved in closed form (keeping only its 1-3 support atoms),
+    which gives the next lambda and a lower bound that never decreases.  The
+    solver stops when upper - lower <= BRACKET_TOL * (1 + ||C||), when
+    rounding stops the lower bound from rising, or after _MAX_ITERATIONS
+    steps; the value is the best evaluated norm and certified_gap the final
+    upper - lower in every case.
     """
     c = as_matrix(c, square=True)
-    nrm = operator_norm(c)
-    if nrm == 0.0:
-        return DeltaResult(value=0.0, minimizer=0j, method="convex", certified_gap=0.0)
+    dim = c.shape[0]
+    tol = BRACKET_TOL * (1.0 + operator_norm(c))
+    # work relative to tr(C)/dim, where the atoms are no larger than 2 delta
+    mu = complex(np.trace(c)) / dim
+    eye = np.eye(dim)
+    c0 = c - mu * eye
 
-    xs = np.linspace(-nrm, nrm, 21)
-    grid = (xs[:, None] + 1j * xs[None, :]).ravel()
-    vals = _norms_minus_scalars(c, grid)
-    best = int(np.argmin(vals))
-    lam = complex(grid[best])
-    f = float(vals[best])
-
-    min_step = 1e-9 * (1.0 + nrm)
-    lam, f, h = _pattern_descent(c, lam, f, float(xs[1] - xs[0]), min_step)
-
-    eye = np.eye(c.shape[0], dtype=np.complex128)
-
-    def f_real(xy):
-        return operator_norm(c - complex(xy[0], xy[1]) * eye)
-
-    res = scipy.optimize.minimize(
-        f_real, [lam.real, lam.imag], method="Nelder-Mead",
-        options={"xatol": 1e-10 * (1.0 + nrm), "fatol": 1e-13 * (1.0 + nrm),
-                 "maxfev": 800, "initial_simplex": np.array(
-                     [[lam.real, lam.imag],
-                      [lam.real + 1e-3 * (1.0 + nrm), lam.imag],
-                      [lam.real, lam.imag + 1e-3 * (1.0 + nrm)]])})
-    if res.fun < f:
-        lam, f = complex(res.x[0], res.x[1]), float(res.fun)
-
-    lam, f, h = _pattern_descent(c, lam, f, 64.0 * min_step, min_step)
-    return DeltaResult(value=f, minimizer=lam, method="convex", certified_gap=h)
+    support: list = []
+    g = -math.inf
+    lam = 0j
+    upper, best = math.inf, 0j
+    for _ in range(_MAX_ITERATIONS):
+        m = c0 - lam * eye
+        try:
+            _, sv, vh = np.linalg.svd(m)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"svd did not converge: {exc}") from exc
+        if sv[0] < upper:
+            upper, best = float(sv[0]), lam
+        if upper - math.sqrt(max(g, 0.0)) <= tol:
+            break
+        v = vh[0].conj()
+        w = m @ v
+        zv = complex(np.vdot(v, w))
+        r = w - zv * v  # s = ||r||^2 = ||Cv||^2 - |z|^2 without the cancellation
+        g_new, lam, support = _add_atom(support, (zv + lam, float(np.vdot(r, r).real)))
+        if g_new <= g:
+            break  # the new state no longer raises the model: rounding level
+        g = g_new
+    lower = math.sqrt(max(g, 0.0))
+    return DeltaResult(value=upper, minimizer=mu + best, method="convex",
+                       certified_gap=max(upper - lower, 0.0))
 
 
 def delta_grid_oracle(c, half_width: float, resolution: int) -> DeltaResult:
@@ -290,7 +366,7 @@ def delta(c, method: str = "auto", seed=0) -> DeltaResult:
     """Dispatch among the delta routes.
 
     ``auto`` uses the spectral-disk route when C is normal within tolerance
-    and the convex descent otherwise.
+    and the convex route otherwise.
     """
     c = as_matrix(c, square=True)
     if method == "auto":

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gruss_lab
 from gruss_lab import matrix_to_json
 from gruss_lab.cli import route
 
@@ -190,3 +195,27 @@ def test_malformed_matrix_is_contract_error(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 1
     assert json.loads(err)["error"]["type"] == "dimension"
+
+
+def test_non_finite_numbers_are_encoded_not_raised(capsys, tmp_path):
+    # JSON has no infinity: the report spells it out instead of crashing
+    code, rep = _run(capsys, ["verify", "theorem", "--dims", "2", "--trials", "2",
+                              "--viol-tol", "inf"])
+    assert code == 0
+    assert rep["config"]["violTol"] == "inf"
+
+    # a report that cannot be written is an I/O error, not a traceback
+    code = route(["counterexample", "--output", str(tmp_path / "missing" / "report.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.err)["error"]["type"] == "io"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy's import is a large share of start-up and no CLI path needs it
+    src = str(Path(gruss_lab.__file__).resolve().parent.parent)
+    probe = ("import sys, gruss_lab.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

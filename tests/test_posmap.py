@@ -107,6 +107,15 @@ def test_representation_consistency():
         assert operator_norm(via_superop - ref) <= 1e-10
 
 
+def test_kraus_apply_matches_sum_over_operators():
+    rng = np.random.default_rng(31)
+    for d, k, rank in ((2, 3, 1), (3, 2, 5), (4, 4, 7)):
+        ops = [rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k)) for _ in range(rank)]
+        x = ginibre(k, seed=rank)
+        ref = sum(op @ x @ dag(op) for op in ops)
+        assert operator_norm(apply(from_kraus(ops), x) - ref) <= 1e-12 * operator_norm(ref)
+
+
 def test_superop_layout_matches_kraus_formula():
     # column-major vectorization: S = sum conj(K) (x) K
     k_op = ginibre(2, seed=3)

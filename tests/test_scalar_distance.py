@@ -1,9 +1,11 @@
-"""Distance-to-scalars: disk route, convex descent, grid oracle, cross-checks."""
+"""Distance-to-scalars: disk route, convex route, grid oracle, cross-checks."""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gruss_lab import (
     ContractError,
@@ -11,6 +13,7 @@ from gruss_lab import (
     delta_general,
     delta_grid_oracle,
     delta_normal,
+    ginibre,
     haar_unitary,
     is_normal,
     normal_eigenvalues,
@@ -222,3 +225,81 @@ def test_achieved_value_invariant():
         res = delta(c)
         achieved = operator_norm(c - res.minimizer * np.eye(dim))
         assert abs(achieved - res.value) <= 1e-10 * (1 + operator_norm(c))
+
+
+def test_general_bracket_is_tight():
+    for dim in range(2, 17):
+        for trial in range(5):
+            c = random_ensemble("ginibre", dim, seed=31 * dim + trial)
+            res = delta_general(c)
+            assert 0.0 <= res.certified_gap <= 1e-11 * (1 + operator_norm(c))
+
+
+def test_nearly_normal_input_gets_an_honest_bracket():
+    # passes is_normal, yet delta = 1e-5 (a scaled nilpotent) while the
+    # spectrum is the single point 1
+    c = np.array([[1.0, 1e-5], [0.0, 1.0]])
+    assert is_normal(c)
+    res = delta(c)
+    assert res.method == "disk"
+    assert res.value == pytest.approx(operator_norm(c - res.minimizer * np.eye(2)), rel=1e-12)
+    assert res.value - res.certified_gap <= 1e-5 <= res.value * (1 + 1e-12)
+
+
+def test_tiny_perturbation_of_identity_is_not_zero():
+    c = np.eye(3) + 1e-13 * ginibre(3, seed=4)
+    res = delta(c)
+    assert res.value > 0.0
+    assert res.value == pytest.approx(operator_norm(c - res.minimizer * np.eye(3)), rel=1e-12)
+    general = delta_general(c)
+    assert res.value - res.certified_gap <= general.value
+    assert general.value - general.certified_gap <= res.value
+
+
+# ---------------------------------------------------------------------------
+# properties: each route's [value - certified_gap, value] must contain delta(C)
+
+_PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+_KINDS = st.sampled_from(("ginibre", "normal", "hermitian"))
+_SEEDS = st.integers(0, 2**32 - 1)
+_FACTORS = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3)
+_SHIFTS = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+def _brackets_meet(a, b, scale_b=1.0, slack=0.0):
+    """The bracket of ``a`` meets that of ``b`` scaled by ``scale_b``."""
+    return (a.value - a.certified_gap <= scale_b * b.value + slack
+            and scale_b * (b.value - b.certified_gap) <= a.value + slack)
+
+
+@_PROPERTY_SETTINGS
+@given(kind=_KINDS, dim=st.integers(2, 5), seed=_SEEDS, alpha=_FACTORS, beta=_SHIFTS)
+def test_property_affine_covariance(kind, dim, seed, alpha, beta):
+    c = random_ensemble(kind, dim, seed=seed)
+    moved = delta(alpha * c + beta * np.eye(dim))
+    slack = 1e-11 * (1 + abs(alpha) * operator_norm(c) + abs(beta))
+    assert _brackets_meet(moved, delta(c), abs(alpha), slack)
+
+
+@_PROPERTY_SETTINGS
+@given(kind=_KINDS, dim=st.integers(2, 5), seed=_SEEDS, useed=_SEEDS)
+def test_property_unitary_and_adjoint_invariance(kind, dim, seed, useed):
+    c = random_ensemble(kind, dim, seed=seed)
+    u = haar_unitary(dim, seed=useed)
+    base = delta(c)
+    slack = 1e-11 * (1 + operator_norm(c))
+    assert _brackets_meet(delta(u @ c @ u.conj().T), base, slack=slack)
+    assert _brackets_meet(delta(c.conj().T), base, slack=slack)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(kind=_KINDS, dim=st.integers(2, 4), seed=_SEEDS)
+def test_property_lower_bounds_below_grid_oracle(kind, dim, seed):
+    c = random_ensemble(kind, dim, seed=seed)
+    oracle = delta_grid_oracle(c, operator_norm(c) + 1.0, 201)
+    routes = [delta_general(c), oracle]
+    if is_normal(c):
+        routes.append(delta_normal(c, seed=seed))
+    for res in routes:
+        assert res.value - res.certified_gap <= oracle.value + 1e-12
+        assert oracle.value - oracle.certified_gap <= res.value + 1e-12
