@@ -94,10 +94,15 @@ from .scalar_distance import (
     delta_grid_oracle,
     delta_normal,
     is_normal,
-    normal_eigenvalues,
     smallest_enclosing_disk,
 )
-from .stinespring import StinespringDilation, dilate, homomorphism_check, lemma2_defect_identity
+from .stinespring import (
+    StinespringDilation,
+    dilate,
+    dilation_residual,
+    homomorphism_check,
+    lemma2_defect_identity,
+)
 from .unitary_sum import (
     UnitarySumDecomposition,
     decompose_unitary_sum,

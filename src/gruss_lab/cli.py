@@ -31,9 +31,9 @@ from .harness import (
     run_trials,
 )
 from .linalg import matrix_from_json, matrix_to_json, operator_norm
-from .posmap import NPositivityVerdict, apply, map_from_json, n_positivity_search
+from .posmap import NPositivityVerdict, map_from_json, n_positivity_search
 from .scalar_distance import DeltaResult, delta
-from .stinespring import dilate, homomorphism_check
+from .stinespring import dilate, dilation_residual, homomorphism_check
 from .unitary_sum import decompose_unitary_sum
 
 import numpy as np
@@ -204,7 +204,7 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, dict, dict, int]:
     if cmd == "delta":
         config = {"matrix": args.matrix, "method": args.method, "seed": args.seed}
         c = _load_matrix(args.matrix)
-        res = delta(c, args.method, seed=args.seed)
+        res = delta(c, args.method)
         achieved = operator_norm(c - res.minimizer * np.eye(c.shape[0]))
         return config, _delta_json(res), {"achievedMinusClaimed": achieved - res.value}, 0
 
@@ -213,7 +213,7 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, dict, dict, int]:
         phi = _load_map(args.map)
         a = _load_matrix(args.a)
         b = _load_matrix(args.b)
-        rep = check_theorem(phi, a, b, seed=args.seed)
+        rep = check_theorem(phi, a, b)
         return config, _gruss_json(rep), {}, 0
 
     if cmd == "verify":
@@ -263,16 +263,7 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, dict, dict, int]:
         dil = dilate(phi)
         eye = np.eye(phi.out_dim)
         iso_residual = operator_norm(dil.isometry.conj().T @ dil.isometry - eye)
-        rng = np.random.default_rng(args.seed)
-        max_dilation = 0.0
-        for _ in range(args.samples):
-            a = (rng.standard_normal((phi.in_dim,) * 2)
-                 + 1j * rng.standard_normal((phi.in_dim,) * 2))
-            scale = 1.0 + operator_norm(a)
-            max_dilation = max(
-                max_dilation,
-                operator_norm(apply(phi, a) - dil.dilated_apply(a)) / scale,
-            )
+        max_dilation = dilation_residual(phi, dil, samples=args.samples, seed=args.seed)
         hom = homomorphism_check(dil, samples=args.samples, seed=args.seed)
         result = {
             "envDim": dil.env_dim,

@@ -131,7 +131,7 @@ def _require_unital(phi: MapRep, what: str) -> None:
         raise ContractError(f"{what} requires a unital map (||Phi(I) - I|| > 1e-9)")
 
 
-def check_theorem(phi: MapRep, a, b, viol_tol: float | None = None, seed=0) -> GrussReport:
+def check_theorem(phi: MapRep, a, b, viol_tol: float | None = None) -> GrussReport:
     """Evaluate the product bound defect <= delta(A) delta(B) on one instance.
 
     The caller is responsible for the positivity order of the map (the bound
@@ -141,8 +141,8 @@ def check_theorem(phi: MapRep, a, b, viol_tol: float | None = None, seed=0) -> G
     _require_unital(phi, "check_theorem")
     a = as_matrix(a, square=True)
     b = as_matrix(b, square=True)
-    da = delta(a, "auto", seed=seed)
-    db = delta(b, "auto", seed=seed)
+    da = delta(a)
+    db = delta(b)
     bound = da.value * db.value
     defect = gruss_defect(phi, a, b)
     margin = bound - defect
@@ -225,7 +225,7 @@ def check_lemma2(phi: MapRep, a, require_normal: bool = True,
             )
     pa = apply(phi, a)
     lhs = operator_norm(apply(phi, dag(a) @ a) - dag(pa) @ pa)
-    dval = delta(a, "auto", seed=seed).value
+    dval = delta(a).value
     bound = dval * dval
     return {
         "lhs": float(lhs),
@@ -255,7 +255,7 @@ def reproduce_counterexample() -> CounterexampleReport:
                                 inequality_fails=bool(defect > bound))
 
 
-def check_corollary(k: int, a, b, seed=0) -> dict:
+def check_corollary(k: int, a, b) -> dict:
     """Explicit matrix inequality induced by the normalized trace-type map.
 
     lhs = ||(k^2-k-1) tr(AB) I - k AB - (k-1) tr(A) tr(B) I
@@ -278,8 +278,8 @@ def check_corollary(k: int, a, b, seed=0) -> dict:
     bracket = (c * np.trace(a @ b) * eye - k * (a @ b)
                - (k - 1) * tr_a * tr_b * eye + tr_b * a + tr_a * b)
     lhs = operator_norm(bracket)
-    da = delta(a, "auto", seed=seed).value
-    db = delta(b, "auto", seed=seed).value
+    da = delta(a).value
+    db = delta(b).value
     rhs = (c * c / (k - 1.0)) * da * db
 
     phi = normalized_choi_map(k)
@@ -294,7 +294,7 @@ def check_corollary(k: int, a, b, seed=0) -> dict:
     }
 
 
-def proof_chain(phi: MapRep, a, b, m: int, seed=0) -> dict:
+def proof_chain(phi: MapRep, a, b, m: int) -> dict:
     """Numerically follow the averaging argument that removes normality.
 
     Writes A = (M/m) * sum_j U_j with M = (m^2+2)/(m^2-2m) ||A|| and the U_j
@@ -451,7 +451,7 @@ def _run_one_trial(check: str, family: str, dims: tuple, master_seed: int,
 
     formula_residual = None
     if check == "theorem":
-        rep = check_theorem(phi, a, b, viol_tol=viol_tol, seed=t)
+        rep = check_theorem(phi, a, b, viol_tol=viol_tol)
         margin, violated = rep.margin, rep.violated
     elif check == "lemma1":
         res = check_lemma1(phi, a, b, known_positivity_order=_known_order(family, dim))
@@ -464,7 +464,7 @@ def _run_one_trial(check: str, family: str, dims: tuple, master_seed: int,
         violated = not res["ok"]
         b = None
     else:  # corollary
-        res = check_corollary(dim, a, b, seed=t)
+        res = check_corollary(dim, a, b)
         margin = res["rhs"] - res["lhs"]
         violated = not (res["ok"] and res["formula_ok"])
         formula_residual = res["formula_residual"] / (1.0 + res["lhs"])
@@ -543,8 +543,8 @@ def explore_two_positive(trials: int, seed: int = 0, k: int = 3,
         a = _draw_input(_INPUT_KINDS[t % 3], k, rng)
         b = _draw_input(_INPUT_KINDS[(t // 3) % 3], k, rng)
         defect = gruss_defect(phi, a, b)
-        da = delta(a, "auto", seed=t)
-        db = delta(b, "auto", seed=t)
+        da = delta(a)
+        db = delta(b)
         bound = da.value * db.value
         if bound > 1e-12:
             ratio = defect / bound

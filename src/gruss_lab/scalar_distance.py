@@ -4,23 +4,21 @@ For a square matrix C the quantity of interest is
 
     delta(C) = inf over complex lambda of  || C - lambda * I ||
 
-in operator norm.  Three routes are implemented:
+in operator norm.  By the duality
 
-* ``delta_normal``  -- for normal C the infimum equals the radius of the
-  smallest disk enclosing the spectrum (the Chebyshev radius), so it reduces
-  to an eigenvalue computation plus a smallest-enclosing-disk problem.
-* ``delta_general`` -- any C, by column generation over states on the
-  duality
+    delta(C)^2 = max over states rho of  tr(C*C rho) - |tr(C rho)|^2
 
-      delta(C)^2 = max over states rho of  tr(C*C rho) - |tr(C rho)|^2
+(J. G. Stampfli, Pacific J. Math. 33 (1970); R. Bhatia and P. Semrl,
+Linear Algebra Appl. 287 (1999)) any finite set of states gives a lower
+bound: the optimum of a weighted smallest-enclosing-disk model.
 
-  (J. G. Stampfli, Pacific J. Math. 33 (1970); R. Bhatia and P. Semrl,
-  Linear Algebra Appl. 287 (1999)).  Each step evaluates ||C - lambda I||,
-  an upper bound, and turns its top right singular vector into a state whose
-  mixtures give lower bounds; the solver stops when the two meet.
+* ``delta_general`` -- any C, and what ``delta`` runs.  Column generation:
+  each step evaluates ||C - lambda I||, an upper bound, and adds its top
+  right singular vector to the model, until the two bounds meet.
+* ``delta_normal`` -- spectral reference route for normal C: the same model
+  over unit eigenvectors, i.e. the smallest disk enclosing the spectrum.
 * ``delta_grid_oracle`` -- exhaustive minimum over a square grid, kept
-  deliberately independent of the other routes so they can cross-check each
-  other.
+  independent of the model so it can cross-check both routes.
 
 Every route reports a two-sided bracket: ``value`` is an evaluated norm
 ||C - minimizer*I|| and ``value - certified_gap`` a lower bound on delta(C).
@@ -35,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NumericError
-from .linalg import Matrix, as_matrix, dag, operator_norm, operator_norms
+from .linalg import as_matrix, dag, operator_norm, operator_norms
 
 #: relative tolerance on ||CC* - C*C|| below which C is treated as normal
 NORMALITY_TOL = 1e-9
@@ -43,8 +41,6 @@ NORMALITY_TOL = 1e-9
 #: delta_general stops once its bracket is this narrow, relative to 1 + ||C||
 BRACKET_TOL = 1e-12
 
-_CONTAINS_EPS = 1e-12
-_DEDUPE_EPS = 1e-12
 _MAX_ITERATIONS = 200
 
 
@@ -63,11 +59,11 @@ class DeltaResult:
 
     ``value`` is always an evaluated norm ||C - minimizer*I||, never just a
     claim, so it bounds delta(C) from above; ``value - certified_gap`` bounds
-    it from below (up to rounding).  The lower bound is the distance from the
-    disk's center to its nearest support eigenvalue for the disk route
-    (eigenvector states), the best mixture of the solver's states for the
-    convex route, and the grid minimum less the grid spacing for the oracle
-    (f is 1-Lipschitz).
+    it from below (up to rounding).  The lower bound is the best mixture of
+    the states in the model: the top singular vectors the convex route
+    collected, or the unit eigenvectors behind the disk's support (its
+    distance from the center to the nearest support eigenvalue); for the
+    oracle it is the grid minimum less the grid spacing (f is 1-Lipschitz).
     """
 
     value: float
@@ -77,99 +73,7 @@ class DeltaResult:
 
 
 # ---------------------------------------------------------------------------
-# smallest enclosing disk (randomized incremental construction)
-
-
-def _contains(center: complex, radius: float, p: complex) -> bool:
-    return abs(p - center) <= radius * (1.0 + _CONTAINS_EPS) + _CONTAINS_EPS
-
-
-def _disk_two(a: complex, b: complex) -> tuple[complex, float, tuple[complex, ...]]:
-    center = (a + b) / 2.0
-    radius = max(abs(a - center), abs(b - center))
-    return center, radius, (a, b)
-
-
-def _circumdisk(a: complex, b: complex, c: complex):
-    ax, ay, bx, by, cx, cy = a.real, a.imag, b.real, b.imag, c.real, c.imag
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    scale = max(abs(a - b), abs(b - c), abs(c - a), 1e-300)
-    if abs(d) <= 1e-14 * scale * scale:
-        return None  # collinear
-    ux = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
-          + (cx * cx + cy * cy) * (ay - by)) / d
-    uy = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
-          + (cx * cx + cy * cy) * (bx - ax)) / d
-    center = complex(ux, uy)
-    radius = max(abs(a - center), abs(b - center), abs(c - center))
-    return center, radius, (a, b, c)
-
-
-def _disk_with_two_boundary(points, p: complex, q: complex):
-    circ = _disk_two(p, q)
-    left = None
-    right = None
-    pq = q - p
-    for r in points:
-        if _contains(circ[0], circ[1], r):
-            continue
-        cross = (pq.conjugate() * (r - p)).imag
-        c = _circumdisk(p, q, r)
-        if c is None:
-            continue
-        cc = (pq.conjugate() * (c[0] - p)).imag
-        if cross > 0.0 and (left is None or cc > (pq.conjugate() * (left[0] - p)).imag):
-            left = c
-        elif cross < 0.0 and (right is None or cc < (pq.conjugate() * (right[0] - p)).imag):
-            right = c
-    if left is None and right is None:
-        return circ
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return left if left[1] <= right[1] else right
-
-
-def _disk_with_one_boundary(points, p: complex):
-    disk = (p, 0.0, (p,))
-    for j, q in enumerate(points):
-        if not _contains(disk[0], disk[1], q):
-            if disk[1] == 0.0:
-                disk = _disk_two(p, q)
-            else:
-                disk = _disk_with_two_boundary(points[:j], p, q)
-    return disk
-
-
-def smallest_enclosing_disk(points, seed=0) -> SpectralDisk:
-    """Minimal enclosing disk of complex points.
-
-    Randomized incremental construction (expected linear time); the shuffle
-    is driven by ``seed`` so results are reproducible.  Points closer than
-    1e-12 are deduplicated first.
-    """
-    pts = [complex(p) for p in points]
-    if not pts:
-        raise ContractError("smallest_enclosing_disk needs at least one point")
-    uniq: list[complex] = []
-    for p in pts:
-        if all(abs(p - q) > _DEDUPE_EPS for q in uniq):
-            uniq.append(p)
-    rng = np.random.default_rng(seed)
-    order = list(rng.permutation(len(uniq)))
-    shuffled = [uniq[i] for i in order]
-
-    disk = None
-    for i, p in enumerate(shuffled):
-        if disk is None or not _contains(disk[0], disk[1], p):
-            disk = _disk_with_one_boundary(shuffled[:i], p)
-    center, radius, support = disk
-    return SpectralDisk(center=center, radius=float(radius), support=tuple(support))
-
-
-# ---------------------------------------------------------------------------
-# the three delta routes
+# the delta routes
 
 
 def is_normal(c, tol: float = NORMALITY_TOL) -> bool:
@@ -180,23 +84,7 @@ def is_normal(c, tol: float = NORMALITY_TOL) -> bool:
     return operator_norm(c @ dag(c) - dag(c) @ c) <= tol * nrm * nrm
 
 
-def normal_eigenvalues(c) -> tuple[np.ndarray, Matrix]:
-    """Spectrum of a normal matrix via complex Schur triangularization.
-
-    Returns (eigenvalues, Q) with Q unitary and C = Q diag(eig) Q* up to the
-    (tiny, for normal C) off-diagonal part of the Schur factor.
-    """
-    import scipy.linalg  # deferred: nothing on the CLI's paths needs scipy
-
-    c = as_matrix(c, square=True)
-    try:
-        t, q = scipy.linalg.schur(c, output="complex")
-    except Exception as exc:  # scipy raises LinAlgError/ValueError variants
-        raise NumericError(f"schur decomposition failed: {exc}") from exc
-    return np.diagonal(t).copy(), q
-
-
-def delta_normal(c, seed=0) -> DeltaResult:
+def delta_normal(c) -> DeltaResult:
     """Distance to the scalars for a normal matrix, via the spectral disk.
 
     The value is ||C - center*I|| at the center of the smallest disk holding
@@ -215,17 +103,11 @@ def delta_normal(c, seed=0) -> DeltaResult:
         eigs = np.linalg.eigvals(c)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalues did not converge: {exc}") from exc
-    disk = smallest_enclosing_disk(eigs, seed=seed)
+    disk = smallest_enclosing_disk(eigs)
     value = operator_norm(c - disk.center * np.eye(c.shape[0]))
     lower = min(abs(p - disk.center) for p in disk.support)
     return DeltaResult(value=value, minimizer=disk.center, method="disk",
                        certified_gap=max(value - lower, 0.0))
-
-
-def _norms_minus_scalars(c: Matrix, lams: np.ndarray) -> np.ndarray:
-    eye = np.eye(c.shape[0], dtype=np.complex128)
-    stack = c[None, :, :] - lams[:, None, None] * eye[None, :, :]
-    return operator_norms(stack)
 
 
 # An atom (z, s) stands for a state rho with z = tr(C rho) and
@@ -293,6 +175,34 @@ def _add_atom(support: list, atom) -> tuple[float, complex, list]:
     return best
 
 
+def smallest_enclosing_disk(points) -> SpectralDisk:
+    """Smallest disk enclosing finitely many complex points.
+
+    The model above with one atom (p, 0) per point, so max_i |p_i - lam|^2
+    is the squared radius of the disk centered at lam: from the centroid,
+    the point farthest from the current center joins the model until none
+    lies outside.  The support is the 1-3 points on the boundary; the radius
+    is evaluated over every point.
+    """
+    pts = np.asarray(points, dtype=np.complex128).ravel()
+    if pts.size == 0:
+        raise ContractError("smallest_enclosing_disk needs at least one point")
+    mu = complex(pts.mean())  # work relative to the centroid, like delta_general
+    rel = pts - mu
+    support, g, lam = [], -math.inf, 0j
+    while True:
+        far = complex(rel[np.argmax(np.abs(rel - lam))])
+        if abs(far - lam) ** 2 <= g:
+            break
+        g_new, lam, support = _add_atom(support, (far, 0.0))
+        if g_new <= g:
+            break  # rounding level: the farthest point sits on the boundary
+        g = g_new
+    center = mu + lam
+    return SpectralDisk(center=center, radius=float(np.abs(pts - center).max()),
+                        support=tuple(mu + z for z, _ in support))
+
+
 def delta_general(c) -> DeltaResult:
     """Distance to the scalars for an arbitrary square matrix.
 
@@ -355,26 +265,25 @@ def delta_grid_oracle(c, half_width: float, resolution: int) -> DeltaResult:
     center = complex(np.trace(c)) / c.shape[0]
     xs = np.linspace(-half_width, half_width, resolution)
     grid = (center + xs[:, None] + 1j * xs[None, :]).ravel()
-    vals = _norms_minus_scalars(c, grid)
+    vals = operator_norms(c - grid[:, None, None] * np.eye(c.shape[0]))
     best = int(np.argmin(vals))
     spacing = float(xs[1] - xs[0])
     return DeltaResult(value=float(vals[best]), minimizer=complex(grid[best]),
                        method="grid", certified_gap=spacing)
 
 
-def delta(c, method: str = "auto", seed=0) -> DeltaResult:
+def delta(c, method: str = "auto") -> DeltaResult:
     """Dispatch among the delta routes.
 
-    ``auto`` uses the spectral-disk route when C is normal within tolerance
-    and the convex route otherwise.
+    ``auto`` and ``convex`` run ``delta_general`` on every square C, normal
+    or not; ``disk`` is the spectral reference route (normal C only) and
+    ``grid`` the exhaustive oracle.
     """
     c = as_matrix(c, square=True)
-    if method == "auto":
-        return delta_normal(c, seed=seed) if is_normal(c) else delta_general(c)
-    if method == "disk":
-        return delta_normal(c, seed=seed)
-    if method == "convex":
+    if method in ("auto", "convex"):
         return delta_general(c)
+    if method == "disk":
+        return delta_normal(c)
     if method == "grid":
         return delta_grid_oracle(c, operator_norm(c) + 1.0, 201)
     raise ContractError(f"unknown delta method {method!r}")

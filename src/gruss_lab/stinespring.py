@@ -65,6 +65,20 @@ def dilate(phi: MapRep) -> StinespringDilation:
                                source=kraus_rep)
 
 
+def dilation_residual(phi: MapRep, dilation: StinespringDilation, samples: int = 50,
+                      seed=0) -> float:
+    """Worst ||Phi(A) - V* pi(A) V|| / (1 + ||A||) over ``samples`` draws of A
+    with standard normal real and imaginary parts (0.0 for no samples)."""
+    rng = np.random.default_rng(seed)
+    shape = (phi.in_dim,) * 2
+    worst = 0.0
+    for _ in range(samples):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        resid = operator_norm(apply(phi, a) - dilation.dilated_apply(a))
+        worst = max(worst, resid / (1.0 + operator_norm(a)))
+    return worst
+
+
 def homomorphism_check(dilation: StinespringDilation, samples: int = 50, seed=0) -> dict:
     """Verify that pi is a unital *-homomorphism on random sample pairs.
 

@@ -212,10 +212,12 @@ def test_non_finite_numbers_are_encoded_not_raised(capsys, tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy's import is a large share of start-up and no CLI path needs it
+    # scipy's import is a large share of start-up and nothing in the package needs it
     src = str(Path(gruss_lab.__file__).resolve().parent.parent)
-    probe = ("import sys, gruss_lab.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    for module in ("gruss_lab.cli", "gruss_lab"):
+        probe = (f"import sys, {module}; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert proc.stdout.strip() == "[]", module

@@ -63,7 +63,7 @@ def test_check_theorem_on_cp_instances():
         phi = random_unital_cp(3, 1 + trial % 9, seed=trial)
         a = random_ensemble("ginibre", 3, seed=trial)
         b = random_ensemble("normal", 3, seed=1000 + trial)
-        rep = check_theorem(phi, a, b, seed=trial)
+        rep = check_theorem(phi, a, b)
         assert not rep.violated
         assert rep.bound == rep.delta_a.value * rep.delta_b.value
         # defect recomputable from the stored instance
@@ -77,7 +77,7 @@ def test_check_theorem_on_normalized_choi_map():
     for trial in range(20):
         a = random_ensemble("hermitian", 4, seed=trial)
         b = random_ensemble("ginibre", 4, seed=50 + trial)
-        rep = check_theorem(phi, a, b, seed=trial)
+        rep = check_theorem(phi, a, b)
         assert not rep.violated
 
 
@@ -180,7 +180,7 @@ def test_corollary_random_instances():
     for trial in range(50):
         a = random_ensemble("hermitian", 4, seed=trial)
         b = random_ensemble("hermitian", 4, seed=700 + trial)
-        res = check_corollary(4, a, b, seed=trial)
+        res = check_corollary(4, a, b)
         assert res["ok"]
         assert res["formula_residual"] <= 1e-10 * (1 + res["lhs"])
 

@@ -9,6 +9,7 @@ from gruss_lab import (
     dag,
     delta_normal,
     dilate,
+    dilation_residual,
     from_kraus,
     ginibre,
     haar_unitary,
@@ -75,6 +76,28 @@ def test_pi_preserves_norm():
     for trial in range(20):
         a = ginibre(3, seed=trial)
         assert operator_norm(dil.pi(a)) == pytest.approx(operator_norm(a), abs=1e-10)
+
+
+def test_dilation_residual():
+    phi = random_unital_cp(3, 4, seed=6)
+    dil = dilate(phi)
+    assert dilation_residual(phi, dil, samples=0) == 0.0
+    worst = dilation_residual(phi, dil, samples=20, seed=2)
+    assert 0.0 < worst <= 1e-12
+    assert dilation_residual(phi, dil, samples=20, seed=2) == worst
+
+    # the worst of the same draws, recomputed sample by sample
+    rng = np.random.default_rng(2)
+    expected = 0.0
+    for _ in range(20):
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        resid = operator_norm(apply(phi, a) - dil.dilated_apply(a))
+        expected = max(expected, resid / (1 + operator_norm(a)))
+    assert worst == expected
+
+    # a dilation of another map is caught
+    other = dilate(random_unital_cp(3, 4, seed=7))
+    assert dilation_residual(phi, other, samples=5) > 1e-3
 
 
 def test_homomorphism_check():
