@@ -200,6 +200,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_command(args: argparse.Namespace) -> tuple[dict, dict, dict, int]:
     """Returns (config, result, residuals, exit_code)."""
     cmd = args.command
+    if args.seed < 0:
+        raise ContractError(f"--seed must be >= 0, got {args.seed}")
 
     if cmd == "delta":
         config = {"matrix": args.matrix, "method": args.method, "seed": args.seed}

@@ -494,6 +494,8 @@ def run_trials(check: str, family: str = "cp", dims=(2, 3, 4), trials: int = 100
     """
     dims = tuple(int(d) for d in dims)
     _validate_trial_config(check, family, dims)
+    if trials < 0:
+        raise ContractError(f"trials must be >= 0, got {trials}")
     n_threads = _thread_count(threads)
     t0 = time.perf_counter()
     rows = _map_over_trials(
@@ -531,6 +533,8 @@ def explore_two_positive(trials: int, seed: int = 0, k: int = 3,
     """
     if k < 3:
         raise ContractError(f"explore_two_positive needs k >= 3, got {k}")
+    if trials < 0:
+        raise ContractError(f"trials must be >= 0, got {trials}")
     base = normalized_choi_map(k)
 
     def one(t: int, materialize: bool = False):

@@ -211,6 +211,27 @@ def test_non_finite_numbers_are_encoded_not_raised(capsys, tmp_path):
     assert json.loads(captured.err)["error"]["type"] == "io"
 
 
+@pytest.mark.parametrize("argv", [
+    ["npositive", "--map", "transpose", "--n", "2", "--starts", "-3"],
+    ["npositive", "--map", "transpose", "--n", "2", "--starts", "0"],
+    ["dilate", "--map", "idmap", "--samples", "-2"],
+    ["verify", "theorem", "--dims", "2", "--trials", "-1"],
+    ["verify", "theorem", "--dims", "2", "--trials", "2", "--seed", "-1"],
+    ["explore", "two-positive", "--trials", "2", "--seed", "-1"],
+    ["npositive", "--map", "transpose", "--n", "2", "--seed", "-1"],
+], ids=["starts-negative", "starts-zero", "samples-negative", "trials-negative",
+        "verify-seed-negative", "explore-seed-negative", "npositive-seed-negative"])
+def test_invalid_counts_and_seeds_are_contract_errors(capsys, fixtures, argv):
+    argv = [fixtures.get(arg, arg) for arg in argv]
+    code = route(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "contract"
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy's import is a large share of start-up and nothing in the package needs it
     src = str(Path(gruss_lab.__file__).resolve().parent.parent)

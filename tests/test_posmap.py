@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gruss_lab.posmap as posmap
 from gruss_lab import (
     CERTIFIED_CP,
     CERTIFIED_NOT_N_POSITIVE,
@@ -26,6 +29,7 @@ from gruss_lab import (
     is_unital,
     map_from_json,
     map_to_json,
+    mix,
     n_positivity_search,
     normalized_choi_map,
     operator_norm,
@@ -38,6 +42,7 @@ from gruss_lab import (
     unitary_conj,
     witness_vector,
 )
+from gruss_lab.posmap import WITNESS_TOL
 
 
 def _basis_matrix(k, i, j):
@@ -246,6 +251,102 @@ def test_search_determinism():
     b = n_positivity_search(choi_map(3), 2, starts=20, seed=77)
     assert a.min_value_found == b.min_value_found
     assert np.array_equal(a.witness_a, b.witness_a)
+
+
+def _kron_minimum(jh, t):
+    h = dag(t) @ jh @ t
+    w, vecs = np.linalg.eigh((h + dag(h)) / 2.0)
+    return float(w[0]), t @ vecs[:, 0]
+
+
+def _reference_start(jh, k, d, n, child, max_iters=200):
+    # one start of the search as a plain loop over kron-built frame columns
+    rng = np.random.default_rng(child)
+    b_frame, _ = np.linalg.qr(rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n)))
+    eye_k, eye_d = np.eye(k), np.eye(d)
+
+    def fixed_b(f):
+        return _kron_minimum(jh, np.hstack([np.kron(eye_k, f[:, [r]]) for r in range(n)]))
+
+    def fixed_a(f):
+        return _kron_minimum(jh, np.hstack([np.kron(f[:, [r]], eye_d) for r in range(n)]))
+
+    q_prev = np.inf
+    q, x = fixed_b(b_frame)
+    for _ in range(max_iters):
+        q, x = fixed_a(np.linalg.svd(x.reshape(k, d))[0][:, :n])
+        q, x = fixed_b(np.linalg.svd(x.reshape(k, d))[2][:n, :].T)
+        if abs(q_prev - q) < 1e-12:
+            break
+        q_prev = q
+    return q
+
+
+def _reference_values(phi, n, starts, seed):
+    j = choi_matrix(phi)
+    jh = (j + dag(j)) / 2.0
+    return [_reference_start(jh, phi.in_dim, phi.out_dim, n, child)
+            for child in np.random.SeedSequence(seed).spawn(starts)]
+
+
+def _unital_mix(k, seed):
+    return mix([normalized_choi_map(k), random_unital_cp(k, 2, seed=seed)], [0.6, 0.4])
+
+
+def test_stacked_search_matches_kron_reference():
+    cases = [(transpose_map(k), 2) for k in (3, 4, 5)]
+    cases += [(choi_map(k), n) for k in (3, 4, 5) for n in sorted({k - 1, 2})]
+    cases += [(_unital_mix(3, 4), 2)]
+    for phi, n in cases:
+        best = min(_reference_values(phi, n, 50, seed=3))
+        v = n_positivity_search(phi, n, starts=50, seed=3)
+        expected = CERTIFIED_NOT_N_POSITIVE if best <= -WITNESS_TOL else HEURISTICALLY_N_POSITIVE
+        assert v.status == expected
+        assert abs(v.min_value_found - best) <= 1e-12
+
+
+def test_search_does_not_depend_on_block_size(monkeypatch):
+    for phi, n in [(transpose_map(4), 2), (choi_map(4), 3), (_unital_mix(3, 8), 2)]:
+        runs = []
+        for block in (1, 7, posmap.SEARCH_BLOCK, 1000):
+            monkeypatch.setattr(posmap, "SEARCH_BLOCK", block)
+            runs.append(n_positivity_search(phi, n, starts=40, seed=9))
+        for v in runs[1:]:
+            assert v.min_value_found == runs[0].min_value_found
+            assert np.array_equal(v.witness_a, runs[0].witness_a)
+            assert np.array_equal(v.witness_b, runs[0].witness_b)
+
+
+def test_search_rejects_fewer_than_one_start():
+    for starts in (0, -3):
+        with pytest.raises(ContractError):
+            n_positivity_search(transpose_map(3), 2, starts=starts)
+
+
+_WITNESS_MAPS = {
+    "transpose": transpose_map,
+    "choi": choi_map,
+    "unital_mix": lambda k: _unital_mix(k, 5),
+    "transpose_mix": lambda k: mix([transpose_map(k), random_unital_cp(k, 3, seed=k)],
+                                   [0.5, 0.5]),
+}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(_WITNESS_MAPS)), k=st.integers(2, 4),
+       n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_property_refutation_witness_re_evaluates(name, k, n, seed):
+    phi = _WITNESS_MAPS[name](k)
+    v = n_positivity_search(phi, n, starts=8, seed=seed)
+    if v.status != CERTIFIED_NOT_N_POSITIVE:
+        return
+    x = witness_vector(v.witness_a, v.witness_b)
+    assert v.witness_a.shape[0] <= n
+    assert np.linalg.matrix_rank(x.reshape(k, k), tol=1e-10) <= n
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-10)
+    value = rayleigh_value(phi, x)
+    assert value <= -WITNESS_TOL
+    assert abs(value - v.min_value_found) <= 1e-9
 
 
 def test_normalized_choi_map_is_unital():

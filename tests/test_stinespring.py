@@ -114,6 +114,34 @@ def test_homomorphism_check():
     assert rep["unital_exact"]
 
 
+def test_homomorphism_check_matches_per_sample_recomputation():
+    dil = dilate(random_unital_cp(3, 4, seed=6))
+    rep = homomorphism_check(dil, samples=0)
+    assert rep == {"samples": 0, "max_product_residual": 0.0,
+                   "max_adjoint_residual": 0.0, "unital_exact": True}
+
+    # 37 samples: two full blocks and a partial one
+    rep = homomorphism_check(dil, samples=37, seed=4)
+    rng = np.random.default_rng(4)
+    max_product = max_adjoint = 0.0
+    for _ in range(37):
+        a = ginibre(3, rng)
+        b = ginibre(3, rng)
+        scale = 1.0 + operator_norm(a) * operator_norm(b)
+        max_product = max(max_product,
+                          operator_norm(dil.pi(a @ b) - dil.pi(a) @ dil.pi(b)) / scale)
+        max_adjoint = max(max_adjoint, operator_norm(dil.pi(dag(a)) - dag(dil.pi(a))))
+    assert rep["samples"] == 37
+    assert rep["max_product_residual"] == max_product
+    assert rep["max_adjoint_residual"] == max_adjoint
+    assert 0.0 < max_product <= 1e-12
+
+    with pytest.raises(ContractError):
+        homomorphism_check(dil, samples=-1)
+    with pytest.raises(ContractError):
+        dilation_residual(dil.source, dil, samples=-2)
+
+
 def test_defect_identity_trivial_cases():
     dil = dilate(identity_map(2))
     lhs, rhs = lemma2_defect_identity(dil, np.eye(2), 0.3 + 1j, -7.0)
