@@ -59,7 +59,6 @@ from .posmap import (
     NPositivityVerdict,
     amplify,
     apply,
-    as_superop,
     builtin,
     choi_map,
     choi_matrix,
@@ -68,7 +67,6 @@ from .posmap import (
     cp_test,
     from_choi,
     from_kraus,
-    from_superop,
     identity_map,
     is_unital,
     map_from_json,

@@ -219,7 +219,11 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, dict, dict, int]:
         return config, _gruss_json(rep), {}, 0
 
     if cmd == "verify":
-        dims = tuple(int(d) for d in args.dims.split(",") if d.strip())
+        try:
+            dims = tuple(int(d) for d in args.dims.split(",") if d.strip())
+        except ValueError:
+            raise ContractError(
+                f"--dims must be comma-separated integers, got {args.dims!r}") from None
         config = {"check": args.check, "dims": list(dims), "trials": args.trials,
                   "family": args.family, "seed": args.seed, "violTol": args.viol_tol}
         summary = run_trials(args.check, family=args.family, dims=dims,

@@ -57,13 +57,6 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     return s[..., 0]
 
 
-def is_hermitian(a: Matrix, tol: float = HERM_TOL) -> bool:
-    a = np.asarray(a, dtype=np.complex128)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return operator_norm(a - dag(a)) <= tol * operator_norm(a)
-
-
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Hermitian eigendecomposition A = Q diag(w) Q* with w ascending."""

@@ -1,6 +1,6 @@
 """Linear maps between matrix algebras: representations and positivity tests.
 
-A map Phi: M_k -> M_d is stored in exactly one of three forms:
+A map Phi: M_k -> M_d is stored in exactly one of two forms:
 
 * Kraus -- a family of d x k matrices ``K_i`` with Phi(X) = sum_i K_i X K_i*
   (exists iff the map is completely positive); Phi is unital iff
@@ -8,8 +8,12 @@ A map Phi: M_k -> M_d is stored in exactly one of three forms:
 * Choi  -- the dk x dk matrix J = sum_ij E_ij (x) Phi(E_ij), where E_ij are
   the k x k matrix units; viewed as a k x k grid of d x d blocks, block
   (i, j) is Phi(E_ij).
-* Superop -- the d^2 x k^2 matrix acting on column-major vectorizations:
-  vec(Phi(X)) = S vec(X).  For a Kraus map S = sum_i conj(K_i) (x) K_i.
+
+The superoperator, the d^2 x k^2 matrix S with vec(Phi(X)) = S vec(X) on
+column-major vectorizations (S = sum_i conj(K_i) (x) K_i for a Kraus map),
+is only a conversion (``superop_matrix``), never a storage form.
+Compositions, mixtures and non-Kraus amplifications are built on the Choi
+matrix.
 
 The amplification Phi_n acts blockwise on n x n operator matrices:
 output block (i, j) = Phi(input block (i, j)).
@@ -60,21 +64,17 @@ CERTIFIED_CP = "certified_cp"
 
 @dataclass(frozen=True, eq=False)
 class MapRep:
-    """A linear map M_k -> M_d in Kraus, Choi or superoperator form."""
+    """A linear map M_k -> M_d in Kraus form (``kraus`` set) or Choi form
+    (``choi`` set); exactly one of the two is stored."""
 
     in_dim: int
     out_dim: int
     kraus: tuple[Matrix, ...] | None = None
     choi: Matrix | None = None
-    superop: Matrix | None = None
 
     @property
     def form(self) -> str:
-        if self.kraus is not None:
-            return "kraus"
-        if self.choi is not None:
-            return "choi"
-        return "superop"
+        return "kraus" if self.kraus is not None else "choi"
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,37 +120,23 @@ def from_choi(j, in_dim: int, out_dim: int) -> MapRep:
     return MapRep(in_dim=in_dim, out_dim=out_dim, choi=j)
 
 
-def from_superop(s, in_dim: int, out_dim: int) -> MapRep:
-    s = as_matrix(s)
-    if s.shape != (out_dim * out_dim, in_dim * in_dim):
-        raise DimensionError(
-            f"superoperator is {s.shape}, expected {(out_dim**2, in_dim**2)}"
-        )
-    return MapRep(in_dim=in_dim, out_dim=out_dim, superop=s)
-
-
 def identity_map(k: int) -> MapRep:
     return from_kraus([np.eye(k, dtype=np.complex128)])
 
 
 def choi_matrix(phi: MapRep) -> Matrix:
     """The Choi matrix J = sum_ij E_ij (x) Phi(E_ij) of ``phi``."""
-    k, d = phi.in_dim, phi.out_dim
     if phi.choi is not None:
         return phi.choi
-    if phi.kraus is not None:
-        # J = sum_l w_l w_l* with w_l = vec of K_l^T (index (i, a) -> K_l[a, i])
-        w = np.stack([op.T.reshape(-1) for op in phi.kraus])
-        return np.einsum("li,lj->ij", w, w.conj())
-    s4 = phi.superop.reshape(d, d, k, k)  # [beta, alpha, b, a]
-    return np.ascontiguousarray(s4.transpose(3, 1, 2, 0).reshape(k * d, k * d))
+    # J = sum_l w_l w_l* with w_l = vec of K_l^T (index (i, a) -> K_l[a, i])
+    w = np.stack([op.T.reshape(-1) for op in phi.kraus])
+    return np.einsum("li,lj->ij", w, w.conj())
 
 
 def superop_matrix(phi: MapRep) -> Matrix:
-    """The superoperator on column-major vectorizations."""
+    """The superoperator on column-major vectorizations (a conversion; no
+    map is stored in this form)."""
     k, d = phi.in_dim, phi.out_dim
-    if phi.superop is not None:
-        return phi.superop
     if phi.kraus is not None:
         return sum(np.kron(op.conj(), op) for op in phi.kraus)
     j4 = phi.choi.reshape(k, d, k, d)  # [a, alpha, b, beta]
@@ -159,10 +145,6 @@ def superop_matrix(phi: MapRep) -> Matrix:
 
 def to_choi(phi: MapRep) -> MapRep:
     return MapRep(in_dim=phi.in_dim, out_dim=phi.out_dim, choi=choi_matrix(phi))
-
-
-def as_superop(phi: MapRep) -> MapRep:
-    return MapRep(in_dim=phi.in_dim, out_dim=phi.out_dim, superop=superop_matrix(phi))
 
 
 def choi_to_kraus(phi: MapRep, psd_tol: float = CHOI_PSD_TOL, cutoff: float = KRAUS_CUTOFF) -> MapRep:
@@ -200,11 +182,8 @@ def apply(phi: MapRep, x) -> Matrix:
         # [K_1 X ... K_L X] [K_1 ... K_L]*: two GEMMs through the d x Lk stack
         wide = np.concatenate(phi.kraus, axis=1)
         return (wide.reshape(-1, k) @ x).reshape(d, -1) @ dag(wide)
-    if phi.choi is not None:
-        j4 = phi.choi.reshape(k, d, k, d)
-        return np.einsum("ij,iajb->ab", x, j4)
-    vec = x.reshape(-1, order="F")
-    return (phi.superop @ vec).reshape(d, d, order="F")
+    j4 = phi.choi.reshape(k, d, k, d)
+    return np.einsum("ij,iajb->ab", x, j4)
 
 
 def _apply_stack(phi: MapRep, xs: np.ndarray) -> np.ndarray:
@@ -215,10 +194,7 @@ def _apply_stack(phi: MapRep, xs: np.ndarray) -> np.ndarray:
     if phi.kraus is not None:
         wide = np.concatenate(phi.kraus, axis=1)
         return (wide.reshape(-1, k) @ xs).reshape(s, d, -1) @ dag(wide)
-    if phi.choi is not None:
-        return np.einsum("sij,iajb->sab", xs, phi.choi.reshape(k, d, k, d))
-    vecs = xs.transpose(0, 2, 1).reshape(s, k * k, 1)
-    return (phi.superop @ vecs).reshape(s, d, d).transpose(0, 2, 1)
+    return np.einsum("sij,iajb->sab", xs, phi.choi.reshape(k, d, k, d))
 
 
 def amplify(phi: MapRep, n: int) -> MapRep:
@@ -228,13 +204,13 @@ def amplify(phi: MapRep, n: int) -> MapRep:
     if n == 1:
         return phi
     k, d = phi.in_dim, phi.out_dim
-    if phi.kraus is not None:
-        eye = np.eye(n, dtype=np.complex128)
-        return from_kraus([np.kron(eye, op) for op in phi.kraus])
-    s4 = superop_matrix(phi).reshape(d, d, k, k)
     eye = np.eye(n, dtype=np.complex128)
-    s_amp = np.einsum("BAba,pP,qQ->qBpAQbPa", s4, eye, eye)
-    return from_superop(s_amp.reshape(n * d * n * d, n * k * n * k), n * k, n * d)
+    if phi.kraus is not None:
+        return from_kraus([np.kron(eye, op) for op in phi.kraus])
+    # Phi_n(E_pq (x) E_ij) = E_pq (x) Phi(E_ij): J_n[(p,i,p',a),(q,j,q',b)]
+    # = delta_pp' delta_qq' J[(i,a),(j,b)]
+    j_amp = np.einsum("iajb,pP,qQ->piPaqjQb", phi.choi.reshape(k, d, k, d), eye, eye)
+    return from_choi(j_amp.reshape(n * k * n * d, n * k * n * d), n * k, n * d)
 
 
 def compose(after: MapRep, before: MapRep) -> MapRep:
@@ -243,8 +219,12 @@ def compose(after: MapRep, before: MapRep) -> MapRep:
         raise DimensionError(
             f"cannot compose: inner dims {before.out_dim} vs {after.in_dim}"
         )
-    s = superop_matrix(after) @ superop_matrix(before)
-    return from_superop(s, before.in_dim, after.out_dim)
+    # (A o B)(E_ij) = sum_ce B(E_ij)[c, e] A(E_ce), so
+    # J[(i,a),(j,b)] = sum_ce J_B[(i,c),(j,e)] J_A[(c,a),(e,b)]
+    k, c, d = before.in_dim, before.out_dim, after.out_dim
+    j = np.einsum("icje,caeb->iajb", choi_matrix(before).reshape(k, c, k, c),
+                  choi_matrix(after).reshape(c, d, c, d))
+    return from_choi(j.reshape(k * d, k * d), k, d)
 
 
 def mix(maps, weights) -> MapRep:
@@ -482,13 +462,13 @@ def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 
 
     For n >= min(k, d) the Schmidt constraint is vacuous, n-positivity
     coincides with complete positivity, and the result is the exact Choi
-    eigenvalue decision.  Otherwise the minimization runs ``starts``
-    alternating-eigenvector descents, each from a random frame drawn from
-    its own child of ``SeedSequence(seed)``.  The starts run as stacked
-    kernels, ``SEARCH_BLOCK`` at a time, and each stops on its own; the
-    first start reaching the lowest value wins.  Results are deterministic
-    in (seed, starts) and do not depend on the block size.  The verdict is
-    certified only in the refutation direction.
+    eigenvalue decision, which runs no start (``starts`` = 0).  Otherwise
+    the minimization runs ``starts`` alternating-eigenvector descents, each
+    from a random frame drawn from its own child of ``SeedSequence(seed)``.
+    The starts run as stacked kernels, ``SEARCH_BLOCK`` at a time, and each
+    stops on its own; the first start reaching the lowest value wins.
+    Results are deterministic in (seed, starts) and do not depend on the
+    block size.  The verdict is certified only in the refutation direction.
     """
     if n < 1:
         raise ContractError(f"positivity order must be >= 1, got {n}")
@@ -498,13 +478,14 @@ def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 
     j = choi_matrix(phi)
     jh = (j + dag(j)) / 2.0
 
-    if n >= min(k, d):
+    exact = n >= min(k, d)
+    if exact:
         w, vecs = np.linalg.eigh(jh)
         best_val, best_x = float(w[0]), vecs[:, 0]
         if best_val >= -CHOI_PSD_TOL:
             a, b = schmidt_decompose(best_x, k, d)
             return NPositivityVerdict(n=n, status=CERTIFIED_CP, min_value_found=best_val,
-                                      witness_a=a, witness_b=b, starts=starts)
+                                      witness_a=a, witness_b=b, starts=0)
     else:
         j4 = jh.reshape(k, d, k, d)
         children = np.random.SeedSequence(seed).spawn(starts)
@@ -525,7 +506,7 @@ def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 
         b = b / nrm
     status = CERTIFIED_NOT_N_POSITIVE if best_val <= -WITNESS_TOL else HEURISTICALLY_N_POSITIVE
     return NPositivityVerdict(n=n, status=status, min_value_found=float(best_val),
-                              witness_a=a, witness_b=b, starts=starts)
+                              witness_a=a, witness_b=b, starts=0 if exact else starts)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +514,7 @@ def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 
 
 
 def map_to_json(phi: MapRep) -> dict:
-    """Serialize a map; superoperator-form maps are emitted in Choi form."""
+    """Serialize a map in its stored form, Kraus or Choi."""
     if phi.kraus is not None:
         return {"kind": "kraus", "ops": [matrix_to_json(op) for op in phi.kraus]}
     return {
@@ -542,6 +523,13 @@ def map_to_json(phi: MapRep) -> dict:
         "outDim": phi.out_dim,
         "matrix": matrix_to_json(choi_matrix(phi)),
     }
+
+
+def _json_dim(obj: dict, key: str) -> int:
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ContractError(f"map JSON {key!r} must be a positive integer, got {value!r}")
+    return value
 
 
 def map_from_json(obj) -> MapRep:
@@ -558,11 +546,12 @@ def map_from_json(obj) -> MapRep:
         for key in ("inDim", "outDim", "matrix"):
             if key not in obj:
                 raise ContractError(f"choi map JSON is missing {key!r}")
-        return from_choi(matrix_from_json(obj["matrix"]), int(obj["inDim"]), int(obj["outDim"]))
+        return from_choi(matrix_from_json(obj["matrix"]), _json_dim(obj, "inDim"),
+                         _json_dim(obj, "outDim"))
     if kind == "builtin":
         if "name" not in obj or "dim" not in obj:
             raise ContractError("builtin map JSON needs 'name' and 'dim'")
-        return builtin(obj["name"], dim=int(obj["dim"]))
+        return builtin(obj["name"], dim=_json_dim(obj, "dim"))
     if kind == "unitaryConj":
         if "u" not in obj:
             raise ContractError("unitaryConj map JSON needs 'u'")

@@ -48,6 +48,16 @@ def fixtures(tmp_path):
         "transpose": _write(tmp_path / "t.json", {"kind": "builtin", "name": "transpose", "dim": 2}),
         "idmap": _write(tmp_path / "id_map.json",
                         {"kind": "kraus", "ops": [matrix_to_json(np.eye(2))]}),
+        "dim-text": _write(tmp_path / "dim_text.json",
+                           {"kind": "builtin", "name": "transpose", "dim": "x"}),
+        "dim-fraction": _write(tmp_path / "dim_fraction.json",
+                               {"kind": "builtin", "name": "transpose", "dim": 2.7}),
+        "in-dim-text": _write(tmp_path / "in_dim_text.json",
+                              {"kind": "choi", "inDim": "x", "outDim": 2,
+                               "matrix": matrix_to_json(np.eye(4))}),
+        "out-dim-text": _write(tmp_path / "out_dim_text.json",
+                               {"kind": "choi", "inDim": 2, "outDim": "x",
+                                "matrix": matrix_to_json(np.eye(4))}),
         "tmp_path": tmp_path,
     }
 
@@ -219,8 +229,15 @@ def test_non_finite_numbers_are_encoded_not_raised(capsys, tmp_path):
     ["verify", "theorem", "--dims", "2", "--trials", "2", "--seed", "-1"],
     ["explore", "two-positive", "--trials", "2", "--seed", "-1"],
     ["npositive", "--map", "transpose", "--n", "2", "--seed", "-1"],
+    ["verify", "theorem", "--dims", "x", "--trials", "2"],
+    ["npositive", "--map", "dim-text", "--n", "2"],
+    ["npositive", "--map", "dim-fraction", "--n", "2"],
+    ["npositive", "--map", "in-dim-text", "--n", "2"],
+    ["npositive", "--map", "out-dim-text", "--n", "2"],
 ], ids=["starts-negative", "starts-zero", "samples-negative", "trials-negative",
-        "verify-seed-negative", "explore-seed-negative", "npositive-seed-negative"])
+        "verify-seed-negative", "explore-seed-negative", "npositive-seed-negative",
+        "dims-text", "builtin-dim-text", "builtin-dim-fraction", "choi-in-dim-text",
+        "choi-out-dim-text"])
 def test_invalid_counts_and_seeds_are_contract_errors(capsys, fixtures, argv):
     argv = [fixtures.get(arg, arg) for arg in argv]
     code = route(argv)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gruss_lab import (
     ContractError,
@@ -17,6 +19,7 @@ from gruss_lab import (
     gruss_defect,
     haar_unitary,
     identity_map,
+    mix,
     normalized_choi_map,
     operator_norm,
     proof_chain,
@@ -56,6 +59,36 @@ def test_defect_translation_invariance_for_unital_maps():
         mu = complex(rng.standard_normal(), rng.standard_normal())
         shifted = gruss_defect(phi, a - lam * np.eye(3), b - mu * np.eye(3))
         assert abs(shifted - base) <= 1e-9 * (1 + base)
+
+
+def _mixed_map(k, seed):
+    return mix([normalized_choi_map(k), random_unital_cp(k, 2, seed=seed)], [0.5, 0.5])
+
+
+def _positive_map(k, seed):
+    return unitalize(compose(transpose_map(k), random_unital_cp(k, 2, seed=seed)))
+
+
+# one trial family per stored map form, plus a unitalized composition
+_SHIFT_FAMILIES = {
+    "cp": ("kraus", lambda k, seed: random_unital_cp(k, 3, seed=seed)),
+    "mixed": ("choi", _mixed_map),
+    "positive": ("choi", _positive_map),
+}
+_SHIFTS = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
+
+
+@given(family=st.sampled_from(sorted(_SHIFT_FAMILIES)), k=st.integers(2, 4),
+       seed=st.integers(0, 2**32 - 1), lam=_SHIFTS, mu=_SHIFTS)
+def test_property_defect_shift_invariance(family, k, seed, lam, mu):
+    form, draw = _SHIFT_FAMILIES[family]
+    phi = draw(k, seed)
+    assert phi.form == form
+    a = ginibre(k, seed=seed + 1)
+    b = ginibre(k, seed=seed + 2)
+    base = gruss_defect(phi, a, b)
+    shifted = gruss_defect(phi, a + lam * np.eye(k), b + mu * np.eye(k))
+    assert abs(shifted - base) <= 1e-9 * (1 + base)
 
 
 def test_check_theorem_on_cp_instances():

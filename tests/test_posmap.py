@@ -1,8 +1,10 @@
 """Map representations, conversions, built-ins, positivity criteria."""
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gruss_lab.posmap as posmap
@@ -317,6 +319,15 @@ def test_search_does_not_depend_on_block_size(monkeypatch):
             assert np.array_equal(v.witness_b, runs[0].witness_b)
 
 
+def test_search_reports_the_starts_it_ran():
+    # n >= min(k, d) is decided exactly by the Choi spectrum and runs no start
+    for phi in (choi_map(3), random_unital_cp(3, 2, seed=4)):
+        for n in (3, 5):
+            assert n_positivity_search(phi, n, starts=50, seed=2).starts == 0
+    assert n_positivity_search(transpose_map(3), 2, starts=17, seed=2).starts == 17
+    assert n_positivity_search(choi_map(4), 3, starts=9, seed=2).starts == 9
+
+
 def test_search_rejects_fewer_than_one_start():
     for starts in (0, -3):
         with pytest.raises(ContractError):
@@ -332,7 +343,7 @@ _WITNESS_MAPS = {
 }
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(name=st.sampled_from(sorted(_WITNESS_MAPS)), k=st.integers(2, 4),
        n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_property_refutation_witness_re_evaluates(name, k, n, seed):
@@ -347,6 +358,74 @@ def test_property_refutation_witness_re_evaluates(name, k, n, seed):
     value = rayleigh_value(phi, x)
     assert value <= -WITNESS_TOL
     assert abs(value - v.min_value_found) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# properties: a map is stored as Kraus or Choi, and every route to Phi(X) agrees
+
+_DIMS = st.integers(1, 4)
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _random_kraus_map(k, d, rank, seed):
+    rng = np.random.default_rng(seed)
+    return from_kraus([rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+                       for _ in range(rank)])
+
+
+def _random_choi_map(k, d, seed):
+    # a general linear map: its Choi matrix need not be PSD or even Hermitian
+    return from_choi(ginibre(k * d, seed=seed), k, d)
+
+
+def _close(got, ref, x):
+    return operator_norm(got - ref) <= 1e-10 * (1 + operator_norm(x))
+
+
+@given(k=_DIMS, d=_DIMS, rank=st.integers(1, 4), seed=_SEEDS)
+def test_property_representation_round_trips(k, d, rank, seed):
+    phi = _random_kraus_map(k, d, rank, seed)
+    choi = to_choi(phi)
+    x = ginibre(k, seed=seed + 1)
+    ref = apply(phi, x)
+    forms = [choi, choi_to_kraus(choi)]
+    forms += [map_from_json(json.loads(json.dumps(map_to_json(f)))) for f in (phi, choi)]
+    for alt in forms:
+        assert alt.form in ("kraus", "choi")
+        assert _close(apply(alt, x), ref, x)
+    for f in (phi, choi):
+        via_superop = (superop_matrix(f) @ x.reshape(-1, order="F")).reshape(d, d, order="F")
+        assert _close(via_superop, ref, x)
+
+
+@given(k=_DIMS, c=_DIMS, d=_DIMS, seed=_SEEDS)
+@example(k=2, c=3, d=4, seed=0)
+@example(k=4, c=1, d=3, seed=1)
+def test_property_compose_is_composition(k, c, d, seed):
+    afters = (_random_kraus_map(c, d, 2, seed), _random_choi_map(c, d, seed + 1))
+    befores = (_random_kraus_map(k, c, 3, seed + 2), _random_choi_map(k, c, seed + 3))
+    x = ginibre(k, seed=seed + 4)
+    for after in afters:
+        for before in befores:
+            both = compose(after, before)
+            assert both.form == "choi"
+            assert (both.in_dim, both.out_dim) == (k, d)
+            ref = apply(after, apply(before, x))
+            assert _close(apply(both, x), ref, x)
+
+
+@given(k=_DIMS, d=_DIMS, n=st.integers(1, 3), seed=_SEEDS)
+def test_property_amplify_acts_blockwise(k, d, n, seed):
+    x = ginibre(n * k, seed=seed)
+    for phi in (_random_kraus_map(k, d, 2, seed + 1), _random_choi_map(k, d, seed + 2)):
+        amp = amplify(phi, n)
+        assert amp.form == phi.form
+        got = apply(amp, x)
+        for p in range(n):
+            for q in range(n):
+                block = got[p * d:(p + 1) * d, q * d:(q + 1) * d]
+                ref = apply(phi, x[p * k:(p + 1) * k, q * k:(q + 1) * k])
+                assert _close(block, ref, x)
 
 
 def test_normalized_choi_map_is_unital():

@@ -273,7 +273,7 @@ def test_tiny_perturbation_of_identity_is_not_zero():
 # ---------------------------------------------------------------------------
 # properties: each route's [value - certified_gap, value] must contain delta(C)
 
-_PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+_PROPERTY_SETTINGS = settings(max_examples=40)
 _KINDS = st.sampled_from(("ginibre", "normal", "hermitian"))
 _SEEDS = st.integers(0, 2**32 - 1)
 _FACTORS = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3)
@@ -306,7 +306,7 @@ def test_property_unitary_and_adjoint_invariance(kind, dim, seed, useed):
     assert _brackets_meet(delta(c.conj().T), base, slack=slack)
 
 
-@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@settings(max_examples=15)
 @given(kind=_KINDS, dim=st.integers(2, 4), seed=_SEEDS)
 def test_property_lower_bounds_below_grid_oracle(kind, dim, seed):
     c = random_ensemble(kind, dim, seed=seed)
