@@ -204,14 +204,14 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, dict, dict, int]:
         raise ContractError(f"--seed must be >= 0, got {args.seed}")
 
     if cmd == "delta":
-        config = {"matrix": args.matrix, "method": args.method, "seed": args.seed}
+        config = {"matrix": args.matrix, "method": args.method}
         c = _load_matrix(args.matrix)
         res = delta(c, args.method)
         achieved = operator_norm(c - res.minimizer * np.eye(c.shape[0]))
         return config, _delta_json(res), {"achievedMinusClaimed": achieved - res.value}, 0
 
     if cmd == "defect":
-        config = {"map": args.map, "a": args.a, "b": args.b, "seed": args.seed}
+        config = {"map": args.map, "a": args.a, "b": args.b}
         phi = _load_map(args.map)
         a = _load_matrix(args.a)
         b = _load_matrix(args.b)
@@ -232,7 +232,7 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, dict, dict, int]:
         return config, _summary_json(summary), {}, code
 
     if cmd == "counterexample":
-        config = {"seed": args.seed}
+        config = {}
         rep = reproduce_counterexample()
         residuals = {
             "defectError": abs(rep.defect - 6.0),
@@ -249,7 +249,7 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, dict, dict, int]:
         return config, _verdict_json(verdict), {}, 0
 
     if cmd == "decompose":
-        config = {"matrix": args.matrix, "m": args.m, "mode": args.mode, "seed": args.seed}
+        config = {"matrix": args.matrix, "m": args.m, "mode": args.mode}
         a = _load_matrix(args.matrix)
         dec = decompose_unitary_sum(a, args.m, mode=args.mode)
         eye = np.eye(a.shape[0])

@@ -59,7 +59,6 @@ from .posmap import (
     normalized_choi_map,
     random_unital_cp,
     transpose_map,
-    unitalize,
 )
 from .scalar_distance import DeltaResult, delta, is_normal
 from .unitary_sum import decompose_unitary_sum, rescale_for_decomposition
@@ -346,11 +345,13 @@ def proof_chain(phi: MapRep, a, b, m: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # randomized trial machinery
+#
+# Every randomized suite is a draw plus a check, run by one driver.  Trial t
+# draws (dim, Phi, A, B) from its own (seed, t) generator, so a trial can be
+# drawn again on its own: the driver replays the worst trial to report it.
 
 
-def _thread_count(explicit: int | None) -> int:
-    if explicit is not None:
-        return max(0, int(explicit))
+def _thread_count() -> int:
     raw = os.environ.get("GRUSS_LAB_THREADS", "0")
     try:
         return max(0, int(raw))
@@ -382,21 +383,54 @@ def _draw_cp(dim: int, rng: np.random.Generator) -> MapRep:
     return random_unital_cp(dim, rank, rng)
 
 
-def _draw_map(family: str, dim: int, rng: np.random.Generator) -> MapRep:
+def _draw_map(family: str, dim: int, rng: np.random.Generator, trace: MapRep | None) -> MapRep:
+    # ``trace`` is the suite's normalized_choi_map(dim), built once per suite
     if family == "cp":
         return _draw_cp(dim, rng)
     if family == "choi":
-        return normalized_choi_map(dim)
+        return trace
     if family == "mixed":
         w = float(rng.uniform(0.0, 1.0))
-        return mix([normalized_choi_map(dim), _draw_cp(dim, rng)], [w, 1.0 - w])
+        return mix([trace, _draw_cp(dim, rng)], [w, 1.0 - w])
     if family == "positive":
-        # composition of positive maps: transpose with a random unital CP map
+        # composition of positive maps: transpose with a random unital CP
+        # map, already unital (to about 1e-14) since both factors are
         cp = _draw_cp(dim, rng)
         t = transpose_map(dim)
-        composed = compose(t, cp) if rng.integers(2) == 0 else compose(cp, t)
-        return unitalize(composed)
+        return compose(t, cp) if rng.integers(2) == 0 else compose(cp, t)
     raise ContractError(f"unknown trial family {family!r}")
+
+
+def _trace_maps(check: str, family: str, dims: tuple) -> dict:
+    # the trace-type map of each dimension, for the suites that use it
+    if check in ("corollary", "explore") or family in ("choi", "mixed"):
+        return {d: normalized_choi_map(d) for d in set(dims)}
+    return {}
+
+
+def _draw_trial(check: str, family: str, dims: tuple, trace: dict, seed: int, t: int):
+    """Trial t's (dim, Phi, A, B), drawn from its own (seed, t) generator.
+
+    The explorer alternates the ``choi`` draw, the trace-type map itself
+    (even t), with the ``mixed`` draw (odd t); the corollary always takes
+    the ``choi`` draw, whatever the suite's family.
+    """
+    rng = _trial_rng(seed, t)
+    dim = dims[t % len(dims)]
+    if check == "explore":
+        family = ("choi", "mixed")[t % 2]
+    elif check == "corollary":
+        family = "choi"
+    phi = _draw_map(family, dim, rng, trace.get(dim))
+
+    if check == "lemma2" and family != "cp":
+        kind_a = _NORMAL_KINDS[t % 2]
+    else:
+        kind_a = _INPUT_KINDS[t % 3]
+    kind_b = _INPUT_KINDS[(t // 3) % 3]
+    a = _draw_input(kind_a, dim, rng)
+    b = _draw_input(kind_b, dim, rng)
+    return dim, phi, a, b
 
 
 def _validate_trial_config(check: str, family: str, dims) -> None:
@@ -435,154 +469,107 @@ def _known_order(family: str, dim: int) -> int | None:
     return 1
 
 
-def _run_one_trial(check: str, family: str, dims: tuple, master_seed: int,
-                   viol_tol: float | None, t: int, materialize: bool = False):
-    rng = _trial_rng(master_seed, t)
-    dim = int(dims[t % len(dims)])
-    phi = _draw_map(family, dim, rng) if check != "corollary" else normalized_choi_map(dim)
-
-    if check == "lemma2" and family != "cp":
-        kind_a = _NORMAL_KINDS[t % 2]
-    else:
-        kind_a = _INPUT_KINDS[t % 3]
-    kind_b = _INPUT_KINDS[(t // 3) % 3]
-    a = _draw_input(kind_a, dim, rng)
-    b = _draw_input(kind_b, dim, rng)
-
-    formula_residual = None
-    if check == "theorem":
-        rep = check_theorem(phi, a, b, viol_tol=viol_tol)
-        margin, violated = rep.margin, rep.violated
-    elif check == "lemma1":
-        res = check_lemma1(phi, a, b, known_positivity_order=_known_order(family, dim))
-        margin = min(res["rhs_product"] - res["lhs_squared"], res["block_min_eig"])
-        violated = not (res["cauchy_ok"] and res["block_ok"])
-    elif check == "lemma2":
-        res = check_lemma2(phi, a, require_normal=(family != "cp"),
-                           known_positive=True, seed=t)
-        margin = res["bound"] - res["lhs"]
-        violated = not res["ok"]
-        b = None
-    else:  # corollary
-        res = check_corollary(dim, a, b)
-        margin = res["rhs"] - res["lhs"]
-        violated = not (res["ok"] and res["formula_ok"])
-        formula_residual = res["formula_residual"] / (1.0 + res["lhs"])
-
-    if materialize:
-        instance = {
-            "trialIndex": t,
-            "dim": dim,
-            "map": map_to_json(phi),
-            "a": matrix_to_json(a),
-            "b": matrix_to_json(b) if b is not None else None,
-            "margin": float(margin),
-        }
-        return instance
-    return float(margin), bool(violated), formula_residual
-
-
-def run_trials(check: str, family: str = "cp", dims=(2, 3, 4), trials: int = 100,
-               seed: int = 0, viol_tol: float | None = None,
-               threads: int | None = None) -> TrialSummary:
-    """Run seeded randomized trials of one check and aggregate violations.
-
-    Each trial derives its own generator from (seed, trial index), so the
-    aggregate is deterministic and independent of the execution order; the
-    thread count comes from GRUSS_LAB_THREADS when not given (0 or 1 means
-    sequential).
-    """
-    dims = tuple(int(d) for d in dims)
-    _validate_trial_config(check, family, dims)
-    if trials < 0:
-        raise ContractError(f"trials must be >= 0, got {trials}")
-    n_threads = _thread_count(threads)
-    t0 = time.perf_counter()
-    rows = _map_over_trials(
-        lambda t: _run_one_trial(check, family, dims, seed, viol_tol, t),
-        trials, n_threads)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-
-    violations = sum(1 for _, v, _ in rows if v)
-    worst_margin = None
-    worst_instance = None
-    worst_formula = None
-    if rows:
-        margins = [r[0] for r in rows]
-        worst_idx = int(np.argmin(margins))
-        worst_margin = margins[worst_idx]
-        worst_instance = _run_one_trial(check, family, dims, seed, viol_tol,
-                                        worst_idx, materialize=True)
-        if check == "corollary":
-            worst_formula = max(r[2] for r in rows)
-    return TrialSummary(trials=trials, violations=violations, worst_margin=worst_margin,
-                        worst_instance=worst_instance, seed=seed, wall_time_ms=wall_ms,
-                        check=check, family=family,
-                        worst_formula_residual=worst_formula)
-
-
-def explore_two_positive(trials: int, seed: int = 0, k: int = 3,
-                         threads: int | None = None) -> TrialSummary:
-    """Probe the open question: does the product bound hold for 2-positive maps?
-
-    Uses the normalized trace-type map on M_3 (unital, 2-positive, not
-    3-positive) and unital convex mixtures of it with random CP maps.  A
-    defect/bound ratio above 1 + 1e-6 is recorded as a candidate
-    counterexample, never raised as an error: this is evidence gathering,
-    not a verdict.
-    """
-    if k < 3:
-        raise ContractError(f"explore_two_positive needs k >= 3, got {k}")
-    if trials < 0:
-        raise ContractError(f"trials must be >= 0, got {trials}")
-    base = normalized_choi_map(k)
-
-    def one(t: int, materialize: bool = False):
-        rng = _trial_rng(seed, t)
-        if t % 2 == 0:
-            phi = base
-        else:
-            w = float(rng.uniform(0.0, 1.0))
-            phi = mix([base, _draw_cp(k, rng)], [w, 1.0 - w])
-        a = _draw_input(_INPUT_KINDS[t % 3], k, rng)
-        b = _draw_input(_INPUT_KINDS[(t // 3) % 3], k, rng)
+def _check_trial(check: str, family: str, viol_tol: float | None, t: int,
+                 dim: int, phi: MapRep, a: Matrix, b: Matrix) -> tuple[float, bool, dict]:
+    """(margin, violated, kept): ``kept`` holds the extra values the report
+    keeps, the formula residual for ``corollary`` and defect, bound and
+    ratio for ``explore``."""
+    if check == "explore":
         defect = gruss_defect(phi, a, b)
-        da = delta(a)
-        db = delta(b)
-        bound = da.value * db.value
+        bound = delta(a).value * delta(b).value
         if bound > 1e-12:
             ratio = defect / bound
         else:
             ratio = 0.0 if defect <= 1e-10 else float("inf")
-        if materialize:
-            return {
-                "trialIndex": t,
-                "dim": k,
-                "map": map_to_json(phi),
-                "a": matrix_to_json(a),
-                "b": matrix_to_json(b),
-                "defect": float(defect),
-                "bound": float(bound),
-                "ratio": float(ratio),
-            }
-        return float(bound - defect), float(ratio)
+        # a candidate counterexample, recorded and never raised
+        return (float(bound - defect), bool(ratio > 1.0 + 1e-6),
+                {"defect": float(defect), "bound": float(bound), "ratio": float(ratio)})
+    if check == "theorem":
+        rep = check_theorem(phi, a, b, viol_tol=viol_tol)
+        return float(rep.margin), bool(rep.violated), {}
+    if check == "lemma1":
+        res = check_lemma1(phi, a, b, known_positivity_order=_known_order(family, dim))
+        margin = min(res["rhs_product"] - res["lhs_squared"], res["block_min_eig"])
+        return float(margin), not (res["cauchy_ok"] and res["block_ok"]), {}
+    if check == "lemma2":
+        res = check_lemma2(phi, a, require_normal=(family != "cp"),
+                           known_positive=True, seed=t)
+        return float(res["bound"] - res["lhs"]), not res["ok"], {}
+    res = check_corollary(dim, a, b)
+    return (float(res["rhs"] - res["lhs"]), not (res["ok"] and res["formula_ok"]),
+            {"formula_residual": res["formula_residual"] / (1.0 + res["lhs"])})
 
-    n_threads = _thread_count(threads)
+
+def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int,
+               viol_tol: float | None = None) -> TrialSummary:
+    # The one trial driver: trial t is the check of draw t.  The worst trial
+    # (smallest margin; largest ratio for the explorer) is drawn and checked
+    # again to build the report's worstInstance.
+    if trials < 0:
+        raise ContractError(f"trials must be >= 0, got {trials}")
+    trace = _trace_maps(check, family, dims)
+
+    def trial(t: int):
+        return _check_trial(check, family, viol_tol, t,
+                            *_draw_trial(check, family, dims, trace, seed, t))
+
     t0 = time.perf_counter()
-    rows = _map_over_trials(one, trials, n_threads)
+    rows = _map_over_trials(trial, trials, _thread_count())
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
-    if not rows:
-        return TrialSummary(trials=0, violations=0, worst_margin=None,
-                            worst_instance=None, seed=seed, wall_time_ms=wall_ms,
-                            check="explore", family="two-positive", worst_ratio=0.0)
-    ratios = [r[1] for r in rows]
-    margins = [r[0] for r in rows]
-    worst_idx = int(np.argmax(ratios))
-    candidates = sum(1 for r in ratios if r > 1.0 + 1e-6)
-    return TrialSummary(trials=trials, violations=candidates,
-                        worst_margin=float(np.min(margins)),
-                        worst_instance=one(worst_idx, materialize=True),
-                        seed=seed, wall_time_ms=wall_ms,
-                        check="explore", family="two-positive",
-                        worst_ratio=float(ratios[worst_idx]))
+    explore = check == "explore"
+    worst_margin = worst_instance = worst_formula = None
+    worst_ratio = 0.0 if explore else None
+    if rows:
+        margins = [r[0] for r in rows]
+        if explore:
+            worst = int(np.argmax([r[2]["ratio"] for r in rows]))
+        else:
+            worst = int(np.argmin(margins))
+        worst_margin = float(np.min(margins))
+        dim, phi, a, b = _draw_trial(check, family, dims, trace, seed, worst)
+        margin, _, kept = _check_trial(check, family, viol_tol, worst, dim, phi, a, b)
+        worst_instance = {"trialIndex": worst, "dim": dim, "map": map_to_json(phi),
+                          "a": matrix_to_json(a),
+                          "b": None if check == "lemma2" else matrix_to_json(b)}
+        if explore:
+            worst_instance.update(kept)
+            worst_ratio = rows[worst][2]["ratio"]
+        else:
+            worst_instance["margin"] = margin
+        if check == "corollary":
+            worst_formula = max(r[2]["formula_residual"] for r in rows)
+    return TrialSummary(trials=trials, violations=sum(1 for _, v, _ in rows if v),
+                        worst_margin=worst_margin, worst_instance=worst_instance,
+                        seed=seed, wall_time_ms=wall_ms, check=check, family=family,
+                        worst_ratio=worst_ratio, worst_formula_residual=worst_formula)
+
+
+def run_trials(check: str, family: str = "cp", dims=(2, 3, 4), trials: int = 100,
+               seed: int = 0, viol_tol: float | None = None) -> TrialSummary:
+    """Run seeded randomized trials of one check and aggregate violations.
+
+    Each trial derives its own generator from (seed, trial index), so the
+    aggregate is deterministic and independent of the execution order and
+    of the thread count, which comes from GRUSS_LAB_THREADS (0 or 1 means
+    sequential).  The worst instance is the trial of smallest margin.
+    """
+    dims = tuple(int(d) for d in dims)
+    _validate_trial_config(check, family, dims)
+    return _run_suite(check, family, dims, trials, seed, viol_tol)
+
+
+def explore_two_positive(trials: int, seed: int = 0, k: int = 3) -> TrialSummary:
+    """Probe the open question: does the product bound hold for 2-positive maps?
+
+    Uses the normalized trace-type map on M_k (unital, (k-1)-positive, not
+    k-positive; 2-positive and not 3-positive at k = 3) on even trials and
+    unital convex mixtures of it with random CP maps on odd trials, run by
+    the same driver as ``run_trials``.  A defect/bound ratio above 1 + 1e-6
+    is counted as a candidate counterexample, never raised as an error:
+    this is evidence gathering, not a verdict.  The worst instance is the
+    trial of largest ratio; ``worst_margin`` is the smallest bound - defect.
+    """
+    if k < 3:
+        raise ContractError(f"explore_two_positive needs k >= 3, got {k}")
+    return _run_suite("explore", "two-positive", (k,), trials, seed)

@@ -208,7 +208,7 @@ def matrix_from_json(obj) -> Matrix:
     if missing:
         raise ContractError(f"matrix JSON is missing keys {sorted(missing)}")
     rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in (rows, cols)):
         raise ContractError("matrix JSON rows/cols must be positive integers")
     try:
         re = np.asarray(obj["re"], dtype=np.float64)

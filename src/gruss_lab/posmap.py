@@ -50,9 +50,11 @@ from .linalg import (
     operator_norm,
 )
 
-#: a Rayleigh value at or below -WITNESS_TOL certifies "not n-positive"
+#: a searched witness (n < min(k, d)) whose Rayleigh value is at or below
+#: -WITNESS_TOL certifies "not n-positive"
 WITNESS_TOL = 1e-8
-#: Choi eigenvalues down to -CHOI_PSD_TOL still count as PSD
+#: Choi eigenvalues down to -CHOI_PSD_TOL still count as PSD; below it the
+#: exact decision (cp_test, n_positivity_search with n >= min(k, d)) refutes
 CHOI_PSD_TOL = 1e-9
 #: relative cutoff below which Choi eigenvalues are dropped in Kraus recovery
 KRAUS_CUTOFF = 1e-11
@@ -462,9 +464,10 @@ def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 
 
     For n >= min(k, d) the Schmidt constraint is vacuous, n-positivity
     coincides with complete positivity, and the result is the exact Choi
-    eigenvalue decision, which runs no start (``starts`` = 0).  Otherwise
-    the minimization runs ``starts`` alternating-eigenvector descents, each
-    from a random frame drawn from its own child of ``SeedSequence(seed)``.
+    eigenvalue decision of ``cp_test``, which runs no start (``starts`` = 0).
+    Otherwise the minimization runs ``starts`` alternating-eigenvector
+    descents, each from a random frame drawn from its own child of
+    ``SeedSequence(seed)``.
     The starts run as stacked kernels, ``SEARCH_BLOCK`` at a time, and each
     stops on its own; the first start reaching the lowest value wins.
     Results are deterministic in (seed, starts) and do not depend on the
@@ -504,7 +507,9 @@ def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 
     nrm = np.linalg.norm(x)
     if nrm > 0:
         b = b / nrm
-    status = CERTIFIED_NOT_N_POSITIVE if best_val <= -WITNESS_TOL else HEURISTICALLY_N_POSITIVE
+    # the exact decision got here only with a Choi eigenvalue below -CHOI_PSD_TOL
+    refuted = exact or best_val <= -WITNESS_TOL
+    status = CERTIFIED_NOT_N_POSITIVE if refuted else HEURISTICALLY_N_POSITIVE
     return NPositivityVerdict(n=n, status=status, min_value_found=float(best_val),
                               witness_a=a, witness_b=b, starts=0 if exact else starts)
 

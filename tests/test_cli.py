@@ -58,6 +58,8 @@ def fixtures(tmp_path):
         "out-dim-text": _write(tmp_path / "out_dim_text.json",
                                {"kind": "choi", "inDim": 2, "outDim": "x",
                                 "matrix": matrix_to_json(np.eye(4))}),
+        "bool-dims": _write(tmp_path / "bool_dims.json",
+                            {"rows": True, "cols": True, "re": [[2.0]], "im": [[0.0]]}),
         "tmp_path": tmp_path,
     }
 
@@ -107,6 +109,39 @@ def test_verify_deterministic_and_exit_code(capsys):
     assert _strip_walltime(rep1["result"]) == _strip_walltime(rep2["result"])
     assert rep1["result"]["violations"] == 0
     assert rep1["config"]["check"] == "theorem"
+
+
+def test_reports_do_not_depend_on_the_thread_count(capsys, monkeypatch):
+    runs = (["verify", "theorem", "--dims", "2,3", "--trials", "24", "--seed", "11"],
+            ["explore", "two-positive", "--trials", "24", "--seed", "11"])
+    for argv in runs:
+        reports = []
+        for threads in ("0", "4"):
+            monkeypatch.setenv("GRUSS_LAB_THREADS", threads)
+            code, rep = _run(capsys, argv)
+            assert code == 0
+            reports.append(_strip_walltime(rep))
+        assert reports[0] == reports[1]
+
+
+def test_seed_is_echoed_only_where_it_is_used(capsys, fixtures):
+    runs = {
+        "delta": (["delta", "--matrix", fixtures["id2"]], False),
+        "defect": (["defect", "--map", fixtures["transpose"], "--a", fixtures["a"],
+                    "--b", fixtures["b"]], False),
+        "counterexample": (["counterexample"], False),
+        "decompose": (["decompose", "--matrix", fixtures["half"], "--m", "5"], False),
+        "verify": (["verify", "theorem", "--dims", "2", "--trials", "2"], True),
+        "explore": (["explore", "two-positive", "--trials", "2"], True),
+        "npositive": (["npositive", "--map", fixtures["transpose"], "--n", "1"], True),
+        "dilate": (["dilate", "--map", fixtures["idmap"], "--samples", "2"], True),
+    }
+    for command, (argv, draws) in runs.items():
+        code, rep = _run(capsys, [*argv, "--seed", "3"])
+        assert code == 0, command
+        assert ("seed" in rep["config"]) == draws, command
+        if draws:
+            assert rep["config"]["seed"] == 3
 
 
 def test_verify_invalid_config_errors(capsys):
@@ -234,10 +269,11 @@ def test_non_finite_numbers_are_encoded_not_raised(capsys, tmp_path):
     ["npositive", "--map", "dim-fraction", "--n", "2"],
     ["npositive", "--map", "in-dim-text", "--n", "2"],
     ["npositive", "--map", "out-dim-text", "--n", "2"],
+    ["delta", "--matrix", "bool-dims"],
 ], ids=["starts-negative", "starts-zero", "samples-negative", "trials-negative",
         "verify-seed-negative", "explore-seed-negative", "npositive-seed-negative",
         "dims-text", "builtin-dim-text", "builtin-dim-fraction", "choi-in-dim-text",
-        "choi-out-dim-text"])
+        "choi-out-dim-text", "matrix-bool-dims"])
 def test_invalid_counts_and_seeds_are_contract_errors(capsys, fixtures, argv):
     argv = [fixtures.get(arg, arg) for arg in argv]
     code = route(argv)

@@ -1,5 +1,7 @@
 """Harness-level checks: defect, bounds, counterexample, trials, proof chain."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,12 +15,15 @@ from gruss_lab import (
     check_lemma2,
     check_theorem,
     compose,
+    delta,
     explore_two_positive,
     from_kraus,
     ginibre,
     gruss_defect,
     haar_unitary,
     identity_map,
+    map_from_json,
+    matrix_from_json,
     mix,
     normalized_choi_map,
     operator_norm,
@@ -292,14 +297,6 @@ def test_run_trials_validation():
         run_trials("spectral-gap", dims=(2,), trials=5, seed=0)
 
 
-def test_run_trials_threads_match_sequential():
-    seq = run_trials("theorem", family="cp", dims=(2, 3), trials=24, seed=11, threads=0)
-    par = run_trials("theorem", family="cp", dims=(2, 3), trials=24, seed=11, threads=4)
-    assert seq.violations == par.violations
-    assert seq.worst_margin == par.worst_margin
-    assert seq.worst_instance == par.worst_instance
-
-
 def test_explore_empty_and_small():
     s = explore_two_positive(0, seed=1)
     assert s.trials == 0 and s.worst_ratio == 0.0 and s.worst_instance is None
@@ -312,3 +309,50 @@ def test_explore_empty_and_small():
     assert s.worst_instance is not None
     s2 = explore_two_positive(50, seed=1)
     assert s.worst_ratio == s2.worst_ratio
+
+
+def _replayed(check, family, phi, a, b):
+    # the values each suite reports for a trial, recomputed through the
+    # public checks
+    k = a.shape[0]
+    if check == "explore":
+        defect = gruss_defect(phi, a, b)
+        bound = delta(a).value * delta(b).value
+        return {"defect": defect, "bound": bound, "ratio": defect / bound}
+    if check == "theorem":
+        margin = check_theorem(phi, a, b).margin
+    elif check == "lemma1":
+        res = check_lemma1(phi, a, b,
+                           known_positivity_order=None if family == "cp" else k - 1)
+        margin = min(res["rhs_product"] - res["lhs_squared"], res["block_min_eig"])
+    elif check == "lemma2":
+        res = check_lemma2(phi, a, require_normal=family != "cp", known_positive=True)
+        margin = res["bound"] - res["lhs"]
+    else:
+        res = check_corollary(k, a, b)
+        margin = res["rhs"] - res["lhs"]
+    return {"margin": margin}
+
+
+@pytest.mark.parametrize("check, family, dims", [
+    ("theorem", "cp", (2, 3)), ("theorem", "mixed", (4, 5)),
+    ("lemma1", "cp", (2, 3)), ("lemma1", "mixed", (4,)),
+    ("lemma2", "cp", (2, 3)), ("lemma2", "positive", (2, 3)), ("lemma2", "choi", (2, 3)),
+    ("corollary", "cp", (4, 5)), ("explore", "two-positive", (3,)),
+])
+def test_worst_instance_replays_from_the_report(check, family, dims):
+    if check == "explore":
+        s = explore_two_positive(24, seed=3, k=dims[0])
+    else:
+        s = run_trials(check, family=family, dims=dims, trials=12, seed=5)
+    instance = json.loads(json.dumps(s.worst_instance))
+    b = instance["b"]
+    assert (b is None) == (check == "lemma2")
+    replayed = _replayed(check, family, map_from_json(instance["map"]),
+                         matrix_from_json(instance["a"]),
+                         None if b is None else matrix_from_json(b))
+    assert replayed == {key: instance[key] for key in replayed}
+    if check == "explore":
+        assert replayed["ratio"] == s.worst_ratio
+    else:
+        assert replayed["margin"] == s.worst_margin

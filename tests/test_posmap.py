@@ -328,6 +328,17 @@ def test_search_reports_the_starts_it_ran():
     assert n_positivity_search(choi_map(4), 3, starts=9, seed=2).starts == 9
 
 
+def test_exact_decision_agrees_with_cp_test():
+    # min Choi eigenvalue -eps: eps = 2e-9 and 5e-9 lie between CHOI_PSD_TOL
+    # and WITNESS_TOL, where the exact decision must still refute
+    for eps in (2e-9, 5e-9, 5e-8):
+        phi = mix([identity_map(2), transpose_map(2)], [1.0 - eps, eps])
+        exact = cp_test(phi)
+        assert exact.status == CERTIFIED_NOT_N_POSITIVE
+        for n in (2, 3):
+            assert n_positivity_search(phi, n, seed=1).status == exact.status
+
+
 def test_search_rejects_fewer_than_one_start():
     for starts in (0, -3):
         with pytest.raises(ContractError):
