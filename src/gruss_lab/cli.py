@@ -129,7 +129,11 @@ def _encode_non_finite(obj):
 
 
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(_encode_non_finite(report), sort_keys=True, allow_nan=False) + "\n"
+    try:
+        text = json.dumps(report, sort_keys=True, allow_nan=False)
+    except ValueError:  # a non-finite float somewhere: walk the report
+        text = json.dumps(_encode_non_finite(report), sort_keys=True, allow_nan=False)
+    text += "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -165,7 +169,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--family", choices=["cp", "choi", "mixed", "positive"], default="cp")
     p.add_argument("--viol-tol", type=float, default=None,
-                   help="override the violation tolerance (default 1e-8*(1+bound))")
+                   help="override the theorem check's violation tolerance "
+                        "(default 1e-8*(1+bound); not NaN)")
     add_common(p)
 
     p = sub.add_parser("counterexample", help="reproduce the fixed transpose-map instance")

@@ -29,6 +29,7 @@ without asserting anything about it.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -130,14 +131,22 @@ def _require_unital(phi: MapRep, what: str) -> None:
         raise ContractError(f"{what} requires a unital map (||Phi(I) - I|| > 1e-9)")
 
 
+def _require_viol_tol(viol_tol: float | None) -> None:
+    # margin < -nan is always false: a NaN tolerance would hide every violation
+    if viol_tol is not None and math.isnan(viol_tol):
+        raise ContractError("viol_tol must be a number, got nan")
+
+
 def check_theorem(phi: MapRep, a, b, viol_tol: float | None = None) -> GrussReport:
     """Evaluate the product bound defect <= delta(A) delta(B) on one instance.
 
     The caller is responsible for the positivity order of the map (the bound
     is only claimed for unital n-positive maps with n >= 3); unitality is
-    enforced here.
+    enforced here.  ``viol_tol`` (default 1e-8 (1 + bound)) may be infinite
+    or negative, not NaN.
     """
     _require_unital(phi, "check_theorem")
+    _require_viol_tol(viol_tol)
     a = as_matrix(a, square=True)
     b = as_matrix(b, square=True)
     da = delta(a)
@@ -254,7 +263,7 @@ def reproduce_counterexample() -> CounterexampleReport:
                                 inequality_fails=bool(defect > bound))
 
 
-def check_corollary(k: int, a, b) -> dict:
+def check_corollary(k: int, a, b, trace: MapRep | None = None) -> dict:
     """Explicit matrix inequality induced by the normalized trace-type map.
 
     lhs = ||(k^2-k-1) tr(AB) I - k AB - (k-1) tr(A) tr(B) I
@@ -262,8 +271,9 @@ def check_corollary(k: int, a, b) -> dict:
     rhs = (k^2-k-1)^2/(k-1) * delta(A) * delta(B)
 
     and the bracket identity: (k-1)/(k^2-k-1)^2 times the bracketed matrix
-    equals Phi(AB) - Phi(A)Phi(B) for Phi = normalized_choi_map(k).  Needs
-    k >= 4 so the map is at least 3-positive.
+    equals Phi(AB) - Phi(A)Phi(B) for Phi = normalized_choi_map(k), which
+    is built here unless the caller passes it as ``trace``.  Needs k >= 4 so
+    the map is at least 3-positive.
     """
     if k < 4:
         raise ContractError(f"corollary check needs k >= 4 (map must be 3-positive), got {k}")
@@ -281,7 +291,7 @@ def check_corollary(k: int, a, b) -> dict:
     db = delta(b).value
     rhs = (c * c / (k - 1.0)) * da * db
 
-    phi = normalized_choi_map(k)
+    phi = normalized_choi_map(k) if trace is None else trace
     map_defect = apply(phi, a @ b) - apply(phi, a) @ apply(phi, b)
     formula_residual = operator_norm((k - 1.0) / (c * c) * bracket - map_defect)
     return {
@@ -433,7 +443,7 @@ def _draw_trial(check: str, family: str, dims: tuple, trace: dict, seed: int, t:
     return dim, phi, a, b
 
 
-def _validate_trial_config(check: str, family: str, dims) -> None:
+def _validate_trial_config(check: str, family: str, dims, viol_tol: float | None) -> None:
     if check not in CHECKS:
         raise ContractError(f"unknown check {check!r}; expected one of {CHECKS}")
     if family not in FAMILIES:
@@ -456,6 +466,9 @@ def _validate_trial_config(check: str, family: str, dims) -> None:
         raise ContractError(
             f"family 'positive' is not 3-positive; not valid for check {check!r}"
         )
+    if viol_tol is not None and check != "theorem":
+        raise ContractError(f"viol_tol applies to check 'theorem' only, not {check!r}")
+    _require_viol_tol(viol_tol)
 
 
 def _known_order(family: str, dim: int) -> int | None:
@@ -495,7 +508,7 @@ def _check_trial(check: str, family: str, viol_tol: float | None, t: int,
         res = check_lemma2(phi, a, require_normal=(family != "cp"),
                            known_positive=True, seed=t)
         return float(res["bound"] - res["lhs"]), not res["ok"], {}
-    res = check_corollary(dim, a, b)
+    res = check_corollary(dim, a, b, trace=phi)  # the corollary draws the trace map
     return (float(res["rhs"] - res["lhs"]), not (res["ok"] and res["formula_ok"]),
             {"formula_residual": res["formula_residual"] / (1.0 + res["lhs"])})
 
@@ -553,9 +566,10 @@ def run_trials(check: str, family: str = "cp", dims=(2, 3, 4), trials: int = 100
     aggregate is deterministic and independent of the execution order and
     of the thread count, which comes from GRUSS_LAB_THREADS (0 or 1 means
     sequential).  The worst instance is the trial of smallest margin.
+    ``viol_tol`` is for ``theorem`` only (see ``check_theorem``).
     """
     dims = tuple(int(d) for d in dims)
-    _validate_trial_config(check, family, dims)
+    _validate_trial_config(check, family, dims, viol_tol)
     return _run_suite(check, family, dims, trials, seed, viol_tol)
 
 

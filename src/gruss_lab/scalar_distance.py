@@ -14,7 +14,10 @@ bound: the optimum of a weighted smallest-enclosing-disk model.
 
 * ``delta_general`` -- any C, and what ``delta`` runs.  Column generation:
   each step evaluates ||C - lambda I||, an upper bound, and adds its top
-  right singular vector to the model, until the two bounds meet.
+  right singular vector to the model, until the two bounds meet.  The next
+  lambda is the model's minimizer, or, where sigma_1(C - lambda I)^2 is
+  smooth and its quadratic model stays above the lower bound, the Newton
+  point that the same SVD gives.
 * ``delta_normal`` -- spectral reference route for normal C: the same model
   over unit eigenvectors, i.e. the smallest disk enclosing the spectrum.
 * ``delta_grid_oracle`` -- exhaustive minimum over a square grid, kept
@@ -203,6 +206,40 @@ def smallest_enclosing_disk(points) -> SpectralDisk:
                         support=tuple(mu + z for z, _ in support))
 
 
+def _newton_point(u, sv, vh, lam: complex, zv: complex, s: float,
+                  g: float) -> complex | None:
+    """Newton point of f(lam) = sigma_1(C0 - lam I)^2 from the full SVD
+    M = C0 - lam I = sum_j sigma_j u_j v_j*, or None when the quadratic
+    model predicts a value at or below the lower bound g (f* >= g, so the
+    model is then wrong, as it always is on normal C).
+
+    With f smooth at a simple sigma_1, the gradient over (Re, Im) lam is
+    -2 (z - lam) = -2 zv, and the Hessian is
+    2 I + 2 sum_{j>=2} Re(conj(c_j(e)) c_j(e')) / (sigma_1^2 - sigma_j^2)
+    with c_j(e) = conj(e) sigma_1 <v_j, u_1> + e sigma_j <u_j, v_1> for
+    e, e' in {1, i}.  Its largest eigenvalue is at most
+    2 + 4 (sigma_1^2 + sigma_2^2) s / (sigma_1^2 (sigma_1^2 - sigma_2^2)),
+    s the new atom's variance, which rules most calls out before the sum.
+    """
+    f, f2 = sv[0] * sv[0], sv[1] * sv[1]
+    w2 = zv.real * zv.real + zv.imag * zv.imag
+    if f - 2.0 * w2 / (2.0 + 4.0 * (f + f2) * s / (f * (f - f2))) <= g:
+        return None  # predicted = f - 2 w^T H^-1 w <= f - 2 |w|^2 / lambda_max(H)
+    p = sv[0] * (vh[1:] @ u[:, 0])  # sigma_1 <v_j, u_1>
+    q = sv[1:] * (u[:, 1:].conj().T @ vh[0].conj())  # sigma_j <u_j, v_1>
+    c1, ci = p + q, 1j * (q - p)
+    gaps = f - sv[1:] ** 2
+    # H = 2 [[hxx, hxy], [hxy, hyy]], so the step -H^-1 grad is H^-1 (2 zv)
+    hxx = 1.0 + float(np.sum((c1.real ** 2 + c1.imag ** 2) / gaps))
+    hyy = 1.0 + float(np.sum((ci.real ** 2 + ci.imag ** 2) / gaps))
+    hxy = float(np.sum((c1.conj() * ci).real / gaps))
+    det = hxx * hyy - hxy * hxy
+    step = complex(hyy * zv.real - hxy * zv.imag, hxx * zv.imag - hxy * zv.real) / det
+    if f - (zv.real * step.real + zv.imag * step.imag) <= g:
+        return None
+    return lam + step
+
+
 def delta_general(c) -> DeltaResult:
     """Distance to the scalars for an arbitrary square matrix.
 
@@ -212,11 +249,20 @@ def delta_general(c) -> DeltaResult:
     z = <v, Cv>, s = ||Cv||^2 - |z|^2.  The model
     min over lambda of max_i |z_i - lambda|^2 + s_i  over the retained
     atoms is re-solved in closed form (keeping only its 1-3 support atoms),
-    which gives the next lambda and a lower bound that never decreases.  The
-    solver stops when upper - lower <= BRACKET_TOL * (1 + ||C||), when
-    rounding stops the lower bound from rising, or after _MAX_ITERATIONS
-    steps; the value is the best evaluated norm and certified_gap the final
-    upper - lower in every case.
+    which gives a lower bound that never decreases and the model point, its
+    minimizer.  The next lambda is the model point, except where
+    f = sigma_1(C - lambda I)^2 is smooth: from the second step on, right
+    after a step that lowered the upper bound and with sigma_1 > sigma_2,
+    the same SVD gives the Newton point of f (``_newton_point``), taken when
+    its predicted value exceeds the lower bound.  Column generation alone
+    converges linearly at such a smooth minimum, which non-normal C have;
+    Newton steps converge quadratically (A. S. Lewis and M. L. Overton,
+    Acta Numerica 5 (1996)).  On normal C the Newton point is never taken.
+
+    The solver stops when upper - lower <= BRACKET_TOL * (1 + ||C||), when
+    rounding stops the new atom of a model point from raising the lower
+    bound, or after _MAX_ITERATIONS steps; the value is the best evaluated
+    norm and certified_gap the final upper - lower in every case.
     """
     c = as_matrix(c, square=True)
     dim = c.shape[0]
@@ -228,15 +274,16 @@ def delta_general(c) -> DeltaResult:
 
     support: list = []
     g = -math.inf
-    lam = 0j
+    lam = model = 0j  # the point evaluated next, and the model point
     upper, best = math.inf, 0j
-    for _ in range(_MAX_ITERATIONS):
+    for step in range(_MAX_ITERATIONS):
         m = c0 - lam * eye
         try:
-            _, sv, vh = np.linalg.svd(m)
+            u, sv, vh = np.linalg.svd(m)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"svd did not converge: {exc}") from exc
-        if sv[0] < upper:
+        lowered = sv[0] < upper
+        if lowered:
             upper, best = float(sv[0]), lam
         if upper - math.sqrt(max(g, 0.0)) <= tol:
             break
@@ -244,10 +291,16 @@ def delta_general(c) -> DeltaResult:
         w = m @ v
         zv = complex(np.vdot(v, w))
         r = w - zv * v  # s = ||r||^2 = ||Cv||^2 - |z|^2 without the cancellation
-        g_new, lam, support = _add_atom(support, (zv + lam, float(np.vdot(r, r).real)))
-        if g_new <= g:
+        s = float(np.vdot(r, r).real)
+        g_new, model_new, support_new = _add_atom(support, (zv + lam, s))
+        if g_new > g:
+            g, model, support = g_new, model_new, support_new
+        elif lam == model:
             break  # the new state no longer raises the model: rounding level
-        g = g_new
+        newton = None
+        if step > 0 and lowered and sv[0] > sv[1]:
+            newton = _newton_point(u, sv, vh, lam, zv, s, g)
+        lam = model if newton is None else newton
     lower = math.sqrt(max(g, 0.0))
     return DeltaResult(value=upper, minimizer=mu + best, method="convex",
                        certified_gap=max(upper - lower, 0.0))

@@ -270,10 +270,15 @@ def test_non_finite_numbers_are_encoded_not_raised(capsys, tmp_path):
     ["npositive", "--map", "in-dim-text", "--n", "2"],
     ["npositive", "--map", "out-dim-text", "--n", "2"],
     ["delta", "--matrix", "bool-dims"],
+    ["verify", "theorem", "--dims", "2", "--trials", "2", "--viol-tol", "nan"],
+    ["verify", "lemma1", "--dims", "2", "--trials", "2", "--viol-tol", "1e-3"],
+    ["verify", "lemma2", "--dims", "2", "--trials", "2", "--viol-tol", "1e-3"],
+    ["verify", "corollary", "--dims", "4", "--trials", "2", "--viol-tol", "1e-3"],
 ], ids=["starts-negative", "starts-zero", "samples-negative", "trials-negative",
         "verify-seed-negative", "explore-seed-negative", "npositive-seed-negative",
         "dims-text", "builtin-dim-text", "builtin-dim-fraction", "choi-in-dim-text",
-        "choi-out-dim-text", "matrix-bool-dims"])
+        "choi-out-dim-text", "matrix-bool-dims", "viol-tol-nan", "viol-tol-lemma1",
+        "viol-tol-lemma2", "viol-tol-corollary"])
 def test_invalid_counts_and_seeds_are_contract_errors(capsys, fixtures, argv):
     argv = [fixtures.get(arg, arg) for arg in argv]
     code = route(argv)

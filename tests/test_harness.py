@@ -21,6 +21,7 @@ from gruss_lab import (
     ginibre,
     gruss_defect,
     haar_unitary,
+    harness,
     identity_map,
     map_from_json,
     matrix_from_json,
@@ -125,6 +126,23 @@ def test_check_theorem_detects_the_counterexample():
     assert rep.margin == pytest.approx(3.75 - 6.0, abs=1e-9)
 
 
+def test_nan_viol_tol_is_a_contract_error():
+    # margin < -nan never holds, so a NaN tolerance would hide the violation
+    with pytest.raises(ContractError):
+        check_theorem(transpose_map(2), A_FIXED, B_FIXED, viol_tol=float("nan"))
+    with pytest.raises(ContractError):
+        run_trials("theorem", dims=(2,), trials=1, viol_tol=float("nan"))
+    assert check_theorem(transpose_map(2), A_FIXED, B_FIXED, viol_tol=float("inf")).margin < 0
+    assert check_theorem(transpose_map(2), A_FIXED, B_FIXED, viol_tol=-1.0).violated
+
+
+@pytest.mark.parametrize("check, dims", [("lemma1", (2,)), ("lemma2", (2,)),
+                                         ("corollary", (4,))])
+def test_viol_tol_is_rejected_where_the_check_never_reads_it(check, dims):
+    with pytest.raises(ContractError):
+        run_trials(check, dims=dims, trials=1, viol_tol=1e-3)
+
+
 def test_check_theorem_requires_unital():
     with pytest.raises(ContractError):
         check_theorem(from_kraus([2.0 * np.eye(2)]), A_FIXED, B_FIXED)
@@ -221,6 +239,22 @@ def test_corollary_random_instances():
         res = check_corollary(4, a, b)
         assert res["ok"]
         assert res["formula_residual"] <= 1e-10 * (1 + res["lhs"])
+
+
+def test_corollary_suite_builds_the_trace_map_once_per_dim(monkeypatch):
+    builds = []
+
+    def counted(k):
+        builds.append(k)
+        return normalized_choi_map(k)
+
+    monkeypatch.setattr(harness, "normalized_choi_map", counted)
+    s = run_trials("corollary", dims=(4, 5, 4), trials=9, seed=2)
+    assert sorted(builds) == [4, 5]
+    assert s.trials == 9 and s.worst_formula_residual <= 1e-10
+
+    a, b = ginibre(5, seed=1), random_ensemble("normal", 5, seed=2)
+    assert check_corollary(5, a, b) == check_corollary(5, a, b, trace=normalized_choi_map(5))
 
 
 def test_corollary_rejects_small_k():

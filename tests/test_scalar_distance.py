@@ -218,12 +218,58 @@ def test_achieved_value_invariant():
         assert abs(achieved - res.value) <= 1e-10 * (1 + operator_norm(c))
 
 
+def _matrix(kind, dim, seed):
+    """A matrix of one of random_ensemble's kinds, or of two kinds whose top
+    singular value is nearly multiple near the optimum, where delta_general
+    must fall back from Newton steps: ``nearly-normal`` N + eps G, N normal
+    and eps = 10^-(seed % 13) from 1 down to 1e-12, and ``jordan``, the
+    Jordan block J, J + 2I, 1e6 J or 1e-8 J by seed % 4."""
+    if kind == "nearly-normal":
+        eps = 10.0 ** -(seed % 13)
+        return random_ensemble("normal", dim, seed=seed) + eps * ginibre(dim, seed=seed + 1)
+    if kind == "jordan":
+        j = np.eye(dim, k=1)
+        return (j, j + 2.0 * np.eye(dim), 1e6 * j, 1e-8 * j)[seed % 4]
+    return random_ensemble(kind, dim, seed=seed)
+
+
 def test_general_bracket_is_tight():
     for dim in range(2, 17):
-        for trial in range(5):
-            c = random_ensemble("ginibre", dim, seed=31 * dim + trial)
+        inputs = [random_ensemble("ginibre", dim, seed=31 * dim + trial) for trial in range(5)]
+        inputs += [_matrix("nearly-normal", dim, seed=13 * dim + i) for i in range(13)]
+        inputs += [_matrix("jordan", dim, seed=i) for i in range(4)]
+        for c in inputs:
             res = delta_general(c)
             assert 0.0 <= res.certified_gap <= 1e-11 * (1 + operator_norm(c))
+
+
+@pytest.mark.parametrize("dim", [3, 4, 8, 16])
+def test_newton_steps_cut_the_iteration_tail(monkeypatch, dim):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+
+    def svds_per_call(kind, seeds):
+        # SVDs each delta_general call takes, the one for ||C|| included
+        counts = []
+        for seed in seeds:
+            calls.clear()
+            delta_general(random_ensemble(kind, dim, seed=seed))
+            counts.append(len(calls))
+        return np.array(counts)
+
+    # non-normal C: sigma_1 is simple at the optimum, and Newton steps on
+    # sigma_1^2 replace the linear tail of column generation
+    ginibre_counts = svds_per_call("ginibre", range(500, 540))
+    assert ginibre_counts.mean() <= 9 and ginibre_counts.max() <= 15
+    # normal C: the quadratic model is wrong, and the model points stay
+    assert svds_per_call("hermitian", range(20)).max() <= 4
+    assert svds_per_call("normal", range(20)).max() <= 7
 
 
 def test_nearly_normal_input_gets_an_honest_bracket():
@@ -274,7 +320,7 @@ def test_tiny_perturbation_of_identity_is_not_zero():
 # properties: each route's [value - certified_gap, value] must contain delta(C)
 
 _PROPERTY_SETTINGS = settings(max_examples=40)
-_KINDS = st.sampled_from(("ginibre", "normal", "hermitian"))
+_KINDS = st.sampled_from(("ginibre", "normal", "hermitian", "nearly-normal", "jordan"))
 _SEEDS = st.integers(0, 2**32 - 1)
 _FACTORS = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3)
 _SHIFTS = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
@@ -289,7 +335,7 @@ def _brackets_meet(a, b, scale_b=1.0, slack=0.0):
 @_PROPERTY_SETTINGS
 @given(kind=_KINDS, dim=st.integers(2, 5), seed=_SEEDS, alpha=_FACTORS, beta=_SHIFTS)
 def test_property_affine_covariance(kind, dim, seed, alpha, beta):
-    c = random_ensemble(kind, dim, seed=seed)
+    c = _matrix(kind, dim, seed)
     moved = delta(alpha * c + beta * np.eye(dim))
     slack = 1e-11 * (1 + abs(alpha) * operator_norm(c) + abs(beta))
     assert _brackets_meet(moved, delta(c), abs(alpha), slack)
@@ -298,7 +344,7 @@ def test_property_affine_covariance(kind, dim, seed, alpha, beta):
 @_PROPERTY_SETTINGS
 @given(kind=_KINDS, dim=st.integers(2, 5), seed=_SEEDS, useed=_SEEDS)
 def test_property_unitary_and_adjoint_invariance(kind, dim, seed, useed):
-    c = random_ensemble(kind, dim, seed=seed)
+    c = _matrix(kind, dim, seed)
     u = haar_unitary(dim, seed=useed)
     base = delta(c)
     slack = 1e-11 * (1 + operator_norm(c))
@@ -309,7 +355,7 @@ def test_property_unitary_and_adjoint_invariance(kind, dim, seed, useed):
 @settings(max_examples=15)
 @given(kind=_KINDS, dim=st.integers(2, 4), seed=_SEEDS)
 def test_property_lower_bounds_below_grid_oracle(kind, dim, seed):
-    c = random_ensemble(kind, dim, seed=seed)
+    c = _matrix(kind, dim, seed)
     oracle = delta_grid_oracle(c, operator_norm(c) + 1.0, 201)
     routes = [delta_general(c), oracle]
     if is_normal(c):
