@@ -127,7 +127,7 @@ def gruss_defect(phi: MapRep, a, b) -> float:
 
 
 def _require_unital(phi: MapRep, what: str) -> None:
-    if not is_unital(phi, tol=1e-9):
+    if not is_unital(phi):
         raise ContractError(f"{what} requires a unital map (||Phi(I) - I|| > 1e-9)")
 
 
@@ -451,21 +451,13 @@ def _validate_trial_config(check: str, family: str, dims, viol_tol: float | None
     dims = list(dims)
     if not dims or any(int(d) < 2 for d in dims):
         raise ContractError(f"dims must all be >= 2, got {dims}")
-    if check == "corollary":
-        bad = [d for d in dims if d < 4]
-        if bad:
-            raise ContractError(f"corollary check needs dims >= 4, got {bad}")
-    if check in ("theorem", "lemma1") and family in ("choi", "mixed"):
-        # the trace-type map on M_k is only (k-1)-positive
-        bad = [d for d in dims if d < 4]
-        if bad:
-            raise ContractError(
-                f"family {family!r} needs dims >= 4 for check {check!r}, got {bad}"
-            )
-    if check in ("theorem", "lemma1") and family == "positive":
-        raise ContractError(
-            f"family 'positive' is not 3-positive; not valid for check {check!r}"
-        )
+    # every claim but lemma2's needs positivity order >= 3 (None = CP counts
+    # as infinite); the corollary draws the trace-type map whatever the family
+    drawn = "choi" if check == "corollary" else family
+    bad = [d for d in dims if (_known_order(drawn, d) or math.inf) < 3]
+    if check != "lemma2" and bad:
+        raise ContractError(f"check {check!r} needs positivity order >= 3; family "
+                            f"{drawn!r} has a lower order at dims {bad}")
     if viol_tol is not None and check != "theorem":
         raise ContractError(f"viol_tol applies to check 'theorem' only, not {check!r}")
     _require_viol_tol(viol_tol)
@@ -482,8 +474,8 @@ def _known_order(family: str, dim: int) -> int | None:
     return 1
 
 
-def _check_trial(check: str, family: str, viol_tol: float | None, t: int,
-                 dim: int, phi: MapRep, a: Matrix, b: Matrix) -> tuple[float, bool, dict]:
+def _check_trial(check: str, family: str, viol_tol: float | None, dim: int,
+                 phi: MapRep, a: Matrix, b: Matrix) -> tuple[float, bool, dict]:
     """(margin, violated, kept): ``kept`` holds the extra values the report
     keeps, the formula residual for ``corollary`` and defect, bound and
     ratio for ``explore``."""
@@ -505,8 +497,7 @@ def _check_trial(check: str, family: str, viol_tol: float | None, t: int,
         margin = min(res["rhs_product"] - res["lhs_squared"], res["block_min_eig"])
         return float(margin), not (res["cauchy_ok"] and res["block_ok"]), {}
     if check == "lemma2":
-        res = check_lemma2(phi, a, require_normal=(family != "cp"),
-                           known_positive=True, seed=t)
+        res = check_lemma2(phi, a, require_normal=(family != "cp"), known_positive=True)
         return float(res["bound"] - res["lhs"]), not res["ok"], {}
     res = check_corollary(dim, a, b, trace=phi)  # the corollary draws the trace map
     return (float(res["rhs"] - res["lhs"]), not (res["ok"] and res["formula_ok"]),
@@ -523,7 +514,7 @@ def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int,
     trace = _trace_maps(check, family, dims)
 
     def trial(t: int):
-        return _check_trial(check, family, viol_tol, t,
+        return _check_trial(check, family, viol_tol,
                             *_draw_trial(check, family, dims, trace, seed, t))
 
     t0 = time.perf_counter()
@@ -541,7 +532,7 @@ def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int,
             worst = int(np.argmin(margins))
         worst_margin = float(np.min(margins))
         dim, phi, a, b = _draw_trial(check, family, dims, trace, seed, worst)
-        margin, _, kept = _check_trial(check, family, viol_tol, worst, dim, phi, a, b)
+        margin, _, kept = _check_trial(check, family, viol_tol, dim, phi, a, b)
         worst_instance = {"trialIndex": worst, "dim": dim, "map": map_to_json(phi),
                           "a": matrix_to_json(a),
                           "b": None if check == "lemma2" else matrix_to_json(b)}

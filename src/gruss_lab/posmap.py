@@ -30,7 +30,7 @@ confirmations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,8 +53,8 @@ from .linalg import (
 #: a searched witness (n < min(k, d)) whose Rayleigh value is at or below
 #: -WITNESS_TOL certifies "not n-positive"
 WITNESS_TOL = 1e-8
-#: Choi eigenvalues down to -CHOI_PSD_TOL still count as PSD; below it the
-#: exact decision (cp_test, n_positivity_search with n >= min(k, d)) refutes
+#: Choi eigenvalues down to -CHOI_PSD_TOL still count as PSD; below it
+#: cp_test refutes and choi_to_kraus raises
 CHOI_PSD_TOL = 1e-9
 #: relative cutoff below which Choi eigenvalues are dropped in Kraus recovery
 KRAUS_CUTOFF = 1e-11
@@ -149,23 +149,22 @@ def to_choi(phi: MapRep) -> MapRep:
     return MapRep(in_dim=phi.in_dim, out_dim=phi.out_dim, choi=choi_matrix(phi))
 
 
-def choi_to_kraus(phi: MapRep, psd_tol: float = CHOI_PSD_TOL, cutoff: float = KRAUS_CUTOFF) -> MapRep:
+def choi_to_kraus(phi: MapRep) -> MapRep:
     """Recover a Kraus family from the Choi matrix.
 
-    Requires the Choi matrix to be PSD within ``psd_tol``: eigenvalues in
-    (-psd_tol, 0) are clamped to zero, anything lower is an error.
-    Eigenvalues below ``cutoff * ||J||`` are discarded.
+    Eigenvalues in (-CHOI_PSD_TOL, 0) are clamped to zero, lower ones raise
+    ``NotCompletelyPositiveError``; eigenvalues below KRAUS_CUTOFF * ||J||
+    are discarded.
     """
     k, d = phi.in_dim, phi.out_dim
     j = choi_matrix(phi)
-    jh = (j + dag(j)) / 2.0
-    w, vecs = np.linalg.eigh(jh)
-    if w[0] < -psd_tol:
+    w, vecs = np.linalg.eigh((j + dag(j)) / 2.0)
+    if w[0] < -CHOI_PSD_TOL:
         raise NotCompletelyPositiveError(
-            f"Choi matrix has eigenvalue {w[0]:.3e} < -{psd_tol:.0e}; map is not CP"
+            f"Choi matrix has eigenvalue {w[0]:.3e} < -{CHOI_PSD_TOL:.0e}; map is not CP"
         )
     w = np.clip(w, 0.0, None)
-    keep = w > cutoff * max(float(w[-1]), 1e-300)
+    keep = w > KRAUS_CUTOFF * max(float(w[-1]), 1e-300)
     ops = []
     for wl, v in zip(w[keep], vecs[:, keep].T):
         ops.append(np.sqrt(wl) * v.reshape(k, d).T)
@@ -248,8 +247,8 @@ def phi_of_identity(phi: MapRep) -> Matrix:
     return apply(phi, np.eye(phi.in_dim, dtype=np.complex128))
 
 
-def is_unital(phi: MapRep, tol: float = 1e-9) -> bool:
-    return operator_norm(phi_of_identity(phi) - np.eye(phi.out_dim)) <= tol
+def is_unital(phi: MapRep) -> bool:
+    return operator_norm(phi_of_identity(phi) - np.eye(phi.out_dim)) <= 1e-9
 
 
 def unitalize(phi: MapRep) -> MapRep:
@@ -326,24 +325,19 @@ def random_unital_cp(k: int, kraus_rank: int, seed=0) -> MapRep:
 
 
 _BUILTINS = {
-    "transpose": lambda **kw: transpose_map(kw["dim"]),
-    "choiMap": lambda **kw: choi_map(kw["dim"]),
-    "normalizedChoiMap": lambda **kw: normalized_choi_map(kw["dim"]),
-    "unitaryConj": lambda **kw: unitary_conj(kw["u"]),
-    "randomUnitalCp": lambda **kw: random_unital_cp(kw["dim"], kw["kraus_rank"], kw.get("seed", 0)),
+    "transpose": transpose_map,
+    "choiMap": choi_map,
+    "normalizedChoiMap": normalized_choi_map,
 }
 
 
-def builtin(name: str, **params) -> MapRep:
-    """Construct one of the named built-in maps."""
+def builtin(name: str, dim: int) -> MapRep:
+    """Construct one of the named built-in maps on M_dim."""
     try:
         factory = _BUILTINS[name]
     except KeyError:
         raise ContractError(f"unknown builtin map {name!r}; expected one of {sorted(_BUILTINS)}") from None
-    try:
-        return factory(**params)
-    except KeyError as exc:
-        raise ContractError(f"builtin {name!r} is missing parameter {exc}") from None
+    return factory(dim)
 
 
 # ---------------------------------------------------------------------------
@@ -389,18 +383,14 @@ def cp_test(phi: MapRep) -> NPositivityVerdict:
     """Exact complete-positivity test via the Choi spectrum.
 
     ``certified_cp`` iff the minimal Choi eigenvalue is >= -CHOI_PSD_TOL;
-    otherwise the minimal eigenvector (Schmidt-decomposed) is the witness.
+    either way the minimal eigenvector (Schmidt-decomposed) is the witness.
     """
     j = choi_matrix(phi)
-    jh = (j + dag(j)) / 2.0
-    w, vecs = np.linalg.eigh(jh)
+    w, vecs = np.linalg.eigh((j + dag(j)) / 2.0)
     min_eig = float(w[0])
-    order = min(phi.in_dim, phi.out_dim)
-    if min_eig >= -CHOI_PSD_TOL:
-        return NPositivityVerdict(n=order, status=CERTIFIED_CP, min_value_found=min_eig,
-                                  witness_a=None, witness_b=None, starts=0)
+    status = CERTIFIED_CP if min_eig >= -CHOI_PSD_TOL else CERTIFIED_NOT_N_POSITIVE
     a, b = schmidt_decompose(vecs[:, 0], phi.in_dim, phi.out_dim)
-    return NPositivityVerdict(n=order, status=CERTIFIED_NOT_N_POSITIVE,
+    return NPositivityVerdict(n=min(phi.in_dim, phi.out_dim), status=status,
                               min_value_found=min_eig, witness_a=a, witness_b=b, starts=0)
 
 
@@ -478,40 +468,29 @@ def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 
     if starts < 1:
         raise ContractError(f"the search needs at least one start, got {starts}")
     k, d = phi.in_dim, phi.out_dim
+    if n >= min(k, d):
+        return replace(cp_test(phi), n=n)
     j = choi_matrix(phi)
-    jh = (j + dag(j)) / 2.0
-
-    exact = n >= min(k, d)
-    if exact:
-        w, vecs = np.linalg.eigh(jh)
-        best_val, best_x = float(w[0]), vecs[:, 0]
-        if best_val >= -CHOI_PSD_TOL:
-            a, b = schmidt_decompose(best_x, k, d)
-            return NPositivityVerdict(n=n, status=CERTIFIED_CP, min_value_found=best_val,
-                                      witness_a=a, witness_b=b, starts=0)
-    else:
-        j4 = jh.reshape(k, d, k, d)
-        children = np.random.SeedSequence(seed).spawn(starts)
-        best_val, best_x = np.inf, None
-        for lo in range(0, starts, SEARCH_BLOCK):
-            draws = np.stack([_alternating_minimum(child, d, n)
-                              for child in children[lo:lo + SEARCH_BLOCK]])
-            b_frames, _ = np.linalg.qr(draws)
-            vals, xs = _alternating_minima(j4, b_frames, max_iters)
-            first = int(np.argmin(vals))
-            if vals[first] < best_val:
-                best_val, best_x = float(vals[first]), xs[first].reshape(-1)
+    j4 = ((j + dag(j)) / 2.0).reshape(k, d, k, d)
+    children = np.random.SeedSequence(seed).spawn(starts)
+    best_val, best_x = np.inf, None
+    for lo in range(0, starts, SEARCH_BLOCK):
+        draws = np.stack([_alternating_minimum(child, d, n)
+                          for child in children[lo:lo + SEARCH_BLOCK]])
+        b_frames, _ = np.linalg.qr(draws)
+        vals, xs = _alternating_minima(j4, b_frames, max_iters)
+        first = int(np.argmin(vals))
+        if vals[first] < best_val:
+            best_val, best_x = float(vals[first]), xs[first].reshape(-1)
 
     a, b = schmidt_decompose(best_x, k, d, max_rank=n)
     x = witness_vector(a, b)
     nrm = np.linalg.norm(x)
     if nrm > 0:
         b = b / nrm
-    # the exact decision got here only with a Choi eigenvalue below -CHOI_PSD_TOL
-    refuted = exact or best_val <= -WITNESS_TOL
-    status = CERTIFIED_NOT_N_POSITIVE if refuted else HEURISTICALLY_N_POSITIVE
+    status = CERTIFIED_NOT_N_POSITIVE if best_val <= -WITNESS_TOL else HEURISTICALLY_N_POSITIVE
     return NPositivityVerdict(n=n, status=status, min_value_found=float(best_val),
-                              witness_a=a, witness_b=b, starts=0 if exact else starts)
+                              witness_a=a, witness_b=b, starts=starts)
 
 
 # ---------------------------------------------------------------------------

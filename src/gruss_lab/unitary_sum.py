@@ -2,13 +2,13 @@
 
 In any unital C*-algebra, ||A|| < 1 - 2/m (m > 2) guarantees m unitaries
 with m A = U_1 + ... + U_m (Kadison and Pedersen, Math. Scand. 57, 1985).
-On a matrix algebra the decomposition can be built explicitly, and under
-the polar-decomposition construction used here it works for every
-contraction (relaxed mode: ||A|| <= 1, m >= 2):
+On a matrix algebra the decomposition can be built explicitly from one
+singular value decomposition, and it works for every contraction (relaxed
+mode: ||A|| <= 1, m >= 2):
 
-1. A = W P  (polar), P = Q diag(s_t) Q*  (spectral, s_t in [0, ||A||]);
-2. each eigenvalue s_t is written as a mean of m unimodular numbers;
-3. U_j = W Q diag_t(z_j^(t)) Q* is unitary and their mean is A.
+1. A = U diag(s_t) V*  (SVD, s_t in [0, ||A||], ||A|| = s_0);
+2. each singular value s_t is written as a mean of m unimodular numbers;
+3. U_j = U diag_t(z_j^(t)) V* is unitary and their mean is A.
 
 This is a constructive specialization, not the original existence proof:
 strict mode enforces the classical hypothesis, relaxed mode exposes what
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .linalg import Matrix, as_matrix, dag, hermitian_eig, operator_norm, polar_decompose
+from .linalg import Matrix, as_matrix, dag, operator_norm, svd
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +64,7 @@ def scalar_unimodular_sum(s: float, m: int, mode: str = "strict") -> np.ndarray:
 
 
 def decompose_unitary_sum(a, m: int, mode: str = "strict") -> UnitarySumDecomposition:
-    """Produce m unitaries averaging to A via polar plus spectral splitting.
+    """Produce m unitaries averaging to A by splitting its singular values.
 
     Strict mode enforces ||A|| < 1 - 2/m with m >= 3; relaxed mode accepts
     any contraction (||A|| <= 1) and m >= 2.
@@ -72,7 +72,9 @@ def decompose_unitary_sum(a, m: int, mode: str = "strict") -> UnitarySumDecompos
     a = as_matrix(a, square=True)
     if mode not in ("strict", "relaxed"):
         raise ContractError(f"unknown mode {mode!r}")
-    nrm = operator_norm(a)
+    dec = svd(a)
+    s, u, v = dec.singular_values, dec.left_vectors, dec.right_vectors
+    nrm = float(s[0])
     if mode == "strict":
         if m < 3:
             raise ContractError(f"strict mode needs m >= 3, got {m}")
@@ -87,13 +89,8 @@ def decompose_unitary_sum(a, m: int, mode: str = "strict") -> UnitarySumDecompos
         if nrm > 1.0 + 1e-10:
             raise ContractError(f"relaxed mode needs ||A|| <= 1, got {nrm:.6g}")
 
-    w, p = polar_decompose(a)
-    dec = hermitian_eig(p)
-    q = dec.eigenvectors
-    phases = np.empty((len(dec.eigenvalues), m), dtype=np.complex128)
-    for t, s_t in enumerate(dec.eigenvalues):
-        phases[t] = scalar_unimodular_sum(min(max(float(s_t), 0.0), 1.0), m, mode=mode)
-    unitaries = tuple(w @ q @ np.diag(phases[:, j]) @ dag(q) for j in range(m))
+    phases = np.stack([scalar_unimodular_sum(min(float(s_t), 1.0), m, mode=mode) for s_t in s])
+    unitaries = tuple(u @ np.diag(phases[:, j]) @ dag(v) for j in range(m))
     mean = sum(unitaries) / m
     err = operator_norm(mean - a)
     return UnitarySumDecomposition(m=m, unitaries=unitaries, reconstruction_error=float(err))

@@ -329,6 +329,12 @@ def test_run_trials_validation():
         run_trials("theorem", family="positive", dims=(2,), trials=5, seed=0)
     with pytest.raises(ContractError):
         run_trials("spectral-gap", dims=(2,), trials=5, seed=0)
+    with pytest.raises(ContractError):
+        run_trials("lemma1", family="mixed", dims=(3,), trials=5, seed=0)
+    with pytest.raises(ContractError):
+        run_trials("lemma1", family="positive", dims=(2,), trials=5, seed=0)
+    with pytest.raises(ContractError):
+        run_trials("corollary", family="cp", dims=(3,), trials=5, seed=0)
 
 
 def test_explore_empty_and_small():

@@ -199,6 +199,19 @@ def test_cp_test_verdicts():
     assert rayleigh_value(phi3, x) <= -1e-8
 
 
+def test_cp_test_witness_on_cp_verdicts():
+    # the minimal Choi eigenvector is the witness on CP verdicts too, and
+    # re-evaluates to the reported minimum
+    maps = [unitary_conj(haar_unitary(3, seed=2)), random_unital_cp(3, 4, seed=101),
+            mix([random_unital_cp(2, 2, seed=5), identity_map(2)], [0.3, 0.7])]
+    for phi in maps:
+        v = cp_test(phi)
+        assert v.status == CERTIFIED_CP
+        x = witness_vector(v.witness_a, v.witness_b)
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+        assert abs(rayleigh_value(phi, x) - v.min_value_found) <= 1e-12
+
+
 def test_search_transpose():
     v = n_positivity_search(transpose_map(2), 2, starts=50, seed=0)
     assert v.status == CERTIFIED_NOT_N_POSITIVE

@@ -142,6 +142,31 @@ def test_grid_oracle_examples():
         delta_grid_oracle(np.eye(2), 1.0, 1)
 
 
+# exhaustive reference for the pruned grid oracle: every grid point evaluated,
+# first index of the smallest value
+def _exhaustive_grid(c, half_width, resolution):
+    center = complex(np.trace(c)) / c.shape[0]
+    xs = np.linspace(-half_width, half_width, resolution)
+    grid = (center + xs[:, None] + 1j * xs[None, :]).ravel()
+    vals = np.linalg.svd(c - grid[:, None, None] * np.eye(c.shape[0]), compute_uv=False)[:, 0]
+    best = int(np.argmin(vals))
+    return float(vals[best]), complex(grid[best])
+
+
+def test_pruned_grid_oracle_matches_exhaustive_search():
+    cases = [(np.eye(2), 2.0, 101),
+             (np.array([[1, 2], [2, 4.0]]), operator_norm([[1, 2], [2, 4]]) + 1, 201),
+             (np.array([[0, 1], [0, 0.0]]), 2.0, 201)]
+    for kind in ("ginibre", "hermitian", "normal"):
+        for dim in range(2, 9):
+            c = random_ensemble(kind, dim, seed=100 + dim)
+            cases.append((c, operator_norm(c) + 1.0, 201))
+    for c, half_width, resolution in cases:
+        c = np.asarray(c, dtype=complex)
+        res = delta_grid_oracle(c, half_width, resolution)
+        assert (res.value, res.minimizer) == _exhaustive_grid(c, half_width, resolution)
+
+
 def test_delta_invariances():
     rng = np.random.default_rng(23)
     for trial in range(20):

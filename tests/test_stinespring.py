@@ -5,6 +5,7 @@ import pytest
 
 from gruss_lab import (
     ContractError,
+    NotCompletelyPositiveError,
     apply,
     dag,
     delta_normal,
@@ -39,6 +40,11 @@ def test_dilate_unitary_conjugation():
     assert operator_norm(dil.isometry - dag(u)) <= 1e-12
     a = ginibre(3, seed=2)
     assert operator_norm(u @ a @ dag(u) - dil.dilated_apply(a)) <= 1e-12
+
+
+def test_dilate_non_cp_raises_from_kraus_recovery():
+    with pytest.raises(NotCompletelyPositiveError):
+        dilate(transpose_map(2))
 
 
 def test_dilate_rejects_non_cp_and_non_unital():
