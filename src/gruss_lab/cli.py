@@ -9,7 +9,7 @@ on stdout (or --output).  JSON has no infinities or NaNs, so a non-finite
 number is written as the string "inf", "-inf" or "nan".  Exit codes:
 0 success, 1 I/O or contract error (with a one-line JSON error object on
 stderr), 2 mathematical violation found.  GRUSS_LAB_THREADS caps trial
-parallelism (0 = sequential); results are deterministic either way.
+parallelism (0 = sequential) at the core count; results do not depend on it.
 """
 
 from __future__ import annotations

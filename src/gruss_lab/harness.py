@@ -115,15 +115,21 @@ class CounterexampleReport:
     inequality_fails: bool
 
 
-def gruss_defect(phi: MapRep, a, b) -> float:
-    """|| Phi(AB) - Phi(A) Phi(B) ||."""
+def _pair(phi: MapRep, a, b) -> tuple[Matrix, Matrix]:
     a = as_matrix(a, square=True)
     b = as_matrix(b, square=True)
     if a.shape != b.shape or a.shape[0] != phi.in_dim:
         raise DimensionError(
             f"defect needs A, B in M_{phi.in_dim}; got {a.shape} and {b.shape}"
         )
-    return operator_norm(apply(phi, a @ b) - apply(phi, a) @ apply(phi, b))
+    return a, b
+
+
+def gruss_defect(phi: MapRep, a, b) -> float:
+    """|| Phi(AB) - Phi(A) Phi(B) ||."""
+    a, b = _pair(phi, a, b)
+    p_ab, p_a, p_b = apply(phi, np.stack([a @ b, a, b]))
+    return operator_norm(p_ab - p_a @ p_b)
 
 
 def _require_unital(phi: MapRep, what: str) -> None:
@@ -178,20 +184,20 @@ def check_lemma1(phi: MapRep, a, b, known_positivity_order: int | None = None) -
     elif known_positivity_order < 3:
         raise ContractError("check_lemma1 needs positivity order >= 3")
 
-    a = as_matrix(a, square=True)
-    b = as_matrix(b, square=True)
-    lhs_squared = gruss_defect(phi, a, b) ** 2
-    self_a = operator_norm(apply(phi, a @ dag(a)) - apply(phi, a) @ dag(apply(phi, a)))
-    self_b = operator_norm(apply(phi, dag(b) @ b) - dag(apply(phi, b)) @ apply(phi, b))
+    a, b = _pair(phi, a, b)
+    a_dag, b_dag = dag(a), dag(b)
+    p_ab, p_a, p_b, p_aa, p_bb, p_ad, p_ba = apply(phi, np.stack(
+        [a @ b, a, b, a @ a_dag, b_dag @ b, a_dag, b_dag @ a_dag]))
+    lhs_squared = operator_norm(p_ab - p_a @ p_b) ** 2
+    self_a = operator_norm(p_aa - p_a @ dag(p_a))
+    self_b = operator_norm(p_bb - dag(p_b) @ p_b)
     rhs_product = self_a * self_b
 
-    # block covariance matrix for the pair (X, Y) = (A*, B)
-    x, y = dag(a), b
-    px, py = apply(phi, x), apply(phi, y)
-    bxx = apply(phi, dag(x) @ x) - dag(px) @ px
-    bxy = apply(phi, dag(x) @ y) - dag(px) @ py
-    byx = apply(phi, dag(y) @ x) - dag(py) @ px
-    byy = apply(phi, dag(y) @ y) - dag(py) @ py
+    # block covariance matrix for the pair (X, Y) = (A*, B), with Phi(X) = p_ad
+    bxx = p_aa - dag(p_ad) @ p_ad
+    bxy = p_ab - dag(p_ad) @ p_b
+    byx = p_ba - dag(p_b) @ p_ad
+    byy = p_bb - dag(p_b) @ p_b
     block = np.block([[bxx, bxy], [byx, byy]])
     block = (block + dag(block)) / 2.0
     block_min_eig = float(np.linalg.eigvalsh(block)[0])
@@ -231,8 +237,8 @@ def check_lemma2(phi: MapRep, a, require_normal: bool = True,
             raise ContractError(
                 f"map is not positive (rank-1 witness value {probe.min_value_found:.3e})"
             )
-    pa = apply(phi, a)
-    lhs = operator_norm(apply(phi, dag(a) @ a) - dag(pa) @ pa)
+    p_aa, p_a = apply(phi, np.stack([dag(a) @ a, a]))
+    lhs = operator_norm(p_aa - dag(p_a) @ p_a)
     dval = delta(a).value
     bound = dval * dval
     return {
@@ -277,10 +283,8 @@ def check_corollary(k: int, a, b, trace: MapRep | None = None) -> dict:
     """
     if k < 4:
         raise ContractError(f"corollary check needs k >= 4 (map must be 3-positive), got {k}")
-    a = as_matrix(a, square=True)
-    b = as_matrix(b, square=True)
-    if a.shape[0] != k or b.shape[0] != k:
-        raise DimensionError(f"corollary check needs A, B in M_{k}")
+    phi = normalized_choi_map(k) if trace is None else trace
+    a, b = _pair(phi, a, b)
     eye = np.eye(k, dtype=np.complex128)
     c = k * k - k - 1
     tr_a, tr_b = np.trace(a), np.trace(b)
@@ -291,8 +295,8 @@ def check_corollary(k: int, a, b, trace: MapRep | None = None) -> dict:
     db = delta(b).value
     rhs = (c * c / (k - 1.0)) * da * db
 
-    phi = normalized_choi_map(k) if trace is None else trace
-    map_defect = apply(phi, a @ b) - apply(phi, a) @ apply(phi, b)
+    p_ab, p_a, p_b = apply(phi, np.stack([a @ b, a, b]))
+    map_defect = p_ab - p_a @ p_b
     formula_residual = operator_norm((k - 1.0) / (c * c) * bracket - map_defect)
     return {
         "lhs": float(lhs),
@@ -362,9 +366,10 @@ def proof_chain(phi: MapRep, a, b, m: int) -> dict:
 
 
 def _thread_count() -> int:
+    # capped at the core count: the pool may start a thread per trial
     raw = os.environ.get("GRUSS_LAB_THREADS", "0")
     try:
-        return max(0, int(raw))
+        return min(max(0, int(raw)), os.cpu_count() or 1)
     except ValueError:
         return 0
 
@@ -372,7 +377,7 @@ def _thread_count() -> int:
 def _map_over_trials(fn, trials: int, threads: int) -> list:
     if threads > 1 and trials > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(trials), chunksize=max(1, trials // (4 * threads))))
+            return list(pool.map(fn, range(trials)))
     return [fn(t) for t in range(trials)]
 
 
@@ -556,7 +561,8 @@ def run_trials(check: str, family: str = "cp", dims=(2, 3, 4), trials: int = 100
     Each trial derives its own generator from (seed, trial index), so the
     aggregate is deterministic and independent of the execution order and
     of the thread count, which comes from GRUSS_LAB_THREADS (0 or 1 means
-    sequential).  The worst instance is the trial of smallest margin.
+    sequential; capped at the core count).  The worst instance is the trial
+    of smallest margin.
     ``viol_tol`` is for ``theorem`` only (see ``check_theorem``).
     """
     dims = tuple(int(d) for d in dims)

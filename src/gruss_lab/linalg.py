@@ -35,8 +35,8 @@ def as_matrix(values, *, square: bool = False) -> Matrix:
 
 
 def dag(a: Matrix) -> Matrix:
-    """Conjugate transpose."""
-    return np.conj(a).T
+    """Conjugate transpose (of each matrix of a stack)."""
+    return np.conj(a).swapaxes(-1, -2)
 
 
 def operator_norm(a) -> float:
@@ -133,10 +133,11 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def ginibre(dim: int, seed=0) -> Matrix:
-    """Complex Ginibre matrix: i.i.d. standard complex normal entries."""
-    rng = _rng(seed)
-    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+def ginibre(dim: int, seed=0, shape: tuple = ()) -> Matrix:
+    """Complex Ginibre matrix (i.i.d. standard complex normal entries), or a
+    ``shape + (dim, dim)`` array equal bit for bit to successive single draws."""
+    parts = _rng(seed).standard_normal((*shape, 2, dim, dim))
+    return (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / np.sqrt(2.0)
 
 
 def haar_unitary(dim: int, seed=0) -> Matrix:

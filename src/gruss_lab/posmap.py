@@ -3,17 +3,17 @@
 A map Phi: M_k -> M_d is stored in exactly one of two forms:
 
 * Kraus -- a family of d x k matrices ``K_i`` with Phi(X) = sum_i K_i X K_i*
-  (exists iff the map is completely positive); Phi is unital iff
-  sum_i K_i K_i* = I.
+  (exists iff the map is completely positive), stored as one (L, d, k)
+  array with the Kraus rank L first; Phi is unital iff sum_i K_i K_i* = I.
 * Choi  -- the dk x dk matrix J = sum_ij E_ij (x) Phi(E_ij), where E_ij are
   the k x k matrix units; viewed as a k x k grid of d x d blocks, block
   (i, j) is Phi(E_ij).
 
 The superoperator, the d^2 x k^2 matrix S with vec(Phi(X)) = S vec(X) on
 column-major vectorizations (S = sum_i conj(K_i) (x) K_i for a Kraus map),
-is only a conversion (``superop_matrix``), never a storage form.
-Compositions, mixtures and non-Kraus amplifications are built on the Choi
-matrix.
+is only a conversion of the Choi matrix (``superop_matrix``), never a
+storage form.  Compositions, mixtures and non-Kraus amplifications are built
+on the Choi matrix.
 
 The amplification Phi_n acts blockwise on n x n operator matrices:
 output block (i, j) = Phi(input block (i, j)).
@@ -67,11 +67,12 @@ CERTIFIED_CP = "certified_cp"
 @dataclass(frozen=True, eq=False)
 class MapRep:
     """A linear map M_k -> M_d in Kraus form (``kraus`` set) or Choi form
-    (``choi`` set); exactly one of the two is stored."""
+    (``choi`` set); exactly one of the two is stored.  ``kraus`` is the
+    (L, d, k) array of the L Kraus operators (build it with ``from_kraus``)."""
 
     in_dim: int
     out_dim: int
-    kraus: tuple[Matrix, ...] | None = None
+    kraus: np.ndarray | None = None
     choi: Matrix | None = None
 
     @property
@@ -102,15 +103,21 @@ class NPositivityVerdict:
 
 
 def from_kraus(ops) -> MapRep:
-    """Build a (completely positive) map from its Kraus family."""
-    mats = tuple(as_matrix(op) for op in ops)
-    if not mats:
+    """Build a (completely positive) map from its Kraus family: L d x k
+    matrices, as a sequence or as an (L, d, k) array."""
+    try:
+        ops = np.asarray(ops, dtype=np.complex128)
+    except ValueError:  # operators of different shapes (or not numbers)
+        raise DimensionError("Kraus operators must be numeric matrices of one shape") from None
+    if ops.shape[:1] == (0,):
         raise ContractError("a Kraus family needs at least one operator")
-    d, k = mats[0].shape
-    for op in mats:
-        if op.shape != (d, k):
-            raise DimensionError(f"inconsistent Kraus shapes: {op.shape} vs {(d, k)}")
-    return MapRep(in_dim=k, out_dim=d, kraus=mats)
+    if ops.ndim != 3 or min(ops.shape) < 1:
+        raise DimensionError(f"a Kraus family must be an (L, d, k) stack, got shape {ops.shape}")
+    if not np.isfinite(ops).all():
+        raise ContractError("Kraus operator entries must be finite (no NaN/Inf)")
+    # a copy over a (d, L, k) buffer: apply's d x Lk [K_1 ... K_L] is a view
+    wide = np.array(ops.transpose(1, 0, 2), order="C")
+    return MapRep(in_dim=ops.shape[2], out_dim=ops.shape[1], kraus=wide.transpose(1, 0, 2))
 
 
 def from_choi(j, in_dim: int, out_dim: int) -> MapRep:
@@ -131,17 +138,15 @@ def choi_matrix(phi: MapRep) -> Matrix:
     if phi.choi is not None:
         return phi.choi
     # J = sum_l w_l w_l* with w_l = vec of K_l^T (index (i, a) -> K_l[a, i])
-    w = np.stack([op.T.reshape(-1) for op in phi.kraus])
+    w = phi.kraus.transpose(0, 2, 1).reshape(len(phi.kraus), -1)
     return np.einsum("li,lj->ij", w, w.conj())
 
 
 def superop_matrix(phi: MapRep) -> Matrix:
-    """The superoperator on column-major vectorizations (a conversion; no
-    map is stored in this form)."""
+    """The superoperator on column-major vectorizations, a reshuffle of the
+    Choi matrix (a conversion; no map is stored in this form)."""
     k, d = phi.in_dim, phi.out_dim
-    if phi.kraus is not None:
-        return sum(np.kron(op.conj(), op) for op in phi.kraus)
-    j4 = phi.choi.reshape(k, d, k, d)  # [a, alpha, b, beta]
+    j4 = choi_matrix(phi).reshape(k, d, k, d)  # [a, alpha, b, beta]
     return np.ascontiguousarray(j4.transpose(3, 1, 2, 0).reshape(d * d, k * k))
 
 
@@ -165,37 +170,27 @@ def choi_to_kraus(phi: MapRep) -> MapRep:
         )
     w = np.clip(w, 0.0, None)
     keep = w > KRAUS_CUTOFF * max(float(w[-1]), 1e-300)
-    ops = []
-    for wl, v in zip(w[keep], vecs[:, keep].T):
-        ops.append(np.sqrt(wl) * v.reshape(k, d).T)
-    if not ops:  # zero map
-        ops = [np.zeros((d, k), dtype=np.complex128)]
-    return from_kraus(ops)
+    if not keep.any():  # zero map
+        return from_kraus(np.zeros((1, d, k)))
+    ops = vecs[:, keep].T.reshape(-1, k, d).transpose(0, 2, 1)  # vec K_l^T / sqrt(w_l)
+    return from_kraus(np.sqrt(w[keep])[:, None, None] * ops)
 
 
-def apply(phi: MapRep, x) -> Matrix:
-    """Evaluate Phi(X)."""
-    x = as_matrix(x, square=True)
+def apply(phi: MapRep, x) -> np.ndarray:
+    """Evaluate Phi(X) on one k x k matrix, or Phi on each matrix of an
+    (S, k, k) stack, giving an (S, d, d) stack.  Each matrix of a stack goes
+    through the same products as on its own, so with the same rounding."""
     k, d = phi.in_dim, phi.out_dim
-    if x.shape != (k, k):
-        raise DimensionError(f"input is {x.shape}, map expects {(k, k)}")
+    xs = np.array(x, dtype=np.complex128)
+    if xs.ndim not in (2, 3) or xs.shape[-2:] != (k, k):
+        raise DimensionError(f"input is {xs.shape}, map expects {(k, k)} or (S, {k}, {k})")
+    if not np.isfinite(xs).all():
+        raise ContractError("matrix entries must be finite (no NaN/Inf)")
     if phi.kraus is not None:
         # [K_1 X ... K_L X] [K_1 ... K_L]*: two GEMMs through the d x Lk stack
-        wide = np.concatenate(phi.kraus, axis=1)
-        return (wide.reshape(-1, k) @ x).reshape(d, -1) @ dag(wide)
-    j4 = phi.choi.reshape(k, d, k, d)
-    return np.einsum("ij,iajb->ab", x, j4)
-
-
-def _apply_stack(phi: MapRep, xs: np.ndarray) -> np.ndarray:
-    # Phi on each matrix of an (S, k, k) stack, through the same products per
-    # matrix as ``apply`` (so with the same rounding)
-    k, d = phi.in_dim, phi.out_dim
-    s = xs.shape[0]
-    if phi.kraus is not None:
-        wide = np.concatenate(phi.kraus, axis=1)
-        return (wide.reshape(-1, k) @ xs).reshape(s, d, -1) @ dag(wide)
-    return np.einsum("sij,iajb->sab", xs, phi.choi.reshape(k, d, k, d))
+        wide = phi.kraus.transpose(1, 0, 2).reshape(d, -1)
+        return (wide.reshape(-1, k) @ xs).reshape(*xs.shape[:-2], d, -1) @ dag(wide)
+    return np.einsum("...ij,iajb->...ab", xs, phi.choi.reshape(k, d, k, d))
 
 
 def amplify(phi: MapRep, n: int) -> MapRep:
@@ -207,7 +202,7 @@ def amplify(phi: MapRep, n: int) -> MapRep:
     k, d = phi.in_dim, phi.out_dim
     eye = np.eye(n, dtype=np.complex128)
     if phi.kraus is not None:
-        return from_kraus([np.kron(eye, op) for op in phi.kraus])
+        return from_kraus(np.kron(eye, phi.kraus))  # kron(I_n, K_l) for each l
     # Phi_n(E_pq (x) E_ij) = E_pq (x) Phi(E_ij): J_n[(p,i,p',a),(q,j,q',b)]
     # = delta_pp' delta_qq' J[(i,a),(j,b)]
     j_amp = np.einsum("iajb,pP,qQ->piPaqjQb", phi.choi.reshape(k, d, k, d), eye, eye)
@@ -268,11 +263,9 @@ def unitalize(phi: MapRep) -> MapRep:
         )
     inv_sqrt = q @ np.diag(1.0 / np.sqrt(w)) @ dag(q)
     if phi.kraus is not None:
-        return from_kraus([inv_sqrt @ op for op in phi.kraus])
-    k = phi.in_dim
-    j = choi_matrix(phi)
-    r = np.kron(np.eye(k, dtype=np.complex128), inv_sqrt)
-    return from_choi(r @ j @ dag(r), k, phi.out_dim)
+        return from_kraus(inv_sqrt @ phi.kraus)
+    r = np.kron(np.eye(phi.in_dim, dtype=np.complex128), inv_sqrt)
+    return from_choi(r @ phi.choi @ dag(r), phi.in_dim, phi.out_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +312,7 @@ def random_unital_cp(k: int, kraus_rank: int, seed=0) -> MapRep:
     """Unitalization of a random Ginibre Kraus family on M_k."""
     if kraus_rank < 1:
         raise ContractError("kraus_rank must be >= 1")
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    ops = [ginibre(k, rng) for _ in range(kraus_rank)]
-    return unitalize(from_kraus(ops))
+    return unitalize(from_kraus(ginibre(k, seed, (kraus_rank,))))
 
 
 _BUILTINS = {

@@ -322,11 +322,15 @@ def delta_grid_oracle(c, half_width: float, resolution: int) -> DeltaResult:
     f(q) - |p - q| above the coarse minimum (plus a rounding slack) cannot
     be the minimum and is skipped.  Every other point is evaluated, and the
     first of the smallest values in grid order wins, as in an exhaustive
-    search.
+    search.  As |lambda* - trace(C)/dim| <= delta(C) <= value, the square
+    provably holds the minimizer lambda* only if value <= half_width; else,
+    or for a half width that is not finite and positive, ``ContractError``.
     """
     c = as_matrix(c, square=True)
     if resolution < 2:
         raise ContractError(f"grid resolution must be >= 2, got {resolution}")
+    if not (math.isfinite(half_width) and half_width > 0):
+        raise ContractError(f"grid half width must be finite and positive, got {half_width}")
     eye = np.eye(c.shape[0])
     center = complex(np.trace(c)) / c.shape[0]
     xs = np.linspace(-half_width, half_width, resolution)
@@ -342,6 +346,8 @@ def delta_grid_oracle(c, half_width: float, resolution: int) -> DeltaResult:
     points = grid.ravel()[candidates]
     vals = operator_norms(c - points[:, None, None] * eye)
     best = int(np.argmin(vals))
+    if vals[best] > half_width:
+        raise ContractError(f"grid minimum {vals[best]:.6g} > half width {half_width:.6g}")
     spacing = float(xs[1] - xs[0])
     return DeltaResult(value=float(vals[best]), minimizer=complex(points[best]),
                        method="grid", certified_gap=spacing)
@@ -352,7 +358,7 @@ def delta(c, method: str = "auto") -> DeltaResult:
 
     ``auto`` and ``convex`` run ``delta_general`` on every square C, normal
     or not; ``disk`` is the spectral reference route (normal C only) and
-    ``grid`` the exhaustive oracle.
+    ``grid`` the exhaustive oracle (on a square that holds its check).
     """
     c = as_matrix(c, square=True)
     if method in ("auto", "convex"):
@@ -360,5 +366,6 @@ def delta(c, method: str = "auto") -> DeltaResult:
     if method == "disk":
         return delta_normal(c)
     if method == "grid":
-        return delta_grid_oracle(c, operator_norm(c) + 1.0, 201)
+        centered = c - np.trace(c) / c.shape[0] * np.eye(c.shape[0])
+        return delta_grid_oracle(c, max(operator_norm(c) + 1.0, operator_norm(centered)), 201)
     raise ContractError(f"unknown delta method {method!r}")

@@ -9,8 +9,8 @@ and the unital *-homomorphism pi(A) = I_r (x) A satisfy
 This is the Kraus-rank dilation; the minimal dilation is not constructed
 because every identity verified here already holds for this one.  The
 randomized checks (``dilation_residual``, ``homomorphism_check``) evaluate
-their samples as stacks of ``SAMPLE_BLOCK`` matrices; ``StinespringDilation.pi``
-is the single-matrix form.
+their samples as stacks of ``SAMPLE_BLOCK`` matrices, through the same
+products as ``StinespringDilation.pi``.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .linalg import Matrix, as_matrix, dag, operator_norm, operator_norms
-from .posmap import MapRep, _apply_stack, apply, choi_to_kraus, is_unital
+from .linalg import Matrix, as_matrix, dag, ginibre, operator_norm, operator_norms
+from .posmap import MapRep, apply, choi_to_kraus, is_unital
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +46,7 @@ class StinespringDilation:
         a = as_matrix(a, square=True)
         if a.shape[0] != self.in_dim:
             raise ContractError(f"pi expects a {self.in_dim}x{self.in_dim} matrix")
-        return np.kron(np.eye(self.env_dim, dtype=np.complex128), a)
+        return _pi_stack(self, a)
 
     def dilated_apply(self, a) -> Matrix:
         """V* pi(A) V, which should reproduce Phi(A)."""
@@ -62,7 +62,7 @@ def dilate(phi: MapRep) -> StinespringDilation:
         raise ContractError("dilate requires a unital map (||Phi(I) - I|| too large)")
     ops = kraus_rep.kraus
     r = len(ops)
-    v = np.vstack([dag(op) for op in ops])  # block i of V is K_i*
+    v = np.conj(ops).transpose(0, 2, 1).reshape(-1, phi.out_dim)  # block i of V is K_i*
     return StinespringDilation(env_dim=r, isometry=v, pi_dim=r * phi.in_dim,
                                source=kraus_rep)
 
@@ -79,16 +79,11 @@ def _blocks(samples: int):
 
 
 def _pi_stack(dilation: StinespringDilation, a: np.ndarray) -> np.ndarray:
-    # pi(A) = I_r (x) A for each A of an (S, k, k) stack, formed entry by
-    # entry exactly as np.kron forms it in ``StinespringDilation.pi``
-    s, k, _ = a.shape
-    r = dilation.env_dim
+    # I_r (x) A for one matrix or for each A of an (S, k, k) stack, formed
+    # entry by entry as np.kron forms it, without np.kron's per-call overhead
+    r, k = dilation.env_dim, a.shape[-1]
     eye = np.eye(r, dtype=np.complex128)[:, None, :, None]
-    return (eye * a[:, None, :, None, :]).reshape(s, r * k, r * k)
-
-
-def _dag_stack(a: np.ndarray) -> np.ndarray:
-    return np.conj(a).transpose(0, 2, 1)
+    return (eye * a[..., None, :, None, :]).reshape(*a.shape[:-2], r * k, r * k)
 
 
 def dilation_residual(phi: MapRep, dilation: StinespringDilation, samples: int = 50,
@@ -108,7 +103,7 @@ def dilation_residual(phi: MapRep, dilation: StinespringDilation, samples: int =
     for size in _blocks(samples):
         parts = rng.standard_normal((size, 2, k, k))
         a = parts[:, 0] + 1j * parts[:, 1]
-        resid = operator_norms(_apply_stack(phi, a) - dag(v) @ _pi_stack(dilation, a) @ v)
+        resid = operator_norms(apply(phi, a) - dag(v) @ _pi_stack(dilation, a) @ v)
         worst = max(worst, float(np.max(resid / (1.0 + operator_norms(a)))))
     return worst
 
@@ -128,14 +123,13 @@ def homomorphism_check(dilation: StinespringDilation, samples: int = 50, seed=0)
     max_product = 0.0
     max_adjoint = 0.0
     for size in _blocks(samples):
-        parts = rng.standard_normal((size, 2, 2, k, k))
-        pairs = (parts[:, :, 0] + 1j * parts[:, :, 1]) / np.sqrt(2.0)
+        pairs = ginibre(k, rng, (size, 2))
         a, b = pairs[:, 0], pairs[:, 1]
         norms = operator_norms(pairs)
         scale = 1.0 + norms[:, 0] * norms[:, 1]
         pi_a = _pi_stack(dilation, a)
         product = operator_norms(_pi_stack(dilation, a @ b) - pi_a @ _pi_stack(dilation, b))
-        adjoint = operator_norms(_pi_stack(dilation, _dag_stack(a)) - _dag_stack(pi_a))
+        adjoint = operator_norms(_pi_stack(dilation, dag(a)) - dag(pi_a))
         max_product = max(max_product, float(np.max(product / scale)))
         max_adjoint = max(max_adjoint, float(np.max(adjoint)))
     eye = np.eye(k, dtype=np.complex128)
@@ -162,8 +156,8 @@ def lemma2_defect_identity(dilation: StinespringDilation, a, lam: complex, mu: c
     """
     a = as_matrix(a, square=True)
     phi = dilation.source
-    pa = apply(phi, a)
-    lhs = operator_norm(apply(phi, dag(a) @ a) - dag(pa) @ pa)
+    p_aa, p_a = apply(phi, np.stack([dag(a) @ a, a]))
+    lhs = operator_norm(p_aa - dag(p_a) @ p_a)
 
     eye_in = np.eye(dilation.in_dim, dtype=np.complex128)
     v = dilation.isometry

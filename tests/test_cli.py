@@ -244,6 +244,17 @@ def test_malformed_matrix_is_contract_error(capsys, tmp_path):
     assert json.loads(err)["error"]["type"] == "dimension"
 
 
+def test_kraus_operators_of_two_shapes_are_a_dimension_error(capsys, tmp_path):
+    ops = [matrix_to_json(np.eye(2)), matrix_to_json(np.eye(3))]
+    path = _write(tmp_path / "two_shapes.json", {"kind": "kraus", "ops": ops})
+    for argv in (["dilate", "--map", path], ["npositive", "--map", path, "--n", "1"]):
+        code = route(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["type"] == "dimension"
+
+
 def test_non_finite_numbers_are_encoded_not_raised(capsys, tmp_path):
     # JSON has no infinity: the report spells it out instead of crashing
     code, rep = _run(capsys, ["verify", "theorem", "--dims", "2", "--trials", "2",

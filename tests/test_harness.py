@@ -396,3 +396,35 @@ def test_worst_instance_replays_from_the_report(check, family, dims):
         assert replayed["ratio"] == s.worst_ratio
     else:
         assert replayed["margin"] == s.worst_margin
+
+
+def test_thread_count_is_capped_at_the_core_count(monkeypatch):
+    # only the count is checked: no pool is started with these values
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    for raw, expected in (("100000", 4), ("3", 3), ("0", 0), ("-2", 0), ("x", 0)):
+        monkeypatch.setenv("GRUSS_LAB_THREADS", raw)
+        assert harness._thread_count() == expected
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    monkeypatch.setenv("GRUSS_LAB_THREADS", "8")
+    assert harness._thread_count() == 1
+
+
+def test_each_check_maps_its_inputs_in_one_apply_call(monkeypatch):
+    stacks = []
+    real_apply = harness.apply
+
+    def counted(phi, x):
+        stacks.append(np.shape(x))
+        return real_apply(phi, x)
+
+    monkeypatch.setattr(harness, "apply", counted)
+    phi = random_unital_cp(4, 3, seed=2)
+    a, b = ginibre(4, seed=1), ginibre(4, seed=2)
+    runs = [(lambda: gruss_defect(phi, a, b), 3),
+            (lambda: check_lemma1(phi, a, b), 7),
+            (lambda: check_lemma2(phi, a, require_normal=False, known_positive=True), 2),
+            (lambda: check_corollary(4, a, b), 3)]
+    for run, size in runs:
+        stacks.clear()
+        run()
+        assert stacks == [(size, 4, 4)]

@@ -11,6 +11,7 @@ from gruss_lab import (
     as_matrix,
     dag,
     embed_block,
+    ginibre,
     hermitian_eig,
     matrix_from_json,
     matrix_to_json,
@@ -188,3 +189,19 @@ def test_matrix_json_rejects_mismatch():
         matrix_from_json({"rows": 2, "cols": 2, "re": [[0, 0], [0, 0]]})
     with pytest.raises(ContractError):
         matrix_from_json("not an object")
+
+
+def test_ginibre_shape_equals_successive_single_draws():
+    # a single draw takes its real part, then its imaginary part
+    def single(rng, dim):
+        re = rng.standard_normal((dim, dim))
+        return (re + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+
+    for seed in range(50):
+        for dim, shape in ((3, ()), (2, (1,)), (3, (5,)), (4, (2, 3))):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            stacked = ginibre(dim, rng, shape)
+            singles = np.stack([single(ref, dim) for _ in range(int(np.prod(shape)))])
+            assert stacked.shape == shape + (dim, dim)
+            assert np.array_equal(stacked.reshape(singles.shape), singles)
+            assert rng.bit_generator.state == ref.bit_generator.state

@@ -13,6 +13,7 @@ from gruss_lab import (
     CERTIFIED_NOT_N_POSITIVE,
     HEURISTICALLY_N_POSITIVE,
     ContractError,
+    DimensionError,
     NotCompletelyPositiveError,
     UnitalizationError,
     amplify,
@@ -121,6 +122,38 @@ def test_kraus_apply_matches_sum_over_operators():
         x = ginibre(k, seed=rank)
         ref = sum(op @ x @ dag(op) for op in ops)
         assert operator_norm(apply(from_kraus(ops), x) - ref) <= 1e-12 * operator_norm(ref)
+
+
+def test_from_kraus_rejects_malformed_families():
+    with pytest.raises(ContractError):
+        from_kraus([])
+    for ops in ([np.eye(2), np.eye(3)], [np.ones((2, 3)), np.ones((3, 2))], [np.ones(3)]):
+        with pytest.raises(DimensionError):
+            from_kraus(ops)
+    for bad in (np.nan, np.inf, 1j * np.inf):
+        with pytest.raises(ContractError):
+            from_kraus([np.eye(2), np.array([[1.0, bad], [0.0, 1.0]])])
+
+
+@pytest.mark.parametrize("size", [1, 3, 17])
+def test_apply_on_a_stack_equals_single_applies_bit_for_bit(size):
+    for k, d in ((3, 2), (2, 4)):
+        xs = np.stack([ginibre(k, seed=100 * size + s) for s in range(size)])
+        for phi in (_random_kraus_map(k, d, 5, seed=size), _random_choi_map(k, d, seed=size),
+                    to_choi(_random_kraus_map(k, d, 2, seed=size + 1))):
+            out = apply(phi, xs)
+            assert out.shape == (size, d, d)
+            for x, got in zip(xs, out):
+                assert np.array_equal(got, apply(phi, x))
+
+
+def test_apply_rejects_inputs_of_the_wrong_shape():
+    phi = _random_kraus_map(3, 2, 2, seed=1)
+    for x in (np.eye(2), np.ones(3), np.ones((2, 3, 3, 3)), np.ones((3, 2, 2))):
+        with pytest.raises(DimensionError):
+            apply(phi, x)
+    with pytest.raises(ContractError):
+        apply(phi, np.full((2, 3, 3), np.nan))
 
 
 def test_superop_layout_matches_kraus_formula():

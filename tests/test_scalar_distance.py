@@ -142,6 +142,20 @@ def test_grid_oracle_examples():
         delta_grid_oracle(np.eye(2), 1.0, 1)
 
 
+def test_grid_oracle_rejects_what_it_cannot_certify():
+    # the square provably holds the minimizer only when the grid minimum is
+    # at most the half width; a NaN half width must fail before any SVD
+    cases = [(np.diag([0.0, 1.0]), -1.0), (np.diag([10.0, -10.0, -10.0, -10.0]), 0.5),
+             (np.diag([0.0, 1.0]), float("nan")), (np.eye(2), float("inf")), (np.eye(2), 0.0)]
+    for c, half_width in cases:
+        with pytest.raises(ContractError):
+            delta_grid_oracle(c, half_width, 5)
+
+    # ||C - trace(C)/dim I|| = 15 > ||C|| + 1: the dispatcher widens its square
+    res = delta(np.diag([10.0, -10.0, -10.0, -10.0]), "grid")
+    assert res.value - res.certified_gap <= 10.0 <= res.value
+
+
 # exhaustive reference for the pruned grid oracle: every grid point evaluated,
 # first index of the smallest value
 def _exhaustive_grid(c, half_width, resolution):
