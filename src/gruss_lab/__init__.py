@@ -34,22 +34,16 @@ from .harness import (
     run_trials,
 )
 from .linalg import (
-    EigenDecomposition,
-    SingularDecomposition,
     as_matrix,
     dag,
-    embed_block,
     ginibre,
     haar_unitary,
-    hermitian_eig,
     matrix_from_json,
     matrix_to_json,
     operator_norm,
-    polar_decompose,
     random_ensemble,
     random_hermitian,
     random_normal,
-    svd,
 )
 from .posmap import (
     CERTIFIED_CP,

@@ -212,14 +212,14 @@ def check_lemma1(phi: MapRep, a, b, known_positivity_order: int | None = None) -
 
 
 def check_lemma2(phi: MapRep, a, require_normal: bool = True,
-                 known_positive: bool = False, seed=0) -> dict:
+                 known_positive: bool = False) -> dict:
     """Variance bound ||Phi(A*A) - Phi(A)*Phi(A)|| <= delta(A)^2.
 
     For merely positive unital maps the bound is claimed for normal A only
     (``require_normal=True``); dropping normality is allowed only when the
     map is certified CP.  Positivity of the map is spot-checked with a small
-    rank-1 witness search unless ``known_positive`` says the caller already
-    guarantees it (e.g. the map is a composition of positive maps).
+    rank-1 witness search (seed 0) unless ``known_positive`` says the caller
+    already guarantees it (e.g. the map is a composition of positive maps).
     """
     _require_unital(phi, "check_lemma2")
     a = as_matrix(a, square=True)
@@ -232,7 +232,7 @@ def check_lemma2(phi: MapRep, a, require_normal: bool = True,
                 "check_lemma2 may drop the normality hypothesis only for certified CP maps"
             )
     if not known_positive:
-        probe = n_positivity_search(phi, 1, starts=8, max_iters=60, seed=seed)
+        probe = n_positivity_search(phi, 1, starts=8, max_iters=60, seed=0)
         if probe.status == CERTIFIED_NOT_N_POSITIVE:
             raise ContractError(
                 f"map is not positive (rank-1 witness value {probe.min_value_found:.3e})"

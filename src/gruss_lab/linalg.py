@@ -1,4 +1,8 @@
-"""Dense complex-matrix kernels shared by every other module.
+"""Dense complex-matrix kernels shared by every other module: coercion and
+the adjoint, operator norms of one matrix or of a stack, seeded random
+ensembles, and the matrix JSON wire format.  The decompositions the lab
+needs (Choi spectra, the SVDs of the Delta solver, the Schmidt decomposition
+and the unitary average) call numpy where they are used.
 
 Matrices are plain ``numpy`` arrays of dtype ``complex128``.  All functions
 are pure: they never mutate their arguments, and random sampling takes the
@@ -10,16 +14,11 @@ not bit-for-bit across library versions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericError
 
 Matrix = np.ndarray
-
-#: relative tolerance used when an operation requires a Hermitian input
-HERM_TOL = 1e-10
 
 
 def as_matrix(values, *, square: bool = False) -> Matrix:
@@ -48,6 +47,7 @@ def operator_norm(a) -> float:
         raise NumericError(f"svd did not converge: {exc}") from exc
     return float(s[0]) if s.size else 0.0
 
+
 def operator_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a (..., n, m) stack."""
     try:
@@ -55,72 +55,6 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"batched svd did not converge: {exc}") from exc
     return s[..., 0]
-
-
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Hermitian eigendecomposition A = Q diag(w) Q* with w ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: Matrix
-
-
-@dataclass(frozen=True, eq=False)
-class SingularDecomposition:
-    """A = U diag(s) V* with s descending and U, V orthonormal columns."""
-
-    singular_values: np.ndarray
-    left_vectors: Matrix
-    right_vectors: Matrix
-
-
-def hermitian_eig(a, herm_tol: float = HERM_TOL) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Raises ContractError when ``a`` is not Hermitian within ``herm_tol``
-    relative to its norm, and NumericError if the kernel fails to converge.
-    """
-    a = as_matrix(a, square=True)
-    if operator_norm(a - dag(a)) > herm_tol * operator_norm(a):
-        raise ContractError("input is not Hermitian within tolerance")
-    try:
-        w, q = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigh did not converge: {exc}") from exc
-    return EigenDecomposition(eigenvalues=w, eigenvectors=q)
-
-
-def svd(a) -> SingularDecomposition:
-    """Full singular value decomposition of an arbitrary complex matrix."""
-    a = as_matrix(a)
-    try:
-        u, s, vh = np.linalg.svd(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"svd did not converge: {exc}") from exc
-    return SingularDecomposition(singular_values=s, left_vectors=u, right_vectors=dag(vh))
-
-
-def polar_decompose(a) -> tuple[Matrix, Matrix]:
-    """Polar factorization A = W P with W unitary and P positive semidefinite.
-
-    Rank-deficient input is handled automatically: the full SVD supplies an
-    orthonormal completion, so W is always unitary.
-    """
-    a = as_matrix(a, square=True)
-    dec = svd(a)
-    u, s, v = dec.left_vectors, dec.singular_values, dec.right_vectors
-    w = u @ dag(v)
-    p = v @ np.diag(s.astype(np.complex128)) @ dag(v)
-    return w, p
-
-
-def embed_block(a: Matrix, blocks: int, row: int, col: int) -> Matrix:
-    """Place ``a`` at block position (row, col) of a blocks x blocks zero grid."""
-    if not (0 <= row < blocks and 0 <= col < blocks):
-        raise DimensionError(f"block position ({row}, {col}) outside {blocks}x{blocks} grid")
-    unit = np.zeros((blocks, blocks), dtype=np.complex128)
-    unit[row, col] = 1.0
-    return np.kron(unit, np.asarray(a, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------

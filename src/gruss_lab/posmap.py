@@ -58,6 +58,8 @@ WITNESS_TOL = 1e-8
 CHOI_PSD_TOL = 1e-9
 #: relative cutoff below which Choi eigenvalues are dropped in Kraus recovery
 KRAUS_CUTOFF = 1e-11
+#: relative cutoff below which Schmidt coefficients are dropped from a witness
+_SCHMIDT_REL_TOL = 1e-12
 
 CERTIFIED_NOT_N_POSITIVE = "certified_not_n_positive"
 HEURISTICALLY_N_POSITIVE = "heuristically_n_positive"
@@ -324,10 +326,9 @@ _BUILTINS = {
 
 def builtin(name: str, dim: int) -> MapRep:
     """Construct one of the named built-in maps on M_dim."""
-    try:
-        factory = _BUILTINS[name]
-    except KeyError:
-        raise ContractError(f"unknown builtin map {name!r}; expected one of {sorted(_BUILTINS)}") from None
+    factory = _BUILTINS.get(name) if isinstance(name, str) else None
+    if factory is None:
+        raise ContractError(f"unknown builtin map {name!r}; expected one of {sorted(_BUILTINS)}")
     return factory(dim)
 
 
@@ -335,8 +336,8 @@ def builtin(name: str, dim: int) -> MapRep:
 # positivity testing
 
 
-def schmidt_decompose(x, k: int, d: int, max_rank: int | None = None,
-                      rel_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def schmidt_decompose(x, k: int, d: int,
+                      max_rank: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Schmidt decomposition of x in C^k (x) C^d.
 
     Returns (a, b) with rows a_r in C^k, b_r in C^d such that
@@ -345,7 +346,7 @@ def schmidt_decompose(x, k: int, d: int, max_rank: int | None = None,
     m = np.asarray(x, dtype=np.complex128).reshape(k, d)
     u, s, vh = np.linalg.svd(m)
     top = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > rel_tol * max(top, 1e-300)))
+    rank = int(np.sum(s > _SCHMIDT_REL_TOL * max(top, 1e-300)))
     rank = max(rank, 1)
     if max_rank is not None:
         rank = min(rank, max_rank)

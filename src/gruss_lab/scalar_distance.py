@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ContractError, NumericError
 from .linalg import as_matrix, dag, operator_norm, operator_norms
 
-#: relative tolerance on ||CC* - C*C|| below which C is treated as normal
+#: bound on ||UU* - U*U|| for U = C/||C|| below which C is treated as normal
 NORMALITY_TOL = 1e-9
 
 #: delta_general stops once its bracket is this narrow, relative to 1 + ||C||
@@ -80,12 +80,15 @@ class DeltaResult:
 # the delta routes
 
 
-def is_normal(c, tol: float = NORMALITY_TOL) -> bool:
+def is_normal(c) -> bool:
+    """Whether ||UU* - U*U|| <= NORMALITY_TOL for U = C/||C||; scaling first
+    keeps ||C||^2 from overflowing or underflowing into the answer."""
     c = np.asarray(c, dtype=np.complex128)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         return False
     nrm = operator_norm(c)
-    return operator_norm(c @ dag(c) - dag(c) @ c) <= tol * nrm * nrm
+    u = c / nrm if nrm else c  # C = 0 is normal
+    return operator_norm(u @ dag(u) - dag(u) @ u) <= NORMALITY_TOL
 
 
 def delta_normal(c) -> DeltaResult:
@@ -193,6 +196,11 @@ def smallest_enclosing_disk(points) -> SpectralDisk:
         raise ContractError("smallest_enclosing_disk needs at least one point")
     mu = complex(pts.mean())  # work relative to the centroid, like delta_general
     rel = pts - mu
+    # the model squares distances: a spread whose square would overflow or
+    # underflow is brought near 1 by a power of two, which scales exactly
+    e = math.frexp(float(np.abs(rel).max()))[1]
+    scale = 1.0 if abs(e) < 500 else 2.0 ** -e
+    rel = rel * scale
     support, g, lam = [], -math.inf, 0j
     while True:
         far = complex(rel[np.argmax(np.abs(rel - lam))])
@@ -202,9 +210,9 @@ def smallest_enclosing_disk(points) -> SpectralDisk:
         if g_new <= g:
             break  # rounding level: the farthest point sits on the boundary
         g = g_new
-    center = mu + lam
+    center = mu + lam / scale
     return SpectralDisk(center=center, radius=float(np.abs(pts - center).max()),
-                        support=tuple(mu + z for z, _ in support))
+                        support=tuple(mu + z / scale for z, _ in support))
 
 
 def _newton_point(u, sv, vh, lam: complex, zv: complex, s: float,

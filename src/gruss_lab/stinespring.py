@@ -30,7 +30,6 @@ class StinespringDilation:
 
     env_dim: int
     isometry: Matrix  # (env_dim * in_dim) x out_dim
-    pi_dim: int
     source: MapRep
 
     @property
@@ -63,8 +62,7 @@ def dilate(phi: MapRep) -> StinespringDilation:
     ops = kraus_rep.kraus
     r = len(ops)
     v = np.conj(ops).transpose(0, 2, 1).reshape(-1, phi.out_dim)  # block i of V is K_i*
-    return StinespringDilation(env_dim=r, isometry=v, pi_dim=r * phi.in_dim,
-                               source=kraus_rep)
+    return StinespringDilation(env_dim=r, isometry=v, source=kraus_rep)
 
 
 #: samples drawn and checked as one stack this many at a time; bounds memory
@@ -133,7 +131,7 @@ def homomorphism_check(dilation: StinespringDilation, samples: int = 50, seed=0)
         max_product = max(max_product, float(np.max(product / scale)))
         max_adjoint = max(max_adjoint, float(np.max(adjoint)))
     eye = np.eye(k, dtype=np.complex128)
-    unital_exact = bool(np.array_equal(dilation.pi(eye), np.eye(dilation.pi_dim)))
+    unital_exact = bool(np.array_equal(dilation.pi(eye), np.eye(dilation.env_dim * k)))
     return {
         "samples": samples,
         "max_product_residual": max_product,

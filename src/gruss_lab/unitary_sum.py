@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
-from .linalg import Matrix, as_matrix, dag, operator_norm, svd
+from .errors import ContractError, NumericError
+from .linalg import Matrix, as_matrix, operator_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +72,10 @@ def decompose_unitary_sum(a, m: int, mode: str = "strict") -> UnitarySumDecompos
     a = as_matrix(a, square=True)
     if mode not in ("strict", "relaxed"):
         raise ContractError(f"unknown mode {mode!r}")
-    dec = svd(a)
-    s, u, v = dec.singular_values, dec.left_vectors, dec.right_vectors
+    try:
+        u, s, vh = np.linalg.svd(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"svd did not converge: {exc}") from exc
     nrm = float(s[0])
     if mode == "strict":
         if m < 3:
@@ -90,7 +92,7 @@ def decompose_unitary_sum(a, m: int, mode: str = "strict") -> UnitarySumDecompos
             raise ContractError(f"relaxed mode needs ||A|| <= 1, got {nrm:.6g}")
 
     phases = np.stack([scalar_unimodular_sum(min(float(s_t), 1.0), m, mode=mode) for s_t in s])
-    unitaries = tuple(u @ np.diag(phases[:, j]) @ dag(v) for j in range(m))
+    unitaries = tuple(u @ np.diag(phases[:, j]) @ vh for j in range(m))
     mean = sum(unitaries) / m
     err = operator_norm(mean - a)
     return UnitarySumDecomposition(m=m, unitaries=unitaries, reconstruction_error=float(err))

@@ -60,6 +60,8 @@ def fixtures(tmp_path):
                                 "matrix": matrix_to_json(np.eye(4))}),
         "unitary-conj-builtin": _write(tmp_path / "unitary_conj_builtin.json",
                                        {"kind": "builtin", "name": "unitaryConj", "dim": 3}),
+        "name-list": _write(tmp_path / "name_list.json",
+                            {"kind": "builtin", "name": ["transpose"], "dim": 2}),
         "bool-dims": _write(tmp_path / "bool_dims.json",
                             {"rows": True, "cols": True, "re": [[2.0]], "im": [[0.0]]}),
         "tmp_path": tmp_path,
@@ -288,11 +290,13 @@ def test_non_finite_numbers_are_encoded_not_raised(capsys, tmp_path):
     ["verify", "lemma2", "--dims", "2", "--trials", "2", "--viol-tol", "1e-3"],
     ["verify", "corollary", "--dims", "4", "--trials", "2", "--viol-tol", "1e-3"],
     ["npositive", "--map", "unitary-conj-builtin", "--n", "2"],
+    ["npositive", "--map", "name-list", "--n", "2"],
 ], ids=["starts-negative", "starts-zero", "samples-negative", "trials-negative",
         "verify-seed-negative", "explore-seed-negative", "npositive-seed-negative",
         "dims-text", "builtin-dim-text", "builtin-dim-fraction", "choi-in-dim-text",
         "choi-out-dim-text", "matrix-bool-dims", "viol-tol-nan", "viol-tol-lemma1",
-        "viol-tol-lemma2", "viol-tol-corollary", "builtin-unitary-conj"])
+        "viol-tol-lemma2", "viol-tol-corollary", "builtin-unitary-conj",
+        "builtin-name-list"])
 def test_invalid_counts_and_seeds_are_contract_errors(capsys, fixtures, argv):
     argv = [fixtures.get(arg, arg) for arg in argv]
     code = route(argv)

@@ -10,15 +10,11 @@ from gruss_lab import (
     DimensionError,
     as_matrix,
     dag,
-    embed_block,
     ginibre,
-    hermitian_eig,
     matrix_from_json,
     matrix_to_json,
     operator_norm,
-    polar_decompose,
     random_ensemble,
-    svd,
 )
 
 
@@ -44,50 +40,6 @@ def test_as_matrix_rejects_bad_shapes_and_nan():
         as_matrix([[np.nan, 0], [0, 1]])
     with pytest.raises(ContractError):
         as_matrix([[np.inf, 0], [0, 1]])
-
-
-def test_hermitian_eig_known_spectra():
-    dec = hermitian_eig([[1, 2], [2, 4]])
-    assert np.allclose(dec.eigenvalues, [0.0, 5.0], atol=1e-12)
-    dec = hermitian_eig(np.diag([1.0, 4.0]))
-    assert np.allclose(dec.eigenvalues, [1.0, 4.0], atol=1e-14)
-    dec = hermitian_eig(np.eye(3))
-    assert np.allclose(dec.eigenvalues, [1.0, 1.0, 1.0])
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(ContractError):
-        hermitian_eig([[0, 1], [0, 0]])
-
-
-def test_hermitian_eig_reconstruction_property():
-    for k in range(2, 7):
-        for trial in range(200):
-            a = random_ensemble("hermitian", k, seed=1000 * k + trial)
-            dec = hermitian_eig(a)
-            q, w = dec.eigenvectors, dec.eigenvalues
-            assert np.all(np.diff(w) >= 0)
-            recon = q @ np.diag(w.astype(complex)) @ dag(q)
-            assert operator_norm(a - recon) <= 1e-11 * (1 + operator_norm(a))
-            assert operator_norm(dag(q) @ q - np.eye(k)) <= 1e-11
-
-
-def test_svd_examples():
-    assert np.allclose(svd(np.diag([3.0, -2.0])).singular_values, [3.0, 2.0])
-    # A*A = 36 I, so both singular values are 6
-    assert np.allclose(svd([[0, -6], [6, 0]]).singular_values, [6.0, 6.0])
-    assert np.allclose(svd(np.zeros((2, 3))).singular_values, 0.0)
-
-
-def test_svd_reconstruction():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        dec = svd(a)
-        recon = dec.left_vectors[:, :3] @ np.diag(dec.singular_values.astype(complex)) @ dag(dec.right_vectors)[:3, :]
-        assert operator_norm(a - recon) <= 1e-12 * (1 + operator_norm(a))
-        s = dec.singular_values
-        assert np.all(s >= 0) and np.all(np.diff(s) <= 0)
 
 
 def test_operator_norm_examples():
@@ -118,35 +70,6 @@ def test_kron_mixed_product():
         assert operator_norm(lhs - rhs) <= 1e-10
 
 
-def test_polar_examples():
-    u = random_ensemble("haar_unitary", 3, seed=5)
-    w, p = polar_decompose(u)
-    assert operator_norm(w - u) <= 1e-12
-    assert operator_norm(p - np.eye(3)) <= 1e-12
-
-    w, p = polar_decompose(np.diag([2.0, 3.0]))
-    assert operator_norm(w - np.eye(2)) <= 1e-12
-    assert np.allclose(np.diagonal(p), [2.0, 3.0])
-
-    a = as_matrix([[0, 1], [0, 0]])
-    w, p = polar_decompose(a)
-    assert np.allclose(p, np.diag([0.0, 1.0]), atol=1e-14)
-    assert operator_norm(a - w @ p) <= 1e-14
-    assert operator_norm(dag(w) @ w - np.eye(2)) <= 1e-14
-
-
-def test_polar_property():
-    for trial in range(40):
-        dim = 2 + trial % 3
-        a = random_ensemble("ginibre", dim, seed=trial)
-        if trial % 5 == 0:
-            a[:, 0] = 0.0  # force rank deficiency
-        w, p = polar_decompose(a)
-        assert operator_norm(a - w @ p) <= 1e-10 * (1 + operator_norm(a))
-        assert operator_norm(dag(w) @ w - np.eye(dim)) <= 1e-12
-        assert np.linalg.eigvalsh((p + dag(p)) / 2).min() >= -1e-11
-
-
 def test_random_ensembles():
     u1 = random_ensemble("haar_unitary", 3, seed=123)
     u2 = random_ensemble("haar_unitary", 3, seed=123)
@@ -162,14 +85,6 @@ def test_random_ensembles():
 
     with pytest.raises(ContractError):
         random_ensemble("bogus", 3, seed=0)
-
-
-def test_embed_block():
-    a = as_matrix([[1, 2], [3, 4]])
-    big = embed_block(a, 3, 1, 2)
-    assert big.shape == (6, 6)
-    assert np.allclose(big[2:4, 4:6], a)
-    assert np.count_nonzero(big) == 4
 
 
 def test_matrix_json_roundtrip():

@@ -1,6 +1,7 @@
 """Distance-to-scalars: disk route, convex route, grid oracle, cross-checks."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from gruss_lab import (
     ContractError,
+    check_lemma2,
     delta,
     delta_general,
     delta_grid_oracle,
@@ -19,6 +21,7 @@ from gruss_lab import (
     operator_norm,
     random_ensemble,
     smallest_enclosing_disk,
+    transpose_map,
 )
 
 
@@ -309,6 +312,25 @@ def test_newton_steps_cut_the_iteration_tail(monkeypatch, dim):
     # normal C: the quadratic model is wrong, and the model points stay
     assert svds_per_call("hermitian", range(20)).max() <= 4
     assert svds_per_call("normal", range(20)).max() <= 7
+
+
+def test_normality_does_not_depend_on_the_scale_of_c():
+    # ||C||^2 overflows for the first matrix and underflows for the second
+    big = np.diag([1e200, 1.0])
+    tiny = np.array([[0.0, 1e-170], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_normal(big)
+        res = delta(big, "disk")
+    assert res.minimizer == pytest.approx(5e199, rel=1e-12)
+    assert res.value == pytest.approx(5e199, rel=1e-12)
+    assert res.certified_gap <= 1e-12 * res.value
+    assert is_normal(np.zeros((2, 2)))
+    assert not is_normal(tiny)
+    with pytest.raises(ContractError):
+        delta(tiny, "disk")
+    with pytest.raises(ContractError):
+        check_lemma2(transpose_map(2), tiny, require_normal=True)
 
 
 def test_nearly_normal_input_gets_an_honest_bracket():

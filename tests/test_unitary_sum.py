@@ -80,6 +80,19 @@ def test_decompose_random_strict():
                 assert operator_norm(dag(u) @ u - np.eye(3)) <= 1e-10
 
 
+def test_decompose_rank_deficient_contraction():
+    # rank 1: the full SVD must complete U and V* to unitaries on the kernel
+    g = ginibre(3, seed=4)
+    a = np.outer(g[:, 0], g[0].conj())
+    a *= 0.5 * (1.0 - 2.0 / 5) / operator_norm(a)
+    assert np.linalg.matrix_rank(a) == 1
+    for m, mode in ((5, "strict"), (2, "relaxed")):
+        dec = decompose_unitary_sum(a, m, mode=mode)
+        for u in dec.unitaries:
+            assert operator_norm(dag(u) @ u - np.eye(3)) <= 1e-12
+        assert operator_norm(sum(dec.unitaries) / m - a) <= 1e-12
+
+
 def test_decompose_relaxed_handles_contractions():
     a = ginibre(4, seed=6)
     a = a / operator_norm(a)  # norm exactly 1
