@@ -7,9 +7,10 @@ Every subcommand reads/writes JSON only and emits a single report document
 
 on stdout (or --output).  JSON has no infinities or NaNs, so a non-finite
 number is written as the string "inf", "-inf" or "nan".  Exit codes:
-0 success, 1 I/O or contract error (with a one-line JSON error object on
-stderr), 2 mathematical violation found.  GRUSS_LAB_THREADS caps trial
-parallelism (0 = sequential) at the core count; results do not depend on it.
+0 success, 1 any error (with a one-line JSON error object on stderr, of
+type usage, io, dimension, numeric, contract or internal), 2 mathematical
+violation found.  GRUSS_LAB_THREADS caps trial parallelism (0 =
+sequential) at the core count; results do not depend on it.
 """
 
 from __future__ import annotations
@@ -19,89 +20,39 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields, is_dataclass
 
-from .errors import ContractError, DimensionError, GrussLabError, NumericError
+from .errors import ContractError, DimensionError, NumericError
 from .harness import (
-    CounterexampleReport,
-    GrussReport,
-    TrialSummary,
     check_theorem,
     explore_two_positive,
     reproduce_counterexample,
     run_trials,
 )
 from .linalg import matrix_from_json, matrix_to_json, operator_norm
-from .posmap import NPositivityVerdict, map_from_json, n_positivity_search
-from .scalar_distance import DeltaResult, delta
+from .posmap import map_from_json, n_positivity_search
+from .scalar_distance import delta
 from .stinespring import dilate, dilation_residual, homomorphism_check
 from .unitary_sum import decompose_unitary_sum
 
 import numpy as np
 
 
-def _complex_json(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
-def _delta_json(d: DeltaResult) -> dict:
-    return {
-        "value": d.value,
-        "minimizer": _complex_json(d.minimizer),
-        "method": d.method,
-        "certifiedGap": d.certified_gap,
-    }
-
-
-def _verdict_json(v: NPositivityVerdict) -> dict:
-    witness = None
-    if v.witness_a is not None:
-        witness = {"a": matrix_to_json(v.witness_a), "b": matrix_to_json(v.witness_b)}
-    return {
-        "n": v.n,
-        "status": v.status,
-        "minValueFound": v.min_value_found,
-        "witness": witness,
-        "starts": v.starts,
-    }
-
-
-def _gruss_json(r: GrussReport) -> dict:
-    return {
-        "defect": r.defect,
-        "deltaA": _delta_json(r.delta_a),
-        "deltaB": _delta_json(r.delta_b),
-        "bound": r.bound,
-        "margin": r.margin,
-        "violated": r.violated,
-    }
-
-
-def _summary_json(s: TrialSummary) -> dict:
-    out = {
-        "check": s.check,
-        "family": s.family,
-        "trials": s.trials,
-        "violations": s.violations,
-        "worstMargin": s.worst_margin,
-        "worstInstance": s.worst_instance,
-        "seed": s.seed,
-        "wallTimeMs": s.wall_time_ms,
-    }
-    if s.worst_ratio is not None:
-        out["worstRatio"] = s.worst_ratio
-    if s.worst_formula_residual is not None:
-        out["worstFormulaResidual"] = s.worst_formula_residual
+def _result_json(result, omit=()) -> dict:
+    """A result dataclass as a JSON object: each field under the camelCase
+    of its name, complex numbers as {"re", "im"}, nested results alike."""
+    out = {}
+    for f in fields(result):
+        if f.name in omit:
+            continue
+        value = getattr(result, f.name)
+        if is_dataclass(value):
+            value = _result_json(value)
+        elif isinstance(value, complex):
+            value = {"re": float(value.real), "im": float(value.imag)}
+        head, *rest = f.name.split("_")
+        out[head + "".join(word.capitalize() for word in rest)] = value
     return out
-
-
-def _counterexample_json(r: CounterexampleReport) -> dict:
-    return {
-        "defect": r.defect,
-        "bound": r.bound,
-        "deltaA": r.delta_a,
-        "deltaB": r.delta_b,
-        "inequalityFails": r.inequality_fails,
-    }
 
 
 def _load_json(path: str):
@@ -213,7 +164,7 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, dict, dict, int]:
         c = _load_matrix(args.matrix)
         res = delta(c, args.method)
         achieved = operator_norm(c - res.minimizer * np.eye(c.shape[0]))
-        return config, _delta_json(res), {"achievedMinusClaimed": achieved - res.value}, 0
+        return config, _result_json(res), {"achievedMinusClaimed": achieved - res.value}, 0
 
     if cmd == "defect":
         config = {"map": args.map, "a": args.a, "b": args.b}
@@ -221,20 +172,27 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, dict, dict, int]:
         a = _load_matrix(args.a)
         b = _load_matrix(args.b)
         rep = check_theorem(phi, a, b)
-        return config, _gruss_json(rep), {}, 0
+        return config, _result_json(rep, omit=("phi", "a", "b")), {}, 0
 
-    if cmd == "verify":
-        try:
-            dims = tuple(int(d) for d in args.dims.split(",") if d.strip())
-        except ValueError:
-            raise ContractError(
-                f"--dims must be comma-separated integers, got {args.dims!r}") from None
-        config = {"check": args.check, "dims": list(dims), "trials": args.trials,
-                  "family": args.family, "seed": args.seed, "violTol": args.viol_tol}
-        summary = run_trials(args.check, family=args.family, dims=dims,
-                             trials=args.trials, seed=args.seed, viol_tol=args.viol_tol)
-        code = 2 if summary.violations > 0 else 0
-        return config, _summary_json(summary), {}, code
+    if cmd in ("verify", "explore"):
+        if cmd == "verify":
+            try:
+                dims = tuple(int(d) for d in args.dims.split(",") if d.strip())
+            except ValueError:
+                raise ContractError(
+                    f"--dims must be comma-separated integers, got {args.dims!r}") from None
+            config = {"check": args.check, "dims": list(dims), "trials": args.trials,
+                      "family": args.family, "seed": args.seed, "violTol": args.viol_tol}
+            summary = run_trials(args.check, family=args.family, dims=dims,
+                                 trials=args.trials, seed=args.seed, viol_tol=args.viol_tol)
+        else:
+            config = {"topic": args.topic, "trials": args.trials, "k": args.k, "seed": args.seed}
+            summary = explore_two_positive(args.trials, seed=args.seed, k=args.k)
+        # the explorer's ratio and the corollary's formula residual only when kept
+        unset = [name for name in ("worst_ratio", "worst_formula_residual")
+                 if getattr(summary, name) is None]
+        code = 2 if cmd == "verify" and summary.violations > 0 else 0
+        return config, _result_json(summary, omit=unset), {}, code
 
     if cmd == "counterexample":
         config = {}
@@ -245,13 +203,16 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, dict, dict, int]:
         }
         reproduced = (residuals["defectError"] <= 1e-9 and residuals["boundError"] <= 1e-9
                       and rep.inequality_fails)
-        return config, _counterexample_json(rep), residuals, 0 if reproduced else 1
+        return config, _result_json(rep), residuals, 0 if reproduced else 1
 
     if cmd == "npositive":
         config = {"map": args.map, "n": args.n, "starts": args.starts, "seed": args.seed}
         phi = _load_map(args.map)
         verdict = n_positivity_search(phi, args.n, starts=args.starts, seed=args.seed)
-        return config, _verdict_json(verdict), {}, 0
+        result = _result_json(verdict, omit=("witness_a", "witness_b"))
+        result["witness"] = None if verdict.witness_a is None else {
+            "a": matrix_to_json(verdict.witness_a), "b": matrix_to_json(verdict.witness_b)}
+        return config, result, {}, 0
 
     if cmd == "decompose":
         config = {"matrix": args.matrix, "m": args.m, "mode": args.mode}
@@ -284,11 +245,6 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, dict, dict, int]:
         }
         return config, result, {"isometryResidual": iso_residual,
                                 "maxDilationResidual": max_dilation}, 0
-
-    if cmd == "explore":
-        config = {"topic": args.topic, "trials": args.trials, "k": args.k, "seed": args.seed}
-        summary = explore_two_positive(args.trials, seed=args.seed, k=args.k)
-        return config, _summary_json(summary), {}, 0
 
     raise ContractError(f"unknown command {cmd!r}")
 
@@ -333,7 +289,7 @@ def route(argv=None) -> int:
             "wallTimeMs": (time.perf_counter() - t0) * 1000.0,
         }
         _emit(report, args.output)
-    except (GrussLabError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except Exception as exc:  # any failure, even an unforeseen one, is one JSON line
         err = {"error": {"type": _error_type(exc), "message": str(exc)}}
         sys.stderr.write(json.dumps(err) + "\n")
         return 1

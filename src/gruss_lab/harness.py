@@ -49,6 +49,7 @@ from .linalg import (
 from .posmap import (
     CERTIFIED_CP,
     CERTIFIED_NOT_N_POSITIVE,
+    MAX_DIM,
     MapRep,
     apply,
     compose,
@@ -456,6 +457,8 @@ def _validate_trial_config(check: str, family: str, dims, viol_tol: float | None
     dims = list(dims)
     if not dims or any(int(d) < 2 for d in dims):
         raise ContractError(f"dims must all be >= 2, got {dims}")
+    if any(int(d) > MAX_DIM for d in dims):
+        raise ContractError(f"dims must all be <= MAX_DIM = {MAX_DIM}, got {dims}")
     # every claim but lemma2's needs positivity order >= 3 (None = CP counts
     # as infinite); the corollary draws the trace-type map whatever the family
     drawn = "choi" if check == "corollary" else family
@@ -583,4 +586,6 @@ def explore_two_positive(trials: int, seed: int = 0, k: int = 3) -> TrialSummary
     """
     if k < 3:
         raise ContractError(f"explore_two_positive needs k >= 3, got {k}")
+    if k > MAX_DIM:
+        raise ContractError(f"explore_two_positive needs k <= MAX_DIM = {MAX_DIM}, got {k}")
     return _run_suite("explore", "two-positive", (k,), trials, seed)

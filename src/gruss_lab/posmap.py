@@ -60,6 +60,10 @@ CHOI_PSD_TOL = 1e-9
 KRAUS_CUTOFF = 1e-11
 #: relative cutoff below which Schmidt coefficients are dropped from a witness
 _SCHMIDT_REL_TOL = 1e-12
+#: largest dimension that a builtin map, a trial suite or the explorer
+#: builds; at 32 the largest array a config can request (a Choi matrix or a
+#: full-rank Kraus family, 32**4 complex entries) is 16 MB
+MAX_DIM = 32
 
 CERTIFIED_NOT_N_POSITIVE = "certified_not_n_positive"
 HEURISTICALLY_N_POSITIVE = "heuristically_n_positive"
@@ -325,10 +329,12 @@ _BUILTINS = {
 
 
 def builtin(name: str, dim: int) -> MapRep:
-    """Construct one of the named built-in maps on M_dim."""
+    """Construct one of the named built-in maps on M_dim, dim <= MAX_DIM."""
     factory = _BUILTINS.get(name) if isinstance(name, str) else None
     if factory is None:
         raise ContractError(f"unknown builtin map {name!r}; expected one of {sorted(_BUILTINS)}")
+    if dim > MAX_DIM:
+        raise ContractError(f"builtin map dim must be <= MAX_DIM = {MAX_DIM}, got {dim}")
     return factory(dim)
 
 

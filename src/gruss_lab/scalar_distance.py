@@ -80,6 +80,16 @@ class DeltaResult:
 # the delta routes
 
 
+def _exact_scale(x) -> float:
+    """Power of two that brings the largest |entry| of ``x`` near 1 when
+    its square would overflow or underflow, else 1.  Scaling by a power of
+    two is exact, and delta is positively homogeneous, so a route may solve
+    the scaled problem and divide its results by the scale.  A subnormal
+    entry is scaled by at most 2**1000, which keeps the scale finite."""
+    e = math.frexp(float(np.abs(x).max()))[1]
+    return 1.0 if abs(e) < 500 else 2.0 ** -max(e, -1000)
+
+
 def is_normal(c) -> bool:
     """Whether ||UU* - U*U|| <= NORMALITY_TOL for U = C/||C||; scaling first
     keeps ||C||^2 from overflowing or underflowing into the answer."""
@@ -196,10 +206,7 @@ def smallest_enclosing_disk(points) -> SpectralDisk:
         raise ContractError("smallest_enclosing_disk needs at least one point")
     mu = complex(pts.mean())  # work relative to the centroid, like delta_general
     rel = pts - mu
-    # the model squares distances: a spread whose square would overflow or
-    # underflow is brought near 1 by a power of two, which scales exactly
-    e = math.frexp(float(np.abs(rel).max()))[1]
-    scale = 1.0 if abs(e) < 500 else 2.0 ** -e
+    scale = _exact_scale(rel)  # the model squares distances
     rel = rel * scale
     support, g, lam = [], -math.inf, 0j
     while True:
@@ -268,6 +275,10 @@ def delta_general(c) -> DeltaResult:
     Newton steps converge quadratically (A. S. Lewis and M. L. Overton,
     Acta Numerica 5 (1996)).  On normal C the Newton point is never taken.
 
+    A spread of C - tr(C)/dim whose square would leave the float range is
+    solved at an exact power-of-two scale (``_exact_scale``), with every
+    bound below taken on the scaled problem.
+
     The solver stops when upper - lower <= BRACKET_TOL * (1 + ||C||), when
     rounding stops the new atom of a model point from raising the lower
     bound, or after _MAX_ITERATIONS steps; the value is the best evaluated
@@ -275,11 +286,14 @@ def delta_general(c) -> DeltaResult:
     """
     c = as_matrix(c, square=True)
     dim = c.shape[0]
-    tol = BRACKET_TOL * (1.0 + operator_norm(c))
-    # work relative to tr(C)/dim, where the atoms are no larger than 2 delta
+    # work relative to tr(C)/dim, where the atoms are no larger than 2 delta,
+    # and on a scale where the model's squared distances stay finite
     mu = complex(np.trace(c)) / dim
     eye = np.eye(dim)
     c0 = c - mu * eye
+    scale = _exact_scale(c0)
+    c0 = c0 * scale
+    tol = BRACKET_TOL * (1.0 + operator_norm(c) * scale)
 
     support: list = []
     g = -math.inf
@@ -310,9 +324,11 @@ def delta_general(c) -> DeltaResult:
         if step > 0 and lowered and sv[0] > sv[1]:
             newton = _newton_point(u, sv, vh, lam, zv, s, g)
         lam = model if newton is None else newton
-    lower = math.sqrt(max(g, 0.0))
+    gap = max(upper - math.sqrt(max(g, 0.0)), 0.0)
+    if scale != 1.0:  # back to the units of C; at 1, dividing could flip a zero's sign
+        upper, gap, best = upper / scale, gap / scale, best / scale
     return DeltaResult(value=upper, minimizer=mu + best, method="convex",
-                       certified_gap=max(upper - lower, 0.0))
+                       certified_gap=gap)
 
 
 #: the grid oracle first evaluates every GRID_STRIDE-th index on each axis

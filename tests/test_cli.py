@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gruss_lab
-from gruss_lab import matrix_to_json
+from gruss_lab import cli, matrix_to_json
 from gruss_lab.cli import route
 
 
@@ -60,6 +60,8 @@ def fixtures(tmp_path):
                                 "matrix": matrix_to_json(np.eye(4))}),
         "unitary-conj-builtin": _write(tmp_path / "unitary_conj_builtin.json",
                                        {"kind": "builtin", "name": "unitaryConj", "dim": 3}),
+        "transpose-huge": _write(tmp_path / "t_huge.json",
+                                 {"kind": "builtin", "name": "transpose", "dim": 1000000}),
         "name-list": _write(tmp_path / "name_list.json",
                             {"kind": "builtin", "name": ["transpose"], "dim": 2}),
         "bool-dims": _write(tmp_path / "bool_dims.json",
@@ -291,12 +293,16 @@ def test_non_finite_numbers_are_encoded_not_raised(capsys, tmp_path):
     ["verify", "corollary", "--dims", "4", "--trials", "2", "--viol-tol", "1e-3"],
     ["npositive", "--map", "unitary-conj-builtin", "--n", "2"],
     ["npositive", "--map", "name-list", "--n", "2"],
+    # beyond MAX_DIM: each would request petabytes, and none may allocate
+    ["npositive", "--map", "transpose-huge", "--n", "2"],
+    ["verify", "theorem", "--family", "cp", "--dims", "2,1000000", "--trials", "1"],
+    ["explore", "two-positive", "--k", "1000000", "--trials", "1"],
 ], ids=["starts-negative", "starts-zero", "samples-negative", "trials-negative",
         "verify-seed-negative", "explore-seed-negative", "npositive-seed-negative",
         "dims-text", "builtin-dim-text", "builtin-dim-fraction", "choi-in-dim-text",
         "choi-out-dim-text", "matrix-bool-dims", "viol-tol-nan", "viol-tol-lemma1",
         "viol-tol-lemma2", "viol-tol-corollary", "builtin-unitary-conj",
-        "builtin-name-list"])
+        "builtin-name-list", "builtin-dim-huge", "verify-dims-huge", "explore-k-huge"])
 def test_invalid_counts_and_seeds_are_contract_errors(capsys, fixtures, argv):
     argv = [fixtures.get(arg, arg) for arg in argv]
     code = route(argv)
@@ -306,6 +312,64 @@ def test_invalid_counts_and_seeds_are_contract_errors(capsys, fixtures, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["type"] == "contract"
+
+
+_DELTA_KEYS = {"value", "minimizer", "method", "certifiedGap"}
+_SUMMARY_KEYS = {"check", "family", "trials", "violations", "worstMargin", "worstInstance",
+                 "seed", "wallTimeMs"}
+_VERDICT_KEYS = {"n", "status", "minValueFound", "witness", "starts"}
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["delta", "--matrix", "a", "--method", "auto"], _DELTA_KEYS),
+    (["delta", "--matrix", "a", "--method", "disk"], _DELTA_KEYS),
+    (["delta", "--matrix", "a", "--method", "grid"], _DELTA_KEYS),
+    (["defect", "--map", "transpose", "--a", "a", "--b", "b"],
+     {"defect", "deltaA", "deltaB", "bound", "margin", "violated"}),
+    (["counterexample"], {"defect", "bound", "deltaA", "deltaB", "inequalityFails"}),
+    (["npositive", "--map", "transpose", "--n", "1", "--starts", "3"], _VERDICT_KEYS),
+    (["npositive", "--map", "transpose", "--n", "2"], _VERDICT_KEYS),
+    (["decompose", "--matrix", "half", "--m", "5"],
+     {"m", "unitaries", "reconstructionError", "maxUnitarityResidual"}),
+    (["dilate", "--map", "idmap", "--samples", "2"],
+     {"envDim", "isometryResidual", "maxDilationResidual", "homomorphism"}),
+    (["verify", "theorem", "--dims", "2", "--trials", "2"], _SUMMARY_KEYS),
+    (["verify", "corollary", "--dims", "4", "--trials", "2"],
+     _SUMMARY_KEYS | {"worstFormulaResidual"}),
+    (["explore", "two-positive", "--trials", "0"], _SUMMARY_KEYS | {"worstRatio"}),
+    (["explore", "two-positive", "--trials", "2"], _SUMMARY_KEYS | {"worstRatio"}),
+], ids=["delta-auto", "delta-disk", "delta-grid", "defect", "counterexample",
+        "npositive-search", "npositive-exact", "decompose", "dilate", "verify-theorem",
+        "verify-corollary", "explore-no-trials", "explore"])
+def test_each_command_reports_exactly_its_result_keys(capsys, fixtures, argv, keys):
+    # result keys follow the result's field names, so renaming a field must
+    # fail here rather than silently change the wire format
+    code, rep = _run(capsys, [fixtures.get(arg, arg) for arg in argv])
+    assert code == 0
+    result = rep["result"]
+    assert set(result) == keys
+    for name in ("deltaA", "deltaB"):
+        if isinstance(result.get(name), dict):
+            assert set(result[name]) == _DELTA_KEYS
+    if "minimizer" in result:
+        assert set(result["minimizer"]) == {"re", "im"}
+    if "witness" in result:
+        assert set(result["witness"]) == {"a", "b"}
+
+
+@pytest.mark.parametrize("exc_type", [MemoryError, TypeError])
+def test_an_unforeseen_exception_is_one_internal_error_line(capsys, monkeypatch, exc_type):
+    def fail():
+        raise exc_type("unforeseen")
+
+    monkeypatch.setattr(cli, "reproduce_counterexample", fail)
+    code = route(["counterexample"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": {"type": "internal", "message": "unforeseen"}}
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -23,6 +23,7 @@ from gruss_lab import (
     smallest_enclosing_disk,
     transpose_map,
 )
+from gruss_lab.scalar_distance import BRACKET_TOL
 
 
 # brute-force oracle: the minimal disk is determined by <= 3 of the points,
@@ -331,6 +332,21 @@ def test_normality_does_not_depend_on_the_scale_of_c():
         delta(tiny, "disk")
     with pytest.raises(ContractError):
         check_lemma2(transpose_map(2), tiny, require_normal=True)
+
+
+@pytest.mark.parametrize("c", [np.diag([1e200, 1.0]), np.diag([1e-200, 0.0]),
+                               np.array([[0.0, 1e-200], [0.0, 0.0]])])
+def test_delta_general_brackets_do_not_depend_on_the_scale_of_c(c):
+    # the model squares distances between atoms: |z1 - z2|^2 overflows for
+    # the first matrix and underflows for the others, unless C is rescaled.
+    # BRACKET_TOL * (1 + ||C||) would admit any bracket for the tiny ones,
+    # so the gap is held relative to the value instead.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = delta_general(c)
+    assert res.value - res.certified_gap > 0
+    assert res.certified_gap <= BRACKET_TOL * res.value
+    assert res.value == pytest.approx(operator_norm(c - res.minimizer * np.eye(2)), rel=1e-12)
 
 
 def test_nearly_normal_input_gets_an_honest_bracket():
