@@ -16,6 +16,7 @@ sequential) at the core count; results do not depend on it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -92,6 +93,7 @@ def _emit(report: dict, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gruss-lab",

@@ -24,6 +24,10 @@ import numpy as np
 from .errors import ContractError, NumericError
 from .linalg import Matrix, as_matrix, operator_norm
 
+#: largest number of unitaries a decomposition builds; at 1024 the
+#: unitaries of a 32 x 32 matrix take 16 MB
+MAX_UNITARIES = 1024
+
 
 @dataclass(frozen=True, eq=False)
 class UnitarySumDecomposition:
@@ -67,8 +71,11 @@ def decompose_unitary_sum(a, m: int, mode: str = "strict") -> UnitarySumDecompos
     """Produce m unitaries averaging to A by splitting its singular values.
 
     Strict mode enforces ||A|| < 1 - 2/m with m >= 3; relaxed mode accepts
-    any contraction (||A|| <= 1) and m >= 2.
+    any contraction (||A|| <= 1) and m >= 2.  An m above ``MAX_UNITARIES``
+    is a ``ContractError`` before anything is allocated.
     """
+    if m > MAX_UNITARIES:
+        raise ContractError(f"m must be <= MAX_UNITARIES = {MAX_UNITARIES}, got {m}")
     a = as_matrix(a, square=True)
     if mode not in ("strict", "relaxed"):
         raise ContractError(f"unknown mode {mode!r}")

@@ -45,6 +45,8 @@ def fixtures(tmp_path):
         "a": _write(tmp_path / "a.json", matrix_to_json(np.array([[1.0, 2.0], [2.0, 4.0]]))),
         "b": _write(tmp_path / "b.json", matrix_to_json(np.diag([1.0, 4.0]))),
         "half": _write(tmp_path / "half.json", matrix_to_json(0.5 * np.eye(2))),
+        "tenth": _write(tmp_path / "tenth.json", matrix_to_json(0.1 * np.eye(2))),
+        "subnormal": _write(tmp_path / "subnormal.json", matrix_to_json(np.diag([1e-320, 0.0]))),
         "transpose": _write(tmp_path / "t.json", {"kind": "builtin", "name": "transpose", "dim": 2}),
         "idmap": _write(tmp_path / "id_map.json",
                         {"kind": "kraus", "ops": [matrix_to_json(np.eye(2))]}),
@@ -297,12 +299,15 @@ def test_non_finite_numbers_are_encoded_not_raised(capsys, tmp_path):
     ["npositive", "--map", "transpose-huge", "--n", "2"],
     ["verify", "theorem", "--family", "cp", "--dims", "2,1000000", "--trials", "1"],
     ["explore", "two-positive", "--k", "1000000", "--trials", "1"],
+    # beyond MAX_UNITARIES: would allocate 30 million unitaries
+    ["decompose", "--matrix", "tenth", "--m", "30000000"],
 ], ids=["starts-negative", "starts-zero", "samples-negative", "trials-negative",
         "verify-seed-negative", "explore-seed-negative", "npositive-seed-negative",
         "dims-text", "builtin-dim-text", "builtin-dim-fraction", "choi-in-dim-text",
         "choi-out-dim-text", "matrix-bool-dims", "viol-tol-nan", "viol-tol-lemma1",
         "viol-tol-lemma2", "viol-tol-corollary", "builtin-unitary-conj",
-        "builtin-name-list", "builtin-dim-huge", "verify-dims-huge", "explore-k-huge"])
+        "builtin-name-list", "builtin-dim-huge", "verify-dims-huge", "explore-k-huge",
+        "decompose-m-huge"])
 def test_invalid_counts_and_seeds_are_contract_errors(capsys, fixtures, argv):
     argv = [fixtures.get(arg, arg) for arg in argv]
     code = route(argv)
@@ -382,3 +387,34 @@ def test_cli_import_leaves_scipy_unloaded():
                               env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, timeout=120, check=True)
         assert proc.stdout.strip() == "[]", module
+
+
+def test_disk_route_on_a_subnormal_matrix(capsys, fixtures):
+    # ||C|| of a subnormal C is inexact, and dividing by it used to overflow
+    code = route(["delta", "--matrix", fixtures["subnormal"], "--method", "disk"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    res = json.loads(captured.out)["result"]
+    assert 0.0 <= res["value"] - res["certifiedGap"] <= 5e-321 <= res["value"]
+
+
+def test_a_usage_error_leaves_the_cached_parser_intact(capsys, fixtures):
+    valid = [["delta", "--matrix", fixtures["a"]],
+             ["verify", "theorem", "--dims", "2", "--trials", "3", "--seed", "2"]]
+
+    def reports():
+        out = []
+        for argv in valid:
+            code, rep = _run(capsys, argv)
+            out.append((code, _strip_walltime(rep)))
+        return out
+
+    cli._build_parser.cache_clear()
+    fresh = reports()
+    first = _run(capsys, valid[0])
+    assert route(["verify", "theorem", "--frobnicate"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert json.loads(err) == {"error": {"type": "usage", "message": "invalid arguments"}}
+    assert (first[0], _strip_walltime(first[1])) == fresh[0]
+    assert reports() == fresh
