@@ -85,7 +85,6 @@ from .scalar_distance import (
     delta_general,
     delta_grid_oracle,
     delta_normal,
-    delta_stack,
     is_normal,
     smallest_enclosing_disk,
 )

@@ -25,18 +25,10 @@ to the scalars.  Supporting claims get their own checks:
 the product bound can fail for maps that are merely positive, and
 ``explore_two_positive`` gathers evidence on the open 2-positive case
 without asserting anything about it.
-
-Each check that uses delta is split at delta into a map part (unitality,
-hypotheses, the mapped stack and its norms) and a margin step that turns
-those numbers and the delta values into the verdict; a single check runs
-the two on one instance.  The randomized suites run trials in blocks of
-``TRIAL_BLOCK``: the map part per trial, then delta once per dimension on
-the block's stacked inputs (``delta_stack``), then the margin steps.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import time
@@ -70,7 +62,7 @@ from .posmap import (
     random_unital_cp,
     transpose_map,
 )
-from .scalar_distance import DeltaResult, delta, delta_stack, is_normal
+from .scalar_distance import DeltaResult, delta, is_normal
 from .unitary_sum import decompose_unitary_sum, rescale_for_decomposition
 
 CHECKS = ("theorem", "lemma1", "lemma2", "corollary")
@@ -152,20 +144,6 @@ def _require_viol_tol(viol_tol: float | None) -> None:
         raise ContractError("viol_tol must be a number, got nan")
 
 
-def _theorem_part(phi: MapRep, a: Matrix, b: Matrix) -> float:
-    # the product bound's map-dependent part: unitality, then the defect
-    _require_unital(phi, "check_theorem")
-    return gruss_defect(phi, a, b)
-
-
-def _theorem_margin(defect: float, da: DeltaResult, db: DeltaResult,
-                    viol_tol: float | None) -> tuple[float, bool, dict]:
-    bound = da.value * db.value
-    margin = bound - defect
-    tol = 1e-8 * (1.0 + bound) if viol_tol is None else viol_tol
-    return margin, bool(margin < -tol), {"bound": bound}
-
-
 def check_theorem(phi: MapRep, a, b, viol_tol: float | None = None) -> GrussReport:
     """Evaluate the product bound defect <= delta(A) delta(B) on one instance.
 
@@ -174,14 +152,19 @@ def check_theorem(phi: MapRep, a, b, viol_tol: float | None = None) -> GrussRepo
     enforced here.  ``viol_tol`` (default 1e-8 (1 + bound)) may be infinite
     or negative, not NaN.
     """
+    _require_unital(phi, "check_theorem")
     _require_viol_tol(viol_tol)
-    defect = _theorem_part(phi, a, b)
     a = as_matrix(a, square=True)
     b = as_matrix(b, square=True)
-    da, db = delta_stack([a, b])
-    margin, violated, kept = _theorem_margin(defect, da, db, viol_tol)
-    return GrussReport(defect=defect, delta_a=da, delta_b=db, bound=kept["bound"],
-                       margin=margin, violated=violated, phi=phi, a=a, b=b)
+    da = delta(a)
+    db = delta(b)
+    bound = da.value * db.value
+    defect = gruss_defect(phi, a, b)
+    margin = bound - defect
+    tol = 1e-8 * (1.0 + bound) if viol_tol is None else viol_tol
+    return GrussReport(defect=defect, delta_a=da, delta_b=db, bound=bound,
+                       margin=margin, violated=bool(margin < -tol),
+                       phi=phi, a=a, b=b)
 
 
 def check_lemma1(phi: MapRep, a, b, known_positivity_order: int | None = None) -> dict:
@@ -229,9 +212,16 @@ def check_lemma1(phi: MapRep, a, b, known_positivity_order: int | None = None) -
     }
 
 
-def _lemma2_part(phi: MapRep, a, require_normal: bool, known_positive: bool) -> float:
-    # the variance bound's map-dependent part: its hypotheses, then the
-    # variance ||Phi(A*A) - Phi(A)*Phi(A)||
+def check_lemma2(phi: MapRep, a, require_normal: bool = True,
+                 known_positive: bool = False) -> dict:
+    """Variance bound ||Phi(A*A) - Phi(A)*Phi(A)|| <= delta(A)^2.
+
+    For merely positive unital maps the bound is claimed for normal A only
+    (``require_normal=True``); dropping normality is allowed only when the
+    map is certified CP.  Positivity of the map is spot-checked with a small
+    rank-1 witness search (seed 0) unless ``known_positive`` says the caller
+    already guarantees it (e.g. the map is a composition of positive maps).
+    """
     _require_unital(phi, "check_lemma2")
     a = as_matrix(a, square=True)
     if require_normal:
@@ -249,29 +239,15 @@ def _lemma2_part(phi: MapRep, a, require_normal: bool, known_positive: bool) -> 
                 f"map is not positive (rank-1 witness value {probe.min_value_found:.3e})"
             )
     p_aa, p_a = apply(phi, np.stack([dag(a) @ a, a]))
-    return operator_norm(p_aa - dag(p_a) @ p_a)
-
-
-def _lemma2_margin(lhs: float, da: DeltaResult) -> tuple[float, bool, dict]:
-    dval = da.value
+    lhs = operator_norm(p_aa - dag(p_a) @ p_a)
+    dval = delta(a).value
     bound = dval * dval
-    res = {"lhs": float(lhs), "delta": float(dval), "bound": float(bound),
-           "ok": bool(lhs <= bound + 1e-8 * (1.0 + bound))}
-    return res["bound"] - res["lhs"], not res["ok"], res
-
-
-def check_lemma2(phi: MapRep, a, require_normal: bool = True,
-                 known_positive: bool = False) -> dict:
-    """Variance bound ||Phi(A*A) - Phi(A)*Phi(A)|| <= delta(A)^2.
-
-    For merely positive unital maps the bound is claimed for normal A only
-    (``require_normal=True``); dropping normality is allowed only when the
-    map is certified CP.  Positivity of the map is spot-checked with a small
-    rank-1 witness search (seed 0) unless ``known_positive`` says the caller
-    already guarantees it (e.g. the map is a composition of positive maps).
-    """
-    lhs = _lemma2_part(phi, a, require_normal, known_positive)
-    return _lemma2_margin(lhs, delta(a))[2]
+    return {
+        "lhs": float(lhs),
+        "delta": float(dval),
+        "bound": float(bound),
+        "ok": bool(lhs <= bound + 1e-8 * (1.0 + bound)),
+    }
 
 
 def reproduce_counterexample() -> CounterexampleReport:
@@ -294,38 +270,6 @@ def reproduce_counterexample() -> CounterexampleReport:
                                 inequality_fails=bool(defect > bound))
 
 
-def _corollary_part(k: int, a, b, trace: MapRep | None) -> tuple[float, float]:
-    # the corollary's parts before delta: the bracketed matrix's norm and the
-    # residual of the bracket identity against the trace-type map
-    if k < 4:
-        raise ContractError(f"corollary check needs k >= 4 (map must be 3-positive), got {k}")
-    phi = normalized_choi_map(k) if trace is None else trace
-    a, b = _pair(phi, a, b)
-    eye = np.eye(k, dtype=np.complex128)
-    c = k * k - k - 1
-    tr_a, tr_b = np.trace(a), np.trace(b)
-    bracket = (c * np.trace(a @ b) * eye - k * (a @ b)
-               - (k - 1) * tr_a * tr_b * eye + tr_b * a + tr_a * b)
-    p_ab, p_a, p_b = apply(phi, np.stack([a @ b, a, b]))
-    map_defect = p_ab - p_a @ p_b
-    return (operator_norm(bracket),
-            operator_norm((k - 1.0) / (c * c) * bracket - map_defect))
-
-
-def _corollary_margin(k: int, lhs: float, formula_residual: float, da: DeltaResult,
-                      db: DeltaResult) -> tuple[float, bool, dict]:
-    c = k * k - k - 1
-    rhs = (c * c / (k - 1.0)) * da.value * db.value
-    res = {
-        "lhs": float(lhs),
-        "rhs": float(rhs),
-        "formula_residual": float(formula_residual),
-        "ok": bool(lhs <= rhs + 1e-8 * (1.0 + rhs)),
-        "formula_ok": bool(formula_residual <= 1e-10 * (1.0 + lhs)),
-    }
-    return res["rhs"] - res["lhs"], not (res["ok"] and res["formula_ok"]), res
-
-
 def check_corollary(k: int, a, b, trace: MapRep | None = None) -> dict:
     """Explicit matrix inequality induced by the normalized trace-type map.
 
@@ -338,9 +282,30 @@ def check_corollary(k: int, a, b, trace: MapRep | None = None) -> dict:
     is built here unless the caller passes it as ``trace``.  Needs k >= 4 so
     the map is at least 3-positive.
     """
-    lhs, residual = _corollary_part(k, a, b, trace)
-    da, db = delta_stack([a, b])
-    return _corollary_margin(k, lhs, residual, da, db)[2]
+    if k < 4:
+        raise ContractError(f"corollary check needs k >= 4 (map must be 3-positive), got {k}")
+    phi = normalized_choi_map(k) if trace is None else trace
+    a, b = _pair(phi, a, b)
+    eye = np.eye(k, dtype=np.complex128)
+    c = k * k - k - 1
+    tr_a, tr_b = np.trace(a), np.trace(b)
+    bracket = (c * np.trace(a @ b) * eye - k * (a @ b)
+               - (k - 1) * tr_a * tr_b * eye + tr_b * a + tr_a * b)
+    lhs = operator_norm(bracket)
+    da = delta(a).value
+    db = delta(b).value
+    rhs = (c * c / (k - 1.0)) * da * db
+
+    p_ab, p_a, p_b = apply(phi, np.stack([a @ b, a, b]))
+    map_defect = p_ab - p_a @ p_b
+    formula_residual = operator_norm((k - 1.0) / (c * c) * bracket - map_defect)
+    return {
+        "lhs": float(lhs),
+        "rhs": float(rhs),
+        "formula_residual": float(formula_residual),
+        "ok": bool(lhs <= rhs + 1e-8 * (1.0 + rhs)),
+        "formula_ok": bool(formula_residual <= 1e-10 * (1.0 + lhs)),
+    }
 
 
 def proof_chain(phi: MapRep, a, b, m: int) -> dict:
@@ -398,8 +363,7 @@ def proof_chain(phi: MapRep, a, b, m: int) -> dict:
 #
 # Every randomized suite is a draw plus a check, run by one driver.  Trial t
 # draws (dim, Phi, A, B) from its own (seed, t) generator, so a trial can be
-# drawn again on its own: the driver draws the worst trial again to report
-# its map and inputs.
+# drawn again on its own: the driver replays the worst trial to report it.
 
 
 def _thread_count() -> int:
@@ -518,83 +482,51 @@ def _known_order(family: str, dim: int) -> int | None:
     return 1
 
 
-def _explore_margin(defect: float, da: DeltaResult, db: DeltaResult) -> tuple[float, bool, dict]:
-    bound = da.value * db.value
-    if bound > 1e-12:
-        ratio = defect / bound
-    else:
-        ratio = 0.0 if defect <= 1e-10 else float("inf")
-    # a candidate counterexample, recorded and never raised
-    return (float(bound - defect), bool(ratio > 1.0 + 1e-6),
-            {"defect": float(defect), "bound": float(bound), "ratio": float(ratio)})
-
-
-def _lemma1_margin(res: dict) -> tuple[float, bool, dict]:
-    margin = min(res["rhs_product"] - res["lhs_squared"], res["block_min_eig"])
-    return float(margin), not (res["cauchy_ok"] and res["block_ok"]), {}
-
-
-def _trial_part(check: str, family: str, dim: int, phi: MapRep, a: Matrix,
-                b: Matrix) -> tuple[tuple, tuple]:
-    """The map-dependent part of a trial's check: the numbers its margin
-    needs, and the matrices whose delta it needs."""
-    if check == "theorem":
-        return (_theorem_part(phi, a, b),), (a, b)
+def _check_trial(check: str, family: str, viol_tol: float | None, dim: int,
+                 phi: MapRep, a: Matrix, b: Matrix) -> tuple[float, bool, dict]:
+    """(margin, violated, kept): ``kept`` holds the extra values the report
+    keeps, the formula residual for ``corollary`` and defect, bound and
+    ratio for ``explore``."""
     if check == "explore":
-        return (gruss_defect(phi, a, b),), (a, b)
+        defect = gruss_defect(phi, a, b)
+        bound = delta(a).value * delta(b).value
+        if bound > 1e-12:
+            ratio = defect / bound
+        else:
+            ratio = 0.0 if defect <= 1e-10 else float("inf")
+        # a candidate counterexample, recorded and never raised
+        return (float(bound - defect), bool(ratio > 1.0 + 1e-6),
+                {"defect": float(defect), "bound": float(bound), "ratio": float(ratio)})
+    if check == "theorem":
+        rep = check_theorem(phi, a, b, viol_tol=viol_tol)
+        return float(rep.margin), bool(rep.violated), {}
     if check == "lemma1":
-        return (check_lemma1(phi, a, b, known_positivity_order=_known_order(family, dim)),), ()
+        res = check_lemma1(phi, a, b, known_positivity_order=_known_order(family, dim))
+        margin = min(res["rhs_product"] - res["lhs_squared"], res["block_min_eig"])
+        return float(margin), not (res["cauchy_ok"] and res["block_ok"]), {}
     if check == "lemma2":
-        return (_lemma2_part(phi, a, family != "cp", True),), (a,)
-    return (dim, *_corollary_part(dim, a, b, phi)), (a, b)  # the corollary draws the trace map
-
-
-_MARGINS = {"theorem": _theorem_margin, "explore": _explore_margin, "lemma1": _lemma1_margin,
-            "lemma2": _lemma2_margin, "corollary": _corollary_margin}
-
-
-def _stacked_deltas(inputs: list[tuple]) -> list[tuple]:
-    # delta of every matrix of ``inputs`` (a tuple of matrices per trial),
-    # nested as ``inputs``: one stacked solve per dimension
-    flat = [m for ms in inputs for m in ms]
-    results = [None] * len(flat)
-    for dim in {m.shape[0] for m in flat}:
-        where = [i for i, m in enumerate(flat) if m.shape[0] == dim]
-        for i, res in zip(where, delta_stack([flat[i] for i in where])):
-            results[i] = res
-    it = iter(results)
-    return [tuple(next(it) for _ in ms) for ms in inputs]
-
-
-#: trials run as one block this many at a time; bounds memory, not results
-TRIAL_BLOCK = 64
+        res = check_lemma2(phi, a, require_normal=(family != "cp"), known_positive=True)
+        return float(res["bound"] - res["lhs"]), not res["ok"], {}
+    res = check_corollary(dim, a, b, trace=phi)  # the corollary draws the trace map
+    return (float(res["rhs"] - res["lhs"]), not (res["ok"] and res["formula_ok"]),
+            {"formula_residual": res["formula_residual"] / (1.0 + res["lhs"])})
 
 
 def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int,
                viol_tol: float | None = None) -> TrialSummary:
-    # The one trial driver.  Trials run in blocks of TRIAL_BLOCK: each trial
-    # of a block draws its (dim, Phi, A, B) and runs its check's map part
-    # through _map_over_trials, keeping no map; then delta runs once per
-    # dimension on the block's stacked matrices, and the claim's margin step
-    # gives each trial's (margin, violated, kept).  The worst trial (smallest
-    # margin; largest ratio for the explorer) is drawn again only for the
-    # report's worstInstance.
+    # The one trial driver: trial t is the check of draw t.  The worst trial
+    # (smallest margin; largest ratio for the explorer) is drawn and checked
+    # again to build the report's worstInstance.
     if trials < 0:
         raise ContractError(f"trials must be >= 0, got {trials}")
     trace = _trace_maps(check, family, dims)
-    margin_step = _MARGINS[check]
-    if check == "theorem":
-        margin_step = functools.partial(_theorem_margin, viol_tol=viol_tol)
+
+    def trial(t: int):
+        return _check_trial(check, family, viol_tol,
+                            *_draw_trial(check, family, dims, trace, seed, t))
 
     t0 = time.perf_counter()
-    rows = []
-    for lo in range(0, trials, TRIAL_BLOCK):
-        def part(t: int, lo: int = lo):
-            return _trial_part(check, family, *_draw_trial(check, family, dims, trace,
-                                                           seed, lo + t))
-        parts = _map_over_trials(part, min(TRIAL_BLOCK, trials - lo), _thread_count())
-        deltas = _stacked_deltas([inputs for _, inputs in parts])
-        rows += [margin_step(*numbers, *ds) for (numbers, _), ds in zip(parts, deltas)]
+    rows = _map_over_trials(trial, trials, _thread_count())
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
     explore = check == "explore"
@@ -608,17 +540,17 @@ def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int,
             worst = int(np.argmin(margins))
         worst_margin = float(np.min(margins))
         dim, phi, a, b = _draw_trial(check, family, dims, trace, seed, worst)
-        margin, _, kept = rows[worst]
+        margin, _, kept = _check_trial(check, family, viol_tol, dim, phi, a, b)
         worst_instance = {"trialIndex": worst, "dim": dim, "map": map_to_json(phi),
                           "a": matrix_to_json(a),
                           "b": None if check == "lemma2" else matrix_to_json(b)}
         if explore:
             worst_instance.update(kept)
-            worst_ratio = kept["ratio"]
+            worst_ratio = rows[worst][2]["ratio"]
         else:
             worst_instance["margin"] = margin
         if check == "corollary":
-            worst_formula = max(k["formula_residual"] / (1.0 + k["lhs"]) for _, _, k in rows)
+            worst_formula = max(r[2]["formula_residual"] for r in rows)
     return TrialSummary(trials=trials, violations=sum(1 for _, v, _ in rows if v),
                         worst_margin=worst_margin, worst_instance=worst_instance,
                         seed=seed, wall_time_ms=wall_ms, check=check, family=family,

@@ -12,15 +12,12 @@ in operator norm.  By the duality
 Linear Algebra Appl. 287 (1999)) any finite set of states gives a lower
 bound: the optimum of a weighted smallest-enclosing-disk model.
 
-* ``delta_stack`` -- any C, for each matrix of a (T, d, d) stack; what
-  ``delta`` and the trial suites run (``delta_general`` is its one-matrix
-  case).  Column generation: each step evaluates ||C - lambda I||, an upper
-  bound, and adds its top right singular vector to the model, until the two
-  bounds meet.  The next lambda is the model's minimizer, or, where
-  sigma_1(C - lambda I)^2 is smooth and its quadratic model stays above the
-  lower bound, the Newton point that the same SVD gives.  Each step runs
-  one batched SVD over the matrices not yet converged, and each matrix gets
-  the result it gets on its own, bit for bit.
+* ``delta_general`` -- any C, and what ``delta`` runs.  Column generation:
+  each step evaluates ||C - lambda I||, an upper bound, and adds its top
+  right singular vector to the model, until the two bounds meet.  The next
+  lambda is the model's minimizer, or, where sigma_1(C - lambda I)^2 is
+  smooth and its quadratic model stays above the lower bound, the Newton
+  point that the same SVD gives.
 * ``delta_normal`` -- spectral reference route for normal C: the same model
   over unit eigenvectors, i.e. the smallest disk enclosing the spectrum.
 * ``delta_grid_oracle`` -- exact minimum over a square grid (Lipschitz
@@ -39,14 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ContractError, NumericError
 from .linalg import as_matrix, dag, operator_norm, operator_norms
 
 #: bound on ||UU* - U*U|| for U = C/||C|| below which C is treated as normal
 NORMALITY_TOL = 1e-9
 
-#: delta_stack stops on a matrix once its bracket is this narrow, relative
-#: to 1 + ||C||
+#: delta_general stops once its bracket is this narrow, relative to 1 + ||C||
 BRACKET_TOL = 1e-12
 
 _MAX_ITERATIONS = 200
@@ -101,7 +97,7 @@ def is_normal(c) -> bool:
     c = np.asarray(c, dtype=np.complex128)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         return False
-    scale = _exact_scale(c)
+    scale = _exact_scale(c) if c.size else 1.0
     if scale != 1.0:
         c = c * scale
     nrm = operator_norm(c)
@@ -264,8 +260,8 @@ def _newton_point(u, sv, vh, lam: complex, zv: complex, s: float,
     return lam + step
 
 
-def delta_stack(cs) -> tuple[DeltaResult, ...]:
-    """Distance to the scalars for each matrix of a (T, d, d) stack.
+def delta_general(c) -> DeltaResult:
+    """Distance to the scalars for an arbitrary square matrix.
 
     Column generation over states, starting at lambda = tr(C)/dim.  Each
     step takes one SVD of C - lambda I: its top singular value is an upper
@@ -287,83 +283,56 @@ def delta_stack(cs) -> tuple[DeltaResult, ...]:
     solved at an exact power-of-two scale (``_exact_scale``), with every
     bound below taken on the scaled problem.
 
-    Each matrix stops on its own when upper - lower <= BRACKET_TOL *
-    (1 + ||C||), when rounding stops the new atom of a model point from
-    raising the lower bound, or after _MAX_ITERATIONS steps; the value is
-    the best evaluated norm and certified_gap the final upper - lower in
-    every case.  A step runs one batched SVD over the matrices still
-    active.  The SVD, the products and the model are those of the matrix on
-    its own, so each result does not depend on the rest of the stack.
+    The solver stops when upper - lower <= BRACKET_TOL * (1 + ||C||), when
+    rounding stops the new atom of a model point from raising the lower
+    bound, or after _MAX_ITERATIONS steps; the value is the best evaluated
+    norm and certified_gap the final upper - lower in every case.
     """
-    cs = np.array(cs, dtype=np.complex128)
-    if cs.ndim != 3 or cs.shape[1] != cs.shape[2] or cs.shape[1] < 1:
-        raise DimensionError(f"expected a (T, d, d) stack of square matrices, got {cs.shape}")
-    if not np.isfinite(cs).all():
-        raise ContractError("matrix entries must be finite (no NaN/Inf)")
-    count, dim = cs.shape[:2]
-    if count == 0:
-        return ()
+    c = as_matrix(c, square=True)
+    dim = c.shape[0]
     # work relative to tr(C)/dim, where the atoms are no larger than 2 delta,
     # and on a scale where the model's squared distances stay finite
-    mu = [complex(np.trace(c)) / dim for c in cs]
+    mu = complex(np.trace(c)) / dim
     eye = np.eye(dim)
-    c0 = cs - np.array(mu)[:, None, None] * eye
-    scale = [_exact_scale(c) for c in c0]
-    c0 = c0 * np.array(scale)[:, None, None]
-    tol = (BRACKET_TOL * (1.0 + operator_norms(cs) * np.array(scale))).tolist()
+    c0 = c - mu * eye
+    scale = _exact_scale(c0)
+    c0 = c0 * scale
+    tol = BRACKET_TOL * (1.0 + operator_norm(c) * scale)
 
-    support: list = [[] for _ in range(count)]
-    g = [-math.inf] * count
-    lam = [0j] * count  # the point evaluated next
-    model = [0j] * count  # the model point
-    upper, best = [math.inf] * count, [0j] * count
-    active = list(range(count))
+    support: list = []
+    g = -math.inf
+    lam = model = 0j  # the point evaluated next, and the model point
+    upper, best = math.inf, 0j
     for step in range(_MAX_ITERATIONS):
-        if not active:
-            break
-        m = c0[active] - np.array([lam[i] for i in active])[:, None, None] * eye
+        m = c0 - lam * eye
         try:
             u, sv, vh = np.linalg.svd(m)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"svd did not converge: {exc}") from exc
-        v = vh[:, 0].conj()
-        w = (m @ v[:, :, None])[:, :, 0]
-        still = []
-        for j, i in enumerate(active):
-            lowered = sv[j, 0] < upper[i]
-            if lowered:
-                upper[i], best[i] = float(sv[j, 0]), lam[i]
-            if upper[i] - math.sqrt(max(g[i], 0.0)) <= tol[i]:
-                continue
-            zv = complex(np.vdot(v[j], w[j]))
-            r = w[j] - zv * v[j]  # s = ||r||^2 = ||Cv||^2 - |z|^2 without the cancellation
-            s = float(np.vdot(r, r).real)
-            g_new, model_new, support_new = _add_atom(support[i], (zv + lam[i], s))
-            if g_new > g[i]:
-                g[i], model[i], support[i] = g_new, model_new, support_new
-            elif lam[i] == model[i]:
-                continue  # the new state no longer raises the model: rounding level
-            newton = None
-            if step > 0 and lowered and sv[j, 0] > sv[j, 1]:
-                newton = _newton_point(u[j], sv[j], vh[j], lam[i], zv, s, g[i])
-            lam[i] = model[i] if newton is None else newton
-            still.append(i)
-        active = still
-
-    results = []
-    for i in range(count):
-        value, gap, at = upper[i], max(upper[i] - math.sqrt(max(g[i], 0.0)), 0.0), best[i]
-        if scale[i] != 1.0:  # back to the units of C; at 1, dividing could flip a zero's sign
-            value, gap, at = value / scale[i], gap / scale[i], at / scale[i]
-        results.append(DeltaResult(value=value, minimizer=mu[i] + at, method="convex",
-                                   certified_gap=gap))
-    return tuple(results)
-
-
-def delta_general(c) -> DeltaResult:
-    """Distance to the scalars for one square matrix: ``delta_stack`` on the
-    stack of C alone."""
-    return delta_stack(as_matrix(c, square=True)[None])[0]
+        lowered = sv[0] < upper
+        if lowered:
+            upper, best = float(sv[0]), lam
+        if upper - math.sqrt(max(g, 0.0)) <= tol:
+            break
+        v = vh[0].conj()
+        w = m @ v
+        zv = complex(np.vdot(v, w))
+        r = w - zv * v  # s = ||r||^2 = ||Cv||^2 - |z|^2 without the cancellation
+        s = float(np.vdot(r, r).real)
+        g_new, model_new, support_new = _add_atom(support, (zv + lam, s))
+        if g_new > g:
+            g, model, support = g_new, model_new, support_new
+        elif lam == model:
+            break  # the new state no longer raises the model: rounding level
+        newton = None
+        if step > 0 and lowered and sv[0] > sv[1]:
+            newton = _newton_point(u, sv, vh, lam, zv, s, g)
+        lam = model if newton is None else newton
+    gap = max(upper - math.sqrt(max(g, 0.0)), 0.0)
+    if scale != 1.0:  # back to the units of C; at 1, dividing could flip a zero's sign
+        upper, gap, best = upper / scale, gap / scale, best / scale
+    return DeltaResult(value=upper, minimizer=mu + best, method="convex",
+                       certified_gap=gap)
 
 
 #: the grid oracle first evaluates every GRID_STRIDE-th index on each axis
@@ -415,8 +384,8 @@ def delta_grid_oracle(c, half_width: float, resolution: int) -> DeltaResult:
 def delta(c, method: str = "auto") -> DeltaResult:
     """Dispatch among the delta routes.
 
-    ``auto`` and ``convex`` run ``delta_general`` (the one-matrix
-    ``delta_stack``) on every square C, normal or not; ``disk`` is the spectral reference route (normal C only) and
+    ``auto`` and ``convex`` run ``delta_general`` on every square C, normal
+    or not; ``disk`` is the spectral reference route (normal C only) and
     ``grid`` the exhaustive oracle (on a square that holds its check).
     """
     c = as_matrix(c, square=True)

@@ -1,6 +1,5 @@
 """Harness-level checks: defect, bounds, counterexample, trials, proof chain."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -429,19 +428,3 @@ def test_each_check_maps_its_inputs_in_one_apply_call(monkeypatch):
         stacks.clear()
         run()
         assert stacks == [(size, 4, 4)]
-
-
-def test_suites_do_not_depend_on_the_trial_block(monkeypatch):
-    suites = [("theorem", "cp", (2, 3)), ("lemma1", "cp", (2, 3)),
-              ("lemma2", "positive", (2, 3)), ("corollary", "cp", (4, 5)),
-              ("explore", "two-positive", (3,))]
-    for check, family, dims in suites:
-        runs = []
-        for block in (1, 7, harness.TRIAL_BLOCK, 1000):
-            monkeypatch.setattr(harness, "TRIAL_BLOCK", block)
-            if check == "explore":
-                s = explore_two_positive(20, seed=4, k=dims[0])
-            else:
-                s = run_trials(check, family=family, dims=dims, trials=20, seed=4)
-            runs.append(dataclasses.replace(s, wall_time_ms=0.0).__dict__)
-        assert all(run == runs[0] for run in runs[1:]), check

@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 from gruss_lab import (
     ContractError,
-    DimensionError,
     check_lemma2,
     delta,
     delta_general,
     delta_grid_oracle,
     delta_normal,
-    delta_stack,
     ginibre,
     haar_unitary,
     is_normal,
@@ -329,6 +327,7 @@ def test_normality_does_not_depend_on_the_scale_of_c():
     assert res.value == pytest.approx(5e199, rel=1e-12)
     assert res.certified_gap <= 1e-12 * res.value
     assert is_normal(np.zeros((2, 2)))
+    assert is_normal(np.zeros((0, 0)))
     assert not is_normal(tiny)
     with pytest.raises(ContractError):
         delta(tiny, "disk")
@@ -442,37 +441,3 @@ def test_property_lower_bounds_below_grid_oracle(kind, dim, seed):
     for res in routes:
         assert res.value - res.certified_gap <= oracle.value + 1e-12
         assert oracle.value - oracle.certified_gap <= res.value + 1e-12
-
-
-def _bits(res):
-    """A DeltaResult as the exact bits of its numbers."""
-    return (res.method, res.value.hex(), res.minimizer.real.hex(), res.minimizer.imag.hex(),
-            res.certified_gap.hex())
-
-
-_STACK_ENTRIES = st.tuples(st.sampled_from(("ginibre", "hermitian", "normal", "zero")),
-                           _SEEDS, st.sampled_from((0, 600, -600)))
-
-
-@settings(max_examples=40)
-@given(dim=st.integers(2, 6), entries=st.lists(_STACK_ENTRIES, min_size=1, max_size=8))
-def test_property_a_stack_gives_each_matrix_its_own_result(dim, entries):
-    # each matrix stops on its own, and its SVDs, products and model are
-    # those of the one-matrix call, so the results agree bit for bit
-    stack = np.stack([np.zeros((dim, dim)) if kind == "zero"
-                      else random_ensemble(kind, dim, seed=seed) * 2.0 ** exponent
-                      for kind, seed, exponent in entries])
-    got = delta_stack(stack)
-    assert len(got) == len(entries)
-    for c, res in zip(stack, got):
-        assert _bits(res) == _bits(delta_general(c))
-
-
-def test_delta_stack_shapes():
-    assert delta_stack(np.zeros((0, 3, 3))) == ()
-    with pytest.raises(DimensionError):
-        delta_stack(np.eye(3))
-    with pytest.raises(DimensionError):
-        delta_stack(np.zeros((2, 3, 4)))
-    with pytest.raises(ContractError):
-        delta_stack(np.full((1, 2, 2), np.nan))
