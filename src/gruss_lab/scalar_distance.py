@@ -387,13 +387,14 @@ def delta(c, method: str = "auto") -> DeltaResult:
     ``auto`` and ``convex`` run ``delta_general`` on every square C, normal
     or not; ``disk`` is the spectral reference route (normal C only) and
     ``grid`` the exhaustive oracle (on a square that holds its check).
+    Each route coerces C itself.
     """
-    c = as_matrix(c, square=True)
     if method in ("auto", "convex"):
         return delta_general(c)
     if method == "disk":
         return delta_normal(c)
     if method == "grid":
+        c = as_matrix(c, square=True)
         centered = c - np.trace(c) / c.shape[0] * np.eye(c.shape[0])
         return delta_grid_oracle(c, max(operator_norm(c) + 1.0, operator_norm(centered)), 201)
     raise ContractError(f"unknown delta method {method!r}")
