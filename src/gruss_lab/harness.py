@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -42,9 +43,11 @@ from .linalg import (
     Matrix,
     as_matrix,
     dag,
+    diagonal_stack,
+    ginibre,
     matrix_to_json,
     operator_norm,
-    random_ensemble,
+    operator_norms,
 )
 from .posmap import (
     CERTIFIED_CP,
@@ -52,17 +55,21 @@ from .posmap import (
     MAX_DIM,
     MapRep,
     apply,
-    compose,
+    apply_choi_stack,
+    choi_matrix,
+    compose_choi_stack,
     cp_test,
+    from_choi,
+    from_kraus,
     is_unital,
     map_to_json,
-    mix,
     n_positivity_search,
     normalized_choi_map,
-    random_unital_cp,
     transpose_map,
+    unitalize,
+    unitalize_kraus_stack,
 )
-from .scalar_distance import DeltaResult, delta, is_normal
+from .scalar_distance import DeltaResult, delta, is_normal, normal_mask
 from .unitary_sum import decompose_unitary_sum, rescale_for_decomposition
 
 CHECKS = ("theorem", "lemma1", "lemma2", "corollary")
@@ -126,13 +133,6 @@ def _pair(phi: MapRep, a, b) -> tuple[Matrix, Matrix]:
     return a, b
 
 
-def gruss_defect(phi: MapRep, a, b) -> float:
-    """|| Phi(AB) - Phi(A) Phi(B) ||."""
-    a, b = _pair(phi, a, b)
-    p_ab, p_a, p_b = apply(phi, np.stack([a @ b, a, b]))
-    return operator_norm(p_ab - p_a @ p_b)
-
-
 def _require_unital(phi: MapRep, what: str) -> None:
     if not is_unital(phi):
         raise ContractError(f"{what} requires a unital map (||Phi(I) - I|| > 1e-9)")
@@ -142,6 +142,170 @@ def _require_viol_tol(viol_tol: float | None) -> None:
     # margin < -nan is always false: a NaN tolerance would hide every violation
     if viol_tol is not None and math.isnan(viol_tol):
         raise ContractError("viol_tol must be a number, got nan")
+
+
+# ---------------------------------------------------------------------------
+# claims
+#
+# Each claim is one record: the positivity order its maps need, the family
+# it draws, the inputs it maps, its evaluation and its worst rule.  Inputs
+# and evaluations act on stacks of T trials: A and B as (T, k, k) stacks,
+# the images of the inputs under Phi as a (T, S, d, d) stack and each delta
+# value as a (T,) array.  The public checks below are the one-trial case of
+# the trial engine, which evaluates whole blocks of trials.
+
+
+def _product_inputs(a, b):
+    return np.stack([a @ b, a, b], axis=1)
+
+
+def _lemma1_inputs(a, b):
+    a_dag, b_dag = dag(a), dag(b)
+    return np.stack([a @ b, a, b, a @ a_dag, b_dag @ b, a_dag, b_dag @ a_dag], axis=1)
+
+
+def _lemma2_inputs(a, b):
+    return np.stack([dag(a) @ a, a], axis=1)
+
+
+def _defect_matrices(images):
+    # Phi(AB) - Phi(A) Phi(B) from the images of [AB, A, B, ...]
+    return images[:, 0] - images[:, 1] @ images[:, 2]
+
+
+def _defects(images):
+    return operator_norms(_defect_matrices(images))
+
+
+def _theorem(images, a, b, deltas, viol_tol):
+    da, db = deltas
+    defect = _defects(images)
+    bound = da * db
+    margin = bound - defect
+    tol = 1e-8 * (1.0 + bound) if viol_tol is None else viol_tol
+    return {"defect": defect, "bound": bound, "margin": margin, "violated": margin < -tol}
+
+
+def _explore(images, a, b, deltas, viol_tol):
+    da, db = deltas
+    defect = _defects(images)
+    bound = da * db
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(bound > 1e-12, defect / bound,
+                         np.where(defect <= 1e-10, 0.0, np.inf))
+    # a candidate counterexample, recorded and never raised
+    return {"defect": defect, "bound": bound, "ratio": ratio, "margin": bound - defect,
+            "violated": ratio > 1.0 + 1e-6}
+
+
+def _lemma1(images, a, b, deltas, viol_tol):
+    p_ab, p_a, p_b, p_aa, p_bb, p_ad, p_ba = np.moveaxis(images, 1, 0)
+    lhs_squared = operator_norms(p_ab - p_a @ p_b) ** 2
+    self_a = operator_norms(p_aa - p_a @ dag(p_a))
+    self_b = operator_norms(p_bb - dag(p_b) @ p_b)
+    rhs_product = self_a * self_b
+
+    # block covariance matrix for the pair (X, Y) = (A*, B), with Phi(X) = p_ad
+    bxx = p_aa - dag(p_ad) @ p_ad
+    bxy = p_ab - dag(p_ad) @ p_b
+    byx = p_ba - dag(p_b) @ p_ad
+    byy = p_bb - dag(p_b) @ p_b
+    block = np.concatenate([np.concatenate([bxx, bxy], axis=-1),
+                            np.concatenate([byx, byy], axis=-1)], axis=-2)
+    block = (block + dag(block)) / 2.0
+    block_min_eig = np.linalg.eigvalsh(block)[:, 0]
+    cauchy_ok = lhs_squared <= rhs_product + 1e-8 * (1.0 + rhs_product)
+    block_ok = block_min_eig >= -1e-8
+    return {"lhs_squared": lhs_squared, "rhs_product": rhs_product,
+            "block_min_eig": block_min_eig, "cauchy_ok": cauchy_ok, "block_ok": block_ok,
+            "margin": np.minimum(rhs_product - lhs_squared, block_min_eig),
+            "violated": ~(cauchy_ok & block_ok)}
+
+
+def _lemma2(images, a, b, deltas, viol_tol):
+    (dval,) = deltas
+    p_aa, p_a = images[:, 0], images[:, 1]
+    lhs = operator_norms(p_aa - dag(p_a) @ p_a)
+    bound = dval * dval
+    ok = lhs <= bound + 1e-8 * (1.0 + bound)
+    return {"lhs": lhs, "delta": dval, "bound": bound, "ok": ok, "margin": bound - lhs,
+            "violated": ~ok}
+
+
+def _corollary(images, a, b, deltas, viol_tol):
+    da, db = deltas
+    k = a.shape[-1]
+    eye = np.eye(k, dtype=np.complex128)
+    c = k * k - k - 1
+    ab = a @ b
+    # the traces and their products trial by trial, in numpy's scalar
+    # arithmetic, which rounds as a one-matrix check always has
+    tr_a, tr_b, tr_ab, tr_tr = np.array(
+        [(np.trace(x), np.trace(y), c * np.trace(xy), (k - 1) * np.trace(x) * np.trace(y))
+         for x, y, xy in zip(a, b, ab)]).T[..., None, None]
+    bracket = tr_ab * eye - k * ab - tr_tr * eye + tr_b * a + tr_a * b
+    lhs = operator_norms(bracket)
+    rhs = (c * c / (k - 1.0)) * da * db
+    formula_residual = operator_norms((k - 1.0) / (c * c) * bracket - _defect_matrices(images))
+    ok = lhs <= rhs + 1e-8 * (1.0 + rhs)
+    formula_ok = formula_residual <= 1e-10 * (1.0 + lhs)
+    return {"lhs": lhs, "rhs": rhs, "formula_residual": formula_residual, "ok": ok,
+            "formula_ok": formula_ok, "margin": rhs - lhs, "violated": ~(ok & formula_ok)}
+
+
+@dataclass(frozen=True)
+class _Claim:
+    """One claim as the checks and the trial engine run it."""
+
+    name: str
+    #: the positivity order its maps need
+    order: int
+    #: the (A, B) -> (T, S, k, k) stack of inputs it maps
+    inputs: Callable
+    #: (images, A, B, delta values, viol_tol) -> dict of (T,) arrays, with
+    #: at least "margin" and "violated"
+    evaluate: Callable
+    #: the families trial t draws from, in turn (None: the suite's family)
+    families: tuple[str, ...] | None = None
+    #: False for a claim on A alone, which draws no B
+    pair: bool = True
+    #: whether it needs delta of its inputs (of A and B, or of A alone)
+    uses_delta: bool = True
+    #: CP maps enter only through cp_test: a suite certifies its Kraus maps
+    certifies_cp: bool = False
+    #: maps that are not CP need a normal A, drawn normal and checked
+    normal_a: bool = False
+    #: its worst trial: the smallest "margin" or the largest "ratio"
+    worst: str = "margin"
+
+
+_CLAIMS = {claim.name: claim for claim in (
+    _Claim("theorem", 3, _product_inputs, _theorem),
+    _Claim("lemma1", 3, _lemma1_inputs, _lemma1, uses_delta=False, certifies_cp=True),
+    _Claim("lemma2", 1, _lemma2_inputs, _lemma2, pair=False, certifies_cp=True,
+           normal_a=True),
+    _Claim("corollary", 3, _product_inputs, _corollary, families=("choi",)),
+    # the explorer alternates the trace-type map itself with its mixtures
+    _Claim("explore", 2, _product_inputs, _explore, families=("choi", "mixed"),
+           worst="ratio"),
+)}
+
+
+def _check_one(claim: _Claim, phi: MapRep, a: Matrix, b: Matrix | None, deltas: tuple,
+               viol_tol: float | None = None) -> dict:
+    # the claim on one instance: its inputs mapped in one apply call, then
+    # evaluated as a one-trial stack; values come back as Python scalars
+    a = a[None]
+    b = None if b is None else b[None]
+    images = apply(phi, claim.inputs(a, b)[0])[None]
+    out = claim.evaluate(images, a, b, tuple(np.array([v]) for v in deltas), viol_tol)
+    return {key: value[0].item() for key, value in out.items()}
+
+
+def gruss_defect(phi: MapRep, a, b) -> float:
+    """|| Phi(AB) - Phi(A) Phi(B) ||."""
+    a, b = _pair(phi, a, b)
+    return float(_defects(apply(phi, _product_inputs(a[None], b[None])[0])[None])[0])
 
 
 def check_theorem(phi: MapRep, a, b, viol_tol: float | None = None) -> GrussReport:
@@ -154,17 +318,12 @@ def check_theorem(phi: MapRep, a, b, viol_tol: float | None = None) -> GrussRepo
     """
     _require_unital(phi, "check_theorem")
     _require_viol_tol(viol_tol)
-    a = as_matrix(a, square=True)
-    b = as_matrix(b, square=True)
+    a, b = _pair(phi, a, b)
     da = delta(a)
     db = delta(b)
-    bound = da.value * db.value
-    defect = gruss_defect(phi, a, b)
-    margin = bound - defect
-    tol = 1e-8 * (1.0 + bound) if viol_tol is None else viol_tol
-    return GrussReport(defect=defect, delta_a=da, delta_b=db, bound=bound,
-                       margin=margin, violated=bool(margin < -tol),
-                       phi=phi, a=a, b=b)
+    res = _check_one(_CLAIMS["theorem"], phi, a, b, (da.value, db.value), viol_tol)
+    return GrussReport(defect=res["defect"], delta_a=da, delta_b=db, bound=res["bound"],
+                       margin=res["margin"], violated=res["violated"], phi=phi, a=a, b=b)
 
 
 def check_lemma1(phi: MapRep, a, b, known_positivity_order: int | None = None) -> dict:
@@ -186,30 +345,9 @@ def check_lemma1(phi: MapRep, a, b, known_positivity_order: int | None = None) -
         raise ContractError("check_lemma1 needs positivity order >= 3")
 
     a, b = _pair(phi, a, b)
-    a_dag, b_dag = dag(a), dag(b)
-    p_ab, p_a, p_b, p_aa, p_bb, p_ad, p_ba = apply(phi, np.stack(
-        [a @ b, a, b, a @ a_dag, b_dag @ b, a_dag, b_dag @ a_dag]))
-    lhs_squared = operator_norm(p_ab - p_a @ p_b) ** 2
-    self_a = operator_norm(p_aa - p_a @ dag(p_a))
-    self_b = operator_norm(p_bb - dag(p_b) @ p_b)
-    rhs_product = self_a * self_b
-
-    # block covariance matrix for the pair (X, Y) = (A*, B), with Phi(X) = p_ad
-    bxx = p_aa - dag(p_ad) @ p_ad
-    bxy = p_ab - dag(p_ad) @ p_b
-    byx = p_ba - dag(p_b) @ p_ad
-    byy = p_bb - dag(p_b) @ p_b
-    block = np.block([[bxx, bxy], [byx, byy]])
-    block = (block + dag(block)) / 2.0
-    block_min_eig = float(np.linalg.eigvalsh(block)[0])
-
-    return {
-        "lhs_squared": float(lhs_squared),
-        "rhs_product": float(rhs_product),
-        "block_min_eig": block_min_eig,
-        "cauchy_ok": bool(lhs_squared <= rhs_product + 1e-8 * (1.0 + rhs_product)),
-        "block_ok": bool(block_min_eig >= -1e-8),
-    }
+    res = _check_one(_CLAIMS["lemma1"], phi, a, b, ())
+    return {key: res[key] for key in
+            ("lhs_squared", "rhs_product", "block_min_eig", "cauchy_ok", "block_ok")}
 
 
 def check_lemma2(phi: MapRep, a, require_normal: bool = True,
@@ -238,16 +376,8 @@ def check_lemma2(phi: MapRep, a, require_normal: bool = True,
             raise ContractError(
                 f"map is not positive (rank-1 witness value {probe.min_value_found:.3e})"
             )
-    p_aa, p_a = apply(phi, np.stack([dag(a) @ a, a]))
-    lhs = operator_norm(p_aa - dag(p_a) @ p_a)
-    dval = delta(a).value
-    bound = dval * dval
-    return {
-        "lhs": float(lhs),
-        "delta": float(dval),
-        "bound": float(bound),
-        "ok": bool(lhs <= bound + 1e-8 * (1.0 + bound)),
-    }
+    res = _check_one(_CLAIMS["lemma2"], phi, a, None, (delta(a).value,))
+    return {key: res[key] for key in ("lhs", "delta", "bound", "ok")}
 
 
 def reproduce_counterexample() -> CounterexampleReport:
@@ -286,26 +416,8 @@ def check_corollary(k: int, a, b, trace: MapRep | None = None) -> dict:
         raise ContractError(f"corollary check needs k >= 4 (map must be 3-positive), got {k}")
     phi = normalized_choi_map(k) if trace is None else trace
     a, b = _pair(phi, a, b)
-    eye = np.eye(k, dtype=np.complex128)
-    c = k * k - k - 1
-    tr_a, tr_b = np.trace(a), np.trace(b)
-    bracket = (c * np.trace(a @ b) * eye - k * (a @ b)
-               - (k - 1) * tr_a * tr_b * eye + tr_b * a + tr_a * b)
-    lhs = operator_norm(bracket)
-    da = delta(a).value
-    db = delta(b).value
-    rhs = (c * c / (k - 1.0)) * da * db
-
-    p_ab, p_a, p_b = apply(phi, np.stack([a @ b, a, b]))
-    map_defect = p_ab - p_a @ p_b
-    formula_residual = operator_norm((k - 1.0) / (c * c) * bracket - map_defect)
-    return {
-        "lhs": float(lhs),
-        "rhs": float(rhs),
-        "formula_residual": float(formula_residual),
-        "ok": bool(lhs <= rhs + 1e-8 * (1.0 + rhs)),
-        "formula_ok": bool(formula_residual <= 1e-10 * (1.0 + lhs)),
-    }
+    res = _check_one(_CLAIMS["corollary"], phi, a, b, (delta(a).value, delta(b).value))
+    return {key: res[key] for key in ("lhs", "rhs", "formula_residual", "ok", "formula_ok")}
 
 
 def proof_chain(phi: MapRep, a, b, m: int) -> dict:
@@ -361,9 +473,13 @@ def proof_chain(phi: MapRep, a, b, m: int) -> dict:
 # ---------------------------------------------------------------------------
 # randomized trial machinery
 #
-# Every randomized suite is a draw plus a check, run by one driver.  Trial t
-# draws (dim, Phi, A, B) from its own (seed, t) generator, so a trial can be
+# Every randomized suite runs one claim through one driver.  Trial t draws
+# its random numbers from its own (seed, t) generator, so any trial can be
 # drawn again on its own: the driver replays the worst trial to report it.
+# Trials run in blocks.  Within a block, the random numbers are drawn trial
+# by trial; the maps, the inputs, the checks on them, Phi and the norms are
+# stacked kernels, one stack per dimension; delta, and everything about a
+# Kraus-form map, is a per-trial step.
 
 
 def _thread_count() -> int:
@@ -386,67 +502,219 @@ def _trial_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(master_seed), int(index)])
 
 
-def _draw_input(kind: str, dim: int, rng: np.random.Generator) -> Matrix:
-    a = random_ensemble(kind, dim, rng)
-    nrm = operator_norm(a)
-    if nrm > _INPUT_NORM_CAP:
-        a = a * (_INPUT_NORM_CAP / nrm)
-    return a
+@dataclass(frozen=True)
+class _Draw:
+    """A trial's random numbers, before anything is built from them."""
+
+    dim: int
+    family: str
+    #: the trace-type map's weight in a mixture
+    weight: float | None
+    #: the Ginibre Kraus family of the random CP map, not yet unitalized
+    kraus: np.ndarray | None
+    #: positive family: compose(cp, transpose) rather than compose(transpose, cp)
+    flip: bool
+    #: (kind, Ginibre sample, eigenvalues of a normal kind) of A and of B
+    a: tuple
+    b: tuple | None
 
 
-def _draw_cp(dim: int, rng: np.random.Generator) -> MapRep:
-    rank = int(rng.integers(1, dim * dim + 1))
-    return random_unital_cp(dim, rank, rng)
+def _draw_input(kind: str, dim: int, rng: np.random.Generator) -> tuple:
+    # the numbers random_ensemble(kind, dim, rng) draws, in its order
+    g = ginibre(dim, rng)
+    z = None
+    if kind == "normal":
+        z = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / np.sqrt(2.0)
+    return kind, g, z
 
 
-def _draw_map(family: str, dim: int, rng: np.random.Generator, trace: MapRep | None) -> MapRep:
-    # ``trace`` is the suite's normalized_choi_map(dim), built once per suite
-    if family == "cp":
-        return _draw_cp(dim, rng)
-    if family == "choi":
-        return trace
-    if family == "mixed":
-        w = float(rng.uniform(0.0, 1.0))
-        return mix([trace, _draw_cp(dim, rng)], [w, 1.0 - w])
-    if family == "positive":
-        # composition of positive maps: transpose with a random unital CP
-        # map, already unital (to about 1e-14) since both factors are
-        cp = _draw_cp(dim, rng)
-        t = transpose_map(dim)
-        return compose(t, cp) if rng.integers(2) == 0 else compose(cp, t)
-    raise ContractError(f"unknown trial family {family!r}")
-
-
-def _trace_maps(check: str, family: str, dims: tuple) -> dict:
-    # the trace-type map of each dimension, for the suites that use it
-    if check in ("corollary", "explore") or family in ("choi", "mixed"):
-        return {d: normalized_choi_map(d) for d in set(dims)}
-    return {}
-
-
-def _draw_trial(check: str, family: str, dims: tuple, trace: dict, seed: int, t: int):
-    """Trial t's (dim, Phi, A, B), drawn from its own (seed, t) generator.
-
-    The explorer alternates the ``choi`` draw, the trace-type map itself
-    (even t), with the ``mixed`` draw (odd t); the corollary always takes
-    the ``choi`` draw, whatever the suite's family.
-    """
+def _draw(claim: _Claim, family: str, dims: tuple, seed: int, t: int) -> _Draw:
+    """Trial t's random numbers from its own (seed, t) generator: the map's,
+    then A's, then B's (none for a claim on A alone)."""
     rng = _trial_rng(seed, t)
     dim = dims[t % len(dims)]
-    if check == "explore":
-        family = ("choi", "mixed")[t % 2]
-    elif check == "corollary":
-        family = "choi"
-    phi = _draw_map(family, dim, rng, trace.get(dim))
-
-    if check == "lemma2" and family != "cp":
+    if claim.families is not None:
+        family = claim.families[t % len(claim.families)]
+    weight = float(rng.uniform(0.0, 1.0)) if family == "mixed" else None
+    kraus = None
+    if family != "choi":
+        kraus = ginibre(dim, rng, (int(rng.integers(1, dim * dim + 1)),))
+    flip = bool(family == "positive" and rng.integers(2) != 0)
+    if claim.normal_a and family != "cp":
         kind_a = _NORMAL_KINDS[t % 2]
     else:
         kind_a = _INPUT_KINDS[t % 3]
-    kind_b = _INPUT_KINDS[(t // 3) % 3]
     a = _draw_input(kind_a, dim, rng)
-    b = _draw_input(kind_b, dim, rng)
-    return dim, phi, a, b
+    b = _draw_input(_INPUT_KINDS[(t // 3) % 3], dim, rng) if claim.pair else None
+    return _Draw(dim, family, weight, kraus, flip, a, b)
+
+
+def _inputs(draws: list) -> np.ndarray:
+    """The (T, k, k) stack of drawn inputs: random_ensemble's matrix for
+    each draw, scaled down to norm _INPUT_NORM_CAP where it is larger."""
+    kinds = np.array([kind for kind, _, _ in draws])
+    x = np.stack([g for _, g, _ in draws])
+    herm = kinds == "hermitian"
+    x[herm] = (x[herm] + dag(x[herm])) / 2.0
+    normal = np.flatnonzero(kinds == "normal")
+    if normal.size:
+        # Q diag(z) Q* with Haar Q: the QR factor of the sample, with the
+        # phases of diag(R) pushed into it
+        q, r = np.linalg.qr(x[normal])
+        ph = np.diagonal(r, axis1=-2, axis2=-1)
+        ph = np.where(np.abs(ph) < 1e-300, 1.0, ph / np.abs(ph))
+        q = q * ph[:, None, :]
+        x[normal] = q @ diagonal_stack(np.stack([draws[i][2] for i in normal])) @ dag(q)
+    nrm = operator_norms(x)
+    big = nrm > _INPUT_NORM_CAP
+    x[big] = x[big] * (_INPUT_NORM_CAP / nrm[big])[:, None, None]
+    return x
+
+
+def _fixed_maps(claim: _Claim, family: str, dims: tuple) -> dict:
+    # the Choi matrices, reshaped (k, k, k, k), that every trial of a
+    # dimension shares, built once per suite: the trace-type map (the choi
+    # and mixed families) and the transpose (the positive family)
+    families = set(claim.families or (family,))
+    maps = {}
+    for d in set(dims):
+        if families & {"choi", "mixed"}:
+            maps["trace", d] = normalized_choi_map(d).choi.reshape(d, d, d, d)
+        if "positive" in families:
+            maps["transpose", d] = transpose_map(d).choi.reshape(d, d, d, d)
+    return maps
+
+
+def _choi_maps(draws: list, fixed: dict) -> np.ndarray:
+    """The (T, k, k, k, k) stack of the drawn maps' Choi matrices: the
+    trace-type map, its mixtures with a random unital CP map, or that CP map
+    composed with the transpose (before or after it)."""
+    dim = draws[0].dim
+    families = np.array([dr.family for dr in draws])
+    j4 = np.empty((len(draws), dim, dim, dim, dim), dtype=np.complex128)
+    trace = fixed.get(("trace", dim))
+    if trace is not None:
+        j4[families == "choi"] = trace
+    rows = np.flatnonzero(families != "choi")
+    if rows.size:
+        # the random unital CP map, unitalized in Kraus form as
+        # random_unital_cp does, and mixed as mix does
+        cp = np.stack([choi_matrix(MapRep(in_dim=dim, out_dim=dim, kraus=ops))
+                       for ops in unitalize_kraus_stack([draws[i].kraus for i in rows])])
+        cp = cp.reshape(-1, dim, dim, dim, dim)
+        mixed = families[rows] == "mixed"
+        if mixed.any():
+            w = np.array([draws[i].weight for i in rows[mixed]])[:, None, None, None, None]
+            j = np.zeros(cp[mixed].shape, dtype=np.complex128)
+            j += w * trace
+            j += (1.0 - w) * cp[mixed]
+            j4[rows[mixed]] = j
+        positive = families[rows] == "positive"
+        flip = np.array([draws[i].flip for i in rows])
+        t4 = fixed.get(("transpose", dim))
+        after = positive & ~flip  # compose(transpose, cp)
+        if after.any():
+            j4[rows[after]] = compose_choi_stack(t4, cp[after])
+        before = positive & flip  # compose(cp, transpose)
+        if before.any():
+            j4[rows[before]] = compose_choi_stack(cp[before], t4)
+    return j4
+
+
+def _require_unital_stack(j4: np.ndarray, what: str) -> None:
+    # is_unital on each map of a (T, k, k, k, k) Choi stack
+    eye = np.eye(j4.shape[-1], dtype=np.complex128)
+    if np.any(operator_norms(apply_choi_stack(j4, eye[None])[:, 0] - eye) > 1e-9):
+        raise ContractError(f"{what} requires a unital map (||Phi(I) - I|| > 1e-9)")
+
+
+@dataclass
+class _Group:
+    """The trials of one block at one dimension, as stacks."""
+
+    #: their positions in the block
+    rows: list
+    a: np.ndarray
+    b: np.ndarray | None
+    #: the (T, S, k, k) inputs the claim maps
+    inputs: np.ndarray
+    #: Choi-form maps as a (T, k, k, k, k) stack, with their images
+    choi: np.ndarray | None = None
+    images: np.ndarray | None = None
+    #: Kraus-form maps: their Ginibre families, then the maps the
+    #: per-trial step builds from them
+    kraus: list | None = None
+    maps: list | None = None
+
+    def map(self, i: int) -> MapRep:
+        if self.maps is not None:
+            return self.maps[i]
+        k = self.choi.shape[1]
+        return from_choi(self.choi[i].reshape(k * k, k * k), k, k)
+
+
+def _group(claim: _Claim, draws: list, rows: list, fixed: dict) -> _Group:
+    a = _inputs([dr.a for dr in draws])
+    b = _inputs([dr.b for dr in draws]) if claim.pair else None
+    group = _Group(rows, a, b, claim.inputs(a, b))
+    if draws[0].family == "cp":
+        group.kraus = [dr.kraus for dr in draws]
+        return group
+    if claim.normal_a and not normal_mask(a).all():
+        raise ContractError(f"check {claim.name!r} needs a normal A on maps that are not CP")
+    group.choi = _choi_maps(draws, fixed)
+    _require_unital_stack(group.choi, f"check {claim.name!r}")
+    group.images = apply_choi_stack(group.choi, group.inputs)
+    return group
+
+
+def _trial_step(claim: _Claim, group: _Group, i: int) -> tuple:
+    """Trial i of a group, as far as it is not stacked: a Kraus-form map is
+    unitalized, checked and applied, one map per apply call, and delta
+    takes one call per matrix."""
+    phi = images = None
+    if group.kraus is not None:
+        phi = unitalize(from_kraus(group.kraus[i]))
+        _require_unital(phi, f"check {claim.name!r}")
+        if claim.certifies_cp and cp_test(phi).status != CERTIFIED_CP:
+            raise ContractError(f"check {claim.name!r} needs a certified CP map")
+        images = apply(phi, group.inputs[i])
+    deltas = ()
+    if claim.uses_delta:
+        deltas = tuple(delta(x[i]).value for x in (group.a, group.b) if x is not None)
+    return phi, images, deltas
+
+
+def _run_block(claim: _Claim, family: str, dims: tuple, fixed: dict, seed: int, ts,
+               viol_tol: float | None, pooled: bool = True) -> tuple[dict, list]:
+    """Trials ``ts`` as one block: their evaluations (arrays in ``ts``
+    order) and the block's groups.  The per-trial steps of a pooled block
+    run through ``_map_over_trials``."""
+    draws = [_draw(claim, family, dims, seed, t) for t in ts]
+    groups = []
+    for dim in dict.fromkeys(dr.dim for dr in draws):
+        rows = [n for n, dr in enumerate(draws) if dr.dim == dim]
+        groups.append(_group(claim, [draws[n] for n in rows], rows, fixed))
+    slots = [(group, i) for group in groups for i in range(len(group.rows))]
+
+    def trial(n: int):
+        return _trial_step(claim, *slots[n])
+
+    if pooled:
+        steps = iter(_map_over_trials(trial, len(slots), _thread_count()))
+    else:
+        steps = (trial(n) for n in range(len(slots)))
+    out = {}
+    for group in groups:
+        done = [next(steps) for _ in group.rows]
+        if group.kraus is not None:
+            group.maps = [phi for phi, _, _ in done]
+            group.images = np.stack([images for _, images, _ in done])
+        deltas = tuple(np.array(values) for values in zip(*(ds for _, _, ds in done)))
+        for key, value in claim.evaluate(group.images, group.a, group.b, deltas,
+                                         viol_tol).items():
+            out.setdefault(key, np.empty(len(draws), dtype=value.dtype))[group.rows] = value
+    return out, groups
 
 
 def _validate_trial_config(check: str, family: str, dims, viol_tol: float | None) -> None:
@@ -459,12 +727,13 @@ def _validate_trial_config(check: str, family: str, dims, viol_tol: float | None
         raise ContractError(f"dims must all be >= 2, got {dims}")
     if any(int(d) > MAX_DIM for d in dims):
         raise ContractError(f"dims must all be <= MAX_DIM = {MAX_DIM}, got {dims}")
-    # every claim but lemma2's needs positivity order >= 3 (None = CP counts
-    # as infinite); the corollary draws the trace-type map whatever the family
-    drawn = "choi" if check == "corollary" else family
-    bad = [d for d in dims if (_known_order(drawn, d) or math.inf) < 3]
-    if check != "lemma2" and bad:
-        raise ContractError(f"check {check!r} needs positivity order >= 3; family "
+    # None = CP counts as infinite order; the corollary draws the trace-type
+    # map whatever the family
+    claim = _CLAIMS[check]
+    drawn = claim.families[0] if claim.families else family
+    bad = [d for d in dims if (_known_order(drawn, d) or math.inf) < claim.order]
+    if bad:
+        raise ContractError(f"check {check!r} needs positivity order >= {claim.order}; family "
                             f"{drawn!r} has a lower order at dims {bad}")
     if viol_tol is not None and check != "theorem":
         raise ContractError(f"viol_tol applies to check 'theorem' only, not {check!r}")
@@ -482,76 +751,54 @@ def _known_order(family: str, dim: int) -> int | None:
     return 1
 
 
-def _check_trial(check: str, family: str, viol_tol: float | None, dim: int,
-                 phi: MapRep, a: Matrix, b: Matrix) -> tuple[float, bool, dict]:
-    """(margin, violated, kept): ``kept`` holds the extra values the report
-    keeps, the formula residual for ``corollary`` and defect, bound and
-    ratio for ``explore``."""
-    if check == "explore":
-        defect = gruss_defect(phi, a, b)
-        bound = delta(a).value * delta(b).value
-        if bound > 1e-12:
-            ratio = defect / bound
-        else:
-            ratio = 0.0 if defect <= 1e-10 else float("inf")
-        # a candidate counterexample, recorded and never raised
-        return (float(bound - defect), bool(ratio > 1.0 + 1e-6),
-                {"defect": float(defect), "bound": float(bound), "ratio": float(ratio)})
-    if check == "theorem":
-        rep = check_theorem(phi, a, b, viol_tol=viol_tol)
-        return float(rep.margin), bool(rep.violated), {}
-    if check == "lemma1":
-        res = check_lemma1(phi, a, b, known_positivity_order=_known_order(family, dim))
-        margin = min(res["rhs_product"] - res["lhs_squared"], res["block_min_eig"])
-        return float(margin), not (res["cauchy_ok"] and res["block_ok"]), {}
-    if check == "lemma2":
-        res = check_lemma2(phi, a, require_normal=(family != "cp"), known_positive=True)
-        return float(res["bound"] - res["lhs"]), not res["ok"], {}
-    res = check_corollary(dim, a, b, trace=phi)  # the corollary draws the trace map
-    return (float(res["rhs"] - res["lhs"]), not (res["ok"] and res["formula_ok"]),
-            {"formula_residual": res["formula_residual"] / (1.0 + res["lhs"])})
+#: trials run as one block this many at a time; bounds memory, not results
+TRIAL_BLOCK = 64
+#: bound on trials * dimension**4, the complex entries (16 MB) of a block's
+#: Choi matrices or full-rank Kraus families: large dimensions take fewer
+_BLOCK_ENTRIES = 2**20
 
 
 def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int,
                viol_tol: float | None = None) -> TrialSummary:
-    # The one trial driver: trial t is the check of draw t.  The worst trial
-    # (smallest margin; largest ratio for the explorer) is drawn and checked
-    # again to build the report's worstInstance.
+    # The one trial driver: trial t is the claim's check of draw t, run in
+    # blocks.  The worst trial (smallest margin; largest ratio for the
+    # explorer) is drawn and checked again, as a one-trial block, to build
+    # the report's worstInstance.
     if trials < 0:
         raise ContractError(f"trials must be >= 0, got {trials}")
-    trace = _trace_maps(check, family, dims)
-
-    def trial(t: int):
-        return _check_trial(check, family, viol_tol,
-                            *_draw_trial(check, family, dims, trace, seed, t))
+    claim = _CLAIMS[check]
+    fixed = _fixed_maps(claim, family, dims)
+    block = max(1, min(TRIAL_BLOCK, _BLOCK_ENTRIES // max(dims) ** 4))
 
     t0 = time.perf_counter()
-    rows = _map_over_trials(trial, trials, _thread_count())
+    parts = [_run_block(claim, family, dims, fixed, seed, range(lo, min(lo + block, trials)),
+                        viol_tol)[0]
+             for lo in range(0, trials, block)]
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
-    explore = check == "explore"
+    by_ratio = claim.worst == "ratio"
+    violations = 0
     worst_margin = worst_instance = worst_formula = None
-    worst_ratio = 0.0 if explore else None
-    if rows:
-        margins = [r[0] for r in rows]
-        if explore:
-            worst = int(np.argmax([r[2]["ratio"] for r in rows]))
+    worst_ratio = 0.0 if by_ratio else None
+    if parts:
+        rows = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+        violations = int(np.count_nonzero(rows["violated"]))
+        worst = int(np.argmax(rows["ratio"]) if by_ratio else np.argmin(rows["margin"]))
+        worst_margin = float(np.min(rows["margin"]))
+        out, (group,) = _run_block(claim, family, dims, fixed, seed, [worst], viol_tol,
+                                   pooled=False)
+        worst_instance = {"trialIndex": worst, "dim": dims[worst % len(dims)],
+                          "map": map_to_json(group.map(0)), "a": matrix_to_json(group.a[0]),
+                          "b": None if group.b is None else matrix_to_json(group.b[0])}
+        if by_ratio:
+            worst_instance.update({key: float(out[key][0])
+                                   for key in ("defect", "bound", "ratio")})
+            worst_ratio = float(rows["ratio"][worst])
         else:
-            worst = int(np.argmin(margins))
-        worst_margin = float(np.min(margins))
-        dim, phi, a, b = _draw_trial(check, family, dims, trace, seed, worst)
-        margin, _, kept = _check_trial(check, family, viol_tol, dim, phi, a, b)
-        worst_instance = {"trialIndex": worst, "dim": dim, "map": map_to_json(phi),
-                          "a": matrix_to_json(a),
-                          "b": None if check == "lemma2" else matrix_to_json(b)}
-        if explore:
-            worst_instance.update(kept)
-            worst_ratio = rows[worst][2]["ratio"]
-        else:
-            worst_instance["margin"] = margin
-        if check == "corollary":
-            worst_formula = max(r[2]["formula_residual"] for r in rows)
-    return TrialSummary(trials=trials, violations=sum(1 for _, v, _ in rows if v),
+            worst_instance["margin"] = float(out["margin"][0])
+        if "formula_residual" in rows:
+            worst_formula = float(np.max(rows["formula_residual"] / (1.0 + rows["lhs"])))
+    return TrialSummary(trials=trials, violations=violations,
                         worst_margin=worst_margin, worst_instance=worst_instance,
                         seed=seed, wall_time_ms=wall_ms, check=check, family=family,
                         worst_ratio=worst_ratio, worst_formula_residual=worst_formula)
@@ -562,9 +809,10 @@ def run_trials(check: str, family: str = "cp", dims=(2, 3, 4), trials: int = 100
     """Run seeded randomized trials of one check and aggregate violations.
 
     Each trial derives its own generator from (seed, trial index), so the
-    aggregate is deterministic and independent of the execution order and
-    of the thread count, which comes from GRUSS_LAB_THREADS (0 or 1 means
-    sequential; capped at the core count).  The worst instance is the trial
+    aggregate is deterministic and independent of the execution order, of
+    the block size (``TRIAL_BLOCK``) and of the thread count, which comes
+    from GRUSS_LAB_THREADS (0 or 1 means sequential; capped at the core
+    count).  The worst instance is the trial
     of smallest margin.
     ``viol_tol`` is for ``theorem`` only (see ``check_theorem``).
     """

@@ -57,6 +57,16 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     return s[..., 0]
 
 
+def diagonal_stack(v) -> np.ndarray:
+    """The diagonal matrix of each vector of a (..., n) stack, built as
+    ``np.diag`` builds one."""
+    v = np.asarray(v)
+    n = v.shape[-1]
+    out = np.zeros(v.shape + (n,), dtype=v.dtype)
+    out[..., range(n), range(n)] = v
+    return out
+
+
 # ---------------------------------------------------------------------------
 # seeded random ensembles
 

@@ -44,10 +44,12 @@ from .linalg import (
     Matrix,
     as_matrix,
     dag,
+    diagonal_stack,
     ginibre,
     matrix_from_json,
     matrix_to_json,
     operator_norm,
+    operator_norms,
 )
 
 #: a searched witness (n < min(k, d)) whose Rayleigh value is at or below
@@ -196,7 +198,16 @@ def apply(phi: MapRep, x) -> np.ndarray:
         # [K_1 X ... K_L X] [K_1 ... K_L]*: two GEMMs through the d x Lk stack
         wide = phi.kraus.transpose(1, 0, 2).reshape(d, -1)
         return (wide.reshape(-1, k) @ xs).reshape(*xs.shape[:-2], d, -1) @ dag(wide)
-    return np.einsum("...ij,iajb->...ab", xs, phi.choi.reshape(k, d, k, d))
+    out = apply_choi_stack(phi.choi.reshape(k, d, k, d), xs.reshape(-1, k, k))
+    return out.reshape(*xs.shape[:-2], d, d)
+
+
+def apply_choi_stack(j4: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Phi on each matrix of an (S, k, k) stack for a Choi matrix reshaped
+    (k, d, k, d), or for each of a (T, k, d, k, d) stack of them on a
+    (T, S, k, k) stack, giving (T, S, d, d): block (i, j) of J is Phi(E_ij).
+    Each map's S matrices go through the same products as in ``apply``."""
+    return np.einsum("...sij,...iajb->...sab", xs, j4)
 
 
 def amplify(phi: MapRep, n: int) -> MapRep:
@@ -221,12 +232,19 @@ def compose(after: MapRep, before: MapRep) -> MapRep:
         raise DimensionError(
             f"cannot compose: inner dims {before.out_dim} vs {after.in_dim}"
         )
+    k, c, d = before.in_dim, before.out_dim, after.out_dim
+    j = compose_choi_stack(choi_matrix(after).reshape(c, d, c, d),
+                           choi_matrix(before).reshape(k, c, k, c))
+    return from_choi(j.reshape(k * d, k * d), k, d)
+
+
+def compose_choi_stack(after4: np.ndarray, before4: np.ndarray) -> np.ndarray:
+    """Choi matrices, reshaped (k, d, k, d), of after o before for Choi
+    matrices reshaped (c, d, c, d) and (k, c, k, c), or for stacks of
+    them: leading axes broadcast, so one map may be composed with a stack."""
     # (A o B)(E_ij) = sum_ce B(E_ij)[c, e] A(E_ce), so
     # J[(i,a),(j,b)] = sum_ce J_B[(i,c),(j,e)] J_A[(c,a),(e,b)]
-    k, c, d = before.in_dim, before.out_dim, after.out_dim
-    j = np.einsum("icje,caeb->iajb", choi_matrix(before).reshape(k, c, k, c),
-                  choi_matrix(after).reshape(c, d, c, d))
-    return from_choi(j.reshape(k * d, k * d), k, d)
+    return np.einsum("...icje,...caeb->...iajb", before4, after4)
 
 
 def mix(maps, weights) -> MapRep:
@@ -258,20 +276,35 @@ def unitalize(phi: MapRep) -> MapRep:
     Requires S = Phi(I) to be Hermitian positive definite; preserves complete
     positivity (on Kraus maps it acts by K_i -> S^(-1/2) K_i).
     """
-    s = phi_of_identity(phi)
-    nrm = operator_norm(s)
-    if operator_norm(s - dag(s)) > 1e-8 * max(nrm, 1e-300):
-        raise UnitalizationError("Phi(I) is not Hermitian; cannot unitalize")
-    w, q = np.linalg.eigh((s + dag(s)) / 2.0)
-    if w[0] <= 1e-8 * nrm:
-        raise UnitalizationError(
-            f"Phi(I) is numerically singular (min eigenvalue {w[0]:.3e}); cannot unitalize"
-        )
-    inv_sqrt = q @ np.diag(1.0 / np.sqrt(w)) @ dag(q)
     if phi.kraus is not None:
-        return from_kraus(inv_sqrt @ phi.kraus)
+        return from_kraus(unitalize_kraus_stack([phi.kraus])[0])
+    inv_sqrt = _inverse_sqrt(phi_of_identity(phi))
     r = np.kron(np.eye(phi.in_dim, dtype=np.complex128), inv_sqrt)
     return from_choi(r @ phi.choi @ dag(r), phi.in_dim, phi.out_dim)
+
+
+def unitalize_kraus_stack(families: list) -> list:
+    """``unitalize`` on Kraus families, (L, d, k) arrays of any ranks L that
+    share d and k: K -> S^(-1/2) K with S = Phi(I), the inverse square
+    roots taken as one stack.  Each family gets the operators ``unitalize``
+    gives it alone."""
+    l, d, k = families[0].shape
+    s = np.stack([phi_of_identity(MapRep(in_dim=k, out_dim=d, kraus=ops)) for ops in families])
+    return [r @ ops for r, ops in zip(_inverse_sqrt(s), families)]
+
+
+def _inverse_sqrt(s: np.ndarray) -> np.ndarray:
+    # S^(-1/2) of Phi(I) = S, or of each matrix of a stack of them; S must be
+    # Hermitian positive definite
+    nrm = operator_norms(s)
+    if np.any(operator_norms(s - dag(s)) > 1e-8 * np.maximum(nrm, 1e-300)):
+        raise UnitalizationError("Phi(I) is not Hermitian; cannot unitalize")
+    w, q = np.linalg.eigh((s + dag(s)) / 2.0)
+    singular = w[..., 0] <= 1e-8 * nrm
+    if np.any(singular):
+        raise UnitalizationError(f"Phi(I) is numerically singular (min eigenvalue "
+                                 f"{np.min(w[..., 0]):.3e}); cannot unitalize")
+    return q @ diagonal_stack(1.0 / np.sqrt(w)) @ dag(q)
 
 
 # ---------------------------------------------------------------------------

@@ -97,12 +97,19 @@ def is_normal(c) -> bool:
     c = np.asarray(c, dtype=np.complex128)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         return False
-    scale = _exact_scale(c) if c.size else 1.0
-    if scale != 1.0:
-        c = c * scale
-    nrm = operator_norm(c)
-    u = c / nrm if nrm else c  # C = 0 is normal
-    return operator_norm(u @ dag(u) - dag(u) @ u) <= NORMALITY_TOL
+    return c.size == 0 or bool(normal_mask(c[None])[0])
+
+
+def normal_mask(cs) -> np.ndarray:
+    """``is_normal`` of each matrix of a (T, d, d) stack, d >= 1, each at
+    its own exact prescale."""
+    cs = np.asarray(cs, dtype=np.complex128)
+    e = np.frexp(np.abs(cs).max(axis=(-2, -1)))[1]
+    scale = np.where(np.abs(e) < 500, 1.0, np.ldexp(1.0, -np.maximum(e, -1000)))
+    cs = cs * scale[:, None, None]
+    nrm = operator_norms(cs)
+    u = cs / np.where(nrm > 0, nrm, 1.0)[:, None, None]  # C = 0 is normal
+    return operator_norms(u @ dag(u) - dag(u) @ u) <= NORMALITY_TOL
 
 
 def delta_normal(c) -> DeltaResult:
@@ -240,10 +247,15 @@ def _newton_point(u, sv, vh, lam: complex, zv: complex, s: float,
     e, e' in {1, i}.  Its largest eigenvalue is at most
     2 + 4 (sigma_1^2 + sigma_2^2) s / (sigma_1^2 (sigma_1^2 - sigma_2^2)),
     s the new atom's variance, which rules most calls out before the sum.
+    That bound multiplies squares of f's size, so it is evaluated with f, f2,
+    s, w and g over the power of two nearest f: exact, so the decision is the
+    unscaled one wherever that stays finite, and the products never overflow.
     """
     f, f2 = sv[0] * sv[0], sv[1] * sv[1]
     w2 = zv.real * zv.real + zv.imag * zv.imag
-    if f - 2.0 * w2 / (2.0 + 4.0 * (f + f2) * s / (f * (f - f2))) <= g:
+    r = 2.0 ** -math.frexp(f)[1]
+    fr, f2r = f * r, f2 * r
+    if fr - 2.0 * (w2 * r) / (2.0 + 4.0 * (fr + f2r) * (s * r) / (fr * (fr - f2r))) <= g * r:
         return None  # predicted = f - 2 w^T H^-1 w <= f - 2 |w|^2 / lambda_max(H)
     p = sv[0] * (vh[1:] @ u[:, 0])  # sigma_1 <v_j, u_1>
     q = sv[1:] * (u[:, 1:].conj().T @ vh[0].conj())  # sigma_j <u_j, v_1>

@@ -1,5 +1,6 @@
 """Harness-level checks: defect, bounds, counterexample, trials, proof chain."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -255,6 +256,67 @@ def test_corollary_suite_builds_the_trace_map_once_per_dim(monkeypatch):
 
     a, b = ginibre(5, seed=1), random_ensemble("normal", 5, seed=2)
     assert check_corollary(5, a, b) == check_corollary(5, a, b, trace=normalized_choi_map(5))
+
+
+def test_positive_suite_builds_the_transpose_once_per_dim(monkeypatch):
+    builds = []
+
+    def counted(k):
+        builds.append(k)
+        return transpose_map(k)
+
+    monkeypatch.setattr(harness, "transpose_map", counted)
+    s = run_trials("lemma2", family="positive", dims=(2, 3, 2), trials=9, seed=2)
+    assert sorted(builds) == [2, 3]
+    assert s.trials == 9 and s.violations == 0
+
+
+def test_a_lemma2_trial_draws_no_b(monkeypatch):
+    draws = []
+    real_draw = harness._draw_input
+
+    def counted(kind, dim, rng):
+        draws.append(kind)
+        return real_draw(kind, dim, rng)
+
+    monkeypatch.setattr(harness, "_draw_input", counted)
+    for family in ("cp", "positive"):
+        for t in range(4):
+            draws.clear()
+            drawn = harness._draw(harness._CLAIMS["lemma2"], family, (2, 3), 7, t)
+            assert len(draws) == 1 and drawn.b is None
+    draws.clear()
+    harness._draw(harness._CLAIMS["theorem"], "cp", (2, 3), 7, 0)
+    assert len(draws) == 2
+
+
+def _summary_fields(s):
+    fields = dataclasses.asdict(s)
+    del fields["wall_time_ms"]
+    return fields
+
+
+_SUITES = [(check, family, (2, 3)) for check in ("theorem", "lemma1", "lemma2")
+           for family in ("cp",)]
+_SUITES += [(check, family, (4, 5)) for check in ("theorem", "lemma1")
+            for family in ("choi", "mixed")]
+_SUITES += [("lemma2", family, (2, 3)) for family in ("choi", "mixed", "positive")]
+_SUITES += [("corollary", family, (4, 5)) for family in harness.FAMILIES]
+_SUITES += [("explore", "two-positive", (3,))]
+
+
+@pytest.mark.parametrize("check, family, dims", _SUITES)
+def test_suites_do_not_depend_on_the_block_size(monkeypatch, check, family, dims):
+    summaries = []
+    for block in (1, 5, 64):
+        monkeypatch.setattr(harness, "TRIAL_BLOCK", block)
+        if check == "explore":
+            s = explore_two_positive(13, seed=4, k=dims[0])
+        else:
+            s = run_trials(check, family=family, dims=dims, trials=13, seed=4)
+        summaries.append(_summary_fields(s))
+    assert summaries[0] == summaries[1] == summaries[2]
+    assert summaries[0]["worst_instance"] is not None
 
 
 def test_corollary_rejects_small_k():

@@ -350,6 +350,19 @@ def test_delta_general_brackets_do_not_depend_on_the_scale_of_c(c):
     assert res.value == pytest.approx(operator_norm(c - res.minimizer * np.eye(2)), rel=1e-12)
 
 
+@pytest.mark.parametrize("e", [260, 300, 400])
+def test_newton_guard_stays_finite_at_large_scales(e):
+    # ||C|| ~ 2**e is left unscaled (the spread is below 2**500), so the
+    # Newton guard's products of squared norms would overflow; scaled by a
+    # power of two they stay finite and decide exactly as at scale 1
+    c = ginibre(3, seed=4)
+    base = delta_general(c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = delta_general(c * 2.0**e)
+    assert (res.value, res.certified_gap) == (base.value * 2.0**e, base.certified_gap * 2.0**e)
+
+
 def test_nearly_normal_input_gets_an_honest_bracket():
     # passes is_normal, yet delta = 1e-5 (a scaled nilpotent) while the
     # spectrum is the single point 1
