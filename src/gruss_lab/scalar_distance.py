@@ -104,9 +104,7 @@ def normal_mask(cs) -> np.ndarray:
     """``is_normal`` of each matrix of a (T, d, d) stack, d >= 1, each at
     its own exact prescale."""
     cs = np.asarray(cs, dtype=np.complex128)
-    e = np.frexp(np.abs(cs).max(axis=(-2, -1)))[1]
-    scale = np.where(np.abs(e) < 500, 1.0, np.ldexp(1.0, -np.maximum(e, -1000)))
-    cs = cs * scale[:, None, None]
+    cs = cs * np.array([_exact_scale(c) for c in cs])[:, None, None]
     nrm = operator_norms(cs)
     u = cs / np.where(nrm > 0, nrm, 1.0)[:, None, None]  # C = 0 is normal
     return operator_norms(u @ dag(u) - dag(u) @ u) <= NORMALITY_TOL
