@@ -43,7 +43,8 @@ from .linalg import (
     Matrix,
     as_matrix,
     dag,
-    diagonal_stack,
+    ensemble_sample,
+    ensemble_stack,
     ginibre,
     matrix_to_json,
     operator_norm,
@@ -60,13 +61,13 @@ from .posmap import (
     compose_choi_stack,
     cp_test,
     from_choi,
-    from_kraus,
     is_unital,
     map_to_json,
+    mix_choi_stack,
     n_positivity_search,
     normalized_choi_map,
     transpose_map,
-    unitalize,
+    unital_mask,
     unitalize_kraus_stack,
 )
 from .scalar_distance import DeltaResult, delta, is_normal, normal_mask
@@ -133,8 +134,9 @@ def _pair(phi: MapRep, a, b) -> tuple[Matrix, Matrix]:
     return a, b
 
 
-def _require_unital(phi: MapRep, what: str) -> None:
-    if not is_unital(phi):
+def _require_unital(unital, what: str) -> None:
+    # ``unital``: is_unital of one map, or unital_mask of a stack of them
+    if not np.all(unital):
         raise ContractError(f"{what} requires a unital map (||Phi(I) - I|| > 1e-9)")
 
 
@@ -316,7 +318,7 @@ def check_theorem(phi: MapRep, a, b, viol_tol: float | None = None) -> GrussRepo
     enforced here.  ``viol_tol`` (default 1e-8 (1 + bound)) may be infinite
     or negative, not NaN.
     """
-    _require_unital(phi, "check_theorem")
+    _require_unital(is_unital(phi), "check_theorem")
     _require_viol_tol(viol_tol)
     a, b = _pair(phi, a, b)
     da = delta(a)
@@ -335,7 +337,7 @@ def check_lemma1(phi: MapRep, a, b, known_positivity_order: int | None = None) -
     product of the two self-defects, and the minimal eigenvalue of the 2x2
     block matrix of defects, which must be PSD up to tolerance.
     """
-    _require_unital(phi, "check_lemma1")
+    _require_unital(is_unital(phi), "check_lemma1")
     if known_positivity_order is None:
         if cp_test(phi).status != CERTIFIED_CP:
             raise ContractError(
@@ -360,7 +362,7 @@ def check_lemma2(phi: MapRep, a, require_normal: bool = True,
     rank-1 witness search (seed 0) unless ``known_positive`` says the caller
     already guarantees it (e.g. the map is a composition of positive maps).
     """
-    _require_unital(phi, "check_lemma2")
+    _require_unital(is_unital(phi), "check_lemma2")
     a = as_matrix(a, square=True)
     if require_normal:
         if not is_normal(a):
@@ -439,7 +441,7 @@ def proof_chain(phi: MapRep, a, b, m: int) -> dict:
     b = as_matrix(b, square=True)
     if not is_normal(b):
         raise ContractError("proof_chain needs a normal B")
-    _require_unital(phi, "proof_chain")
+    _require_unital(is_unital(phi), "proof_chain")
     if cp_test(phi).status != CERTIFIED_CP:
         raise ContractError("proof_chain needs a certified CP map")
 
@@ -514,18 +516,9 @@ class _Draw:
     kraus: np.ndarray | None
     #: positive family: compose(cp, transpose) rather than compose(transpose, cp)
     flip: bool
-    #: (kind, Ginibre sample, eigenvalues of a normal kind) of A and of B
+    #: the ensemble_sample of A and of B
     a: tuple
     b: tuple | None
-
-
-def _draw_input(kind: str, dim: int, rng: np.random.Generator) -> tuple:
-    # the numbers random_ensemble(kind, dim, rng) draws, in its order
-    g = ginibre(dim, rng)
-    z = None
-    if kind == "normal":
-        z = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / np.sqrt(2.0)
-    return kind, g, z
 
 
 def _draw(claim: _Claim, family: str, dims: tuple, seed: int, t: int) -> _Draw:
@@ -544,27 +537,15 @@ def _draw(claim: _Claim, family: str, dims: tuple, seed: int, t: int) -> _Draw:
         kind_a = _NORMAL_KINDS[t % 2]
     else:
         kind_a = _INPUT_KINDS[t % 3]
-    a = _draw_input(kind_a, dim, rng)
-    b = _draw_input(_INPUT_KINDS[(t // 3) % 3], dim, rng) if claim.pair else None
+    a = ensemble_sample(kind_a, dim, rng)
+    b = ensemble_sample(_INPUT_KINDS[(t // 3) % 3], dim, rng) if claim.pair else None
     return _Draw(dim, family, weight, kraus, flip, a, b)
 
 
-def _inputs(draws: list) -> np.ndarray:
-    """The (T, k, k) stack of drawn inputs: random_ensemble's matrix for
-    each draw, scaled down to norm _INPUT_NORM_CAP where it is larger."""
-    kinds = np.array([kind for kind, _, _ in draws])
-    x = np.stack([g for _, g, _ in draws])
-    herm = kinds == "hermitian"
-    x[herm] = (x[herm] + dag(x[herm])) / 2.0
-    normal = np.flatnonzero(kinds == "normal")
-    if normal.size:
-        # Q diag(z) Q* with Haar Q: the QR factor of the sample, with the
-        # phases of diag(R) pushed into it
-        q, r = np.linalg.qr(x[normal])
-        ph = np.diagonal(r, axis1=-2, axis2=-1)
-        ph = np.where(np.abs(ph) < 1e-300, 1.0, ph / np.abs(ph))
-        q = q * ph[:, None, :]
-        x[normal] = q @ diagonal_stack(np.stack([draws[i][2] for i in normal])) @ dag(q)
+def _inputs(samples: list) -> np.ndarray:
+    """The (T, k, k) stack of drawn inputs: the matrices of their samples,
+    each scaled down to norm _INPUT_NORM_CAP where it is larger."""
+    x = ensemble_stack(samples)
     nrm = operator_norms(x)
     big = nrm > _INPUT_NORM_CAP
     x[big] = x[big] * (_INPUT_NORM_CAP / nrm[big])[:, None, None]
@@ -597,18 +578,16 @@ def _choi_maps(draws: list, fixed: dict) -> np.ndarray:
         j4[families == "choi"] = trace
     rows = np.flatnonzero(families != "choi")
     if rows.size:
-        # the random unital CP map, unitalized in Kraus form as
-        # random_unital_cp does, and mixed as mix does
-        cp = np.stack([choi_matrix(MapRep(in_dim=dim, out_dim=dim, kraus=ops))
-                       for ops in unitalize_kraus_stack([draws[i].kraus for i in rows])])
-        cp = cp.reshape(-1, dim, dim, dim, dim)
+        # the random unital CP map that random_unital_cp builds from the
+        # drawn Kraus family, in Choi form
+        cp = np.stack([choi_matrix(phi)
+                       for phi in unitalize_kraus_stack([draws[i].kraus for i in rows])])
         mixed = families[rows] == "mixed"
         if mixed.any():
-            w = np.array([draws[i].weight for i in rows[mixed]])[:, None, None, None, None]
-            j = np.zeros(cp[mixed].shape, dtype=np.complex128)
-            j += w * trace
-            j += (1.0 - w) * cp[mixed]
-            j4[rows[mixed]] = j
+            w = np.array([draws[i].weight for i in rows[mixed]])
+            j = mix_choi_stack([trace.reshape(dim * dim, dim * dim), cp[mixed]], [w, 1.0 - w])
+            j4[rows[mixed]] = j.reshape(-1, dim, dim, dim, dim)
+        cp = cp.reshape(-1, dim, dim, dim, dim)
         positive = families[rows] == "positive"
         flip = np.array([draws[i].flip for i in rows])
         t4 = fixed.get(("transpose", dim))
@@ -619,13 +598,6 @@ def _choi_maps(draws: list, fixed: dict) -> np.ndarray:
         if before.any():
             j4[rows[before]] = compose_choi_stack(cp[before], t4)
     return j4
-
-
-def _require_unital_stack(j4: np.ndarray, what: str) -> None:
-    # is_unital on each map of a (T, k, k, k, k) Choi stack
-    eye = np.eye(j4.shape[-1], dtype=np.complex128)
-    if np.any(operator_norms(apply_choi_stack(j4, eye[None])[:, 0] - eye) > 1e-9):
-        raise ContractError(f"{what} requires a unital map (||Phi(I) - I|| > 1e-9)")
 
 
 @dataclass
@@ -663,7 +635,9 @@ def _group(claim: _Claim, draws: list, rows: list, fixed: dict) -> _Group:
     if claim.normal_a and not normal_mask(a).all():
         raise ContractError(f"check {claim.name!r} needs a normal A on maps that are not CP")
     group.choi = _choi_maps(draws, fixed)
-    _require_unital_stack(group.choi, f"check {claim.name!r}")
+    eye = np.eye(group.choi.shape[-1], dtype=np.complex128)
+    _require_unital(unital_mask(apply_choi_stack(group.choi, eye[None])[:, 0]),
+                    f"check {claim.name!r}")
     group.images = apply_choi_stack(group.choi, group.inputs)
     return group
 
@@ -674,8 +648,8 @@ def _trial_step(claim: _Claim, group: _Group, i: int) -> tuple:
     takes one call per matrix."""
     phi = images = None
     if group.kraus is not None:
-        phi = unitalize(from_kraus(group.kraus[i]))
-        _require_unital(phi, f"check {claim.name!r}")
+        phi = unitalize_kraus_stack([group.kraus[i]])[0]
+        _require_unital(is_unital(phi), f"check {claim.name!r}")
         if claim.certifies_cp and cp_test(phi).status != CERTIFIED_CP:
             raise ContractError(f"check {claim.name!r} needs a certified CP map")
         images = apply(phi, group.inputs[i])
@@ -727,17 +701,20 @@ def _validate_trial_config(check: str, family: str, dims, viol_tol: float | None
         raise ContractError(f"dims must all be >= 2, got {dims}")
     if any(int(d) > MAX_DIM for d in dims):
         raise ContractError(f"dims must all be <= MAX_DIM = {MAX_DIM}, got {dims}")
-    # None = CP counts as infinite order; the corollary draws the trace-type
-    # map whatever the family
-    claim = _CLAIMS[check]
-    drawn = claim.families[0] if claim.families else family
-    bad = [d for d in dims if (_known_order(drawn, d) or math.inf) < claim.order]
-    if bad:
-        raise ContractError(f"check {check!r} needs positivity order >= {claim.order}; family "
-                            f"{drawn!r} has a lower order at dims {bad}")
+    _require_order(f"check {check!r}", _CLAIMS[check], family, dims)
     if viol_tol is not None and check != "theorem":
         raise ContractError(f"viol_tol applies to check 'theorem' only, not {check!r}")
     _require_viol_tol(viol_tol)
+
+
+def _require_order(what: str, claim: _Claim, family: str, dims) -> None:
+    # every family the claim draws must have the claim's positivity order at
+    # every dim; None = CP counts as infinite order
+    for drawn in claim.families or (family,):
+        bad = [d for d in dims if (_known_order(drawn, d) or math.inf) < claim.order]
+        if bad:
+            raise ContractError(f"{what} needs positivity order >= {claim.order}; family "
+                                f"{drawn!r} has a lower order at dims {bad}")
 
 
 def _known_order(family: str, dim: int) -> int | None:
@@ -832,8 +809,8 @@ def explore_two_positive(trials: int, seed: int = 0, k: int = 3) -> TrialSummary
     this is evidence gathering, not a verdict.  The worst instance is the
     trial of largest ratio; ``worst_margin`` is the smallest bound - defect.
     """
-    if k < 3:
-        raise ContractError(f"explore_two_positive needs k >= 3, got {k}")
     if k > MAX_DIM:
         raise ContractError(f"explore_two_positive needs k <= MAX_DIM = {MAX_DIM}, got {k}")
+    # the trace-type map is 2-positive from k = 3
+    _require_order("explore_two_positive", _CLAIMS["explore"], "two-positive", (k,))
     return _run_suite("explore", "two-positive", (k,), trials, seed)

@@ -84,50 +84,76 @@ def ginibre(dim: int, seed=0, shape: tuple = ()) -> Matrix:
     return (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / np.sqrt(2.0)
 
 
-def haar_unitary(dim: int, seed=0) -> Matrix:
-    """Haar-distributed unitary via QR of a Ginibre sample.
+#: the kinds of ``random_ensemble``
+ENSEMBLES = ("ginibre", "haar_unitary", "hermitian", "normal")
 
-    The QR factor is made unique by pushing the phases of diag(R) into Q,
-    which is what makes the distribution Haar.
-    """
-    g = ginibre(dim, seed)
+
+def ensemble_sample(kind: str, dim: int, seed=0) -> tuple:
+    """The random numbers ``random_ensemble(kind, dim, seed)`` draws, in its
+    order, as ``(kind, G, z)``: a Ginibre sample G, then for the normal kind
+    the complex Gaussian eigenvalues z (None for the other kinds)."""
+    if dim < 1:
+        raise ContractError(f"ensemble dimension must be >= 1, got {dim}")
+    if kind not in ENSEMBLES:
+        raise ContractError(f"unknown ensemble {kind!r}; expected one of {sorted(ENSEMBLES)}")
+    rng = _rng(seed)
+    g = ginibre(dim, rng)
+    z = None
+    if kind == "normal":
+        z = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / np.sqrt(2.0)
+    return kind, g, z
+
+
+def _haar_from_ginibre(g: np.ndarray) -> np.ndarray:
+    # the QR factor of each sample, made unique by pushing the phases of
+    # diag(R) into Q, which is what makes the distribution Haar
     q, r = np.linalg.qr(g)
-    ph = np.diagonal(r).copy()
+    ph = np.diagonal(r, axis1=-2, axis2=-1)
     ph = np.where(np.abs(ph) < 1e-300, 1.0, ph / np.abs(ph))
-    return q * ph
+    return q * ph[..., None, :]
+
+
+def ensemble_stack(samples) -> np.ndarray:
+    """The (T, n, n) stack of the matrices that ``random_ensemble`` builds
+    from T samples of ``ensemble_sample`` (of any kinds, one n): G for
+    ginibre, (G + G*)/2 for hermitian, the Haar unitary Q of G's QR for
+    haar_unitary, and Q diag(z) Q* for normal.  Each kind is built as one
+    stack, and each matrix gets the bits it gets alone."""
+    kinds = np.array([kind for kind, _, _ in samples])
+    x = np.stack([g for _, g, _ in samples])
+    herm = np.flatnonzero(kinds == "hermitian")
+    if herm.size:
+        x[herm] = (x[herm] + dag(x[herm])) / 2.0
+    haar = np.flatnonzero(kinds == "haar_unitary")
+    if haar.size:
+        x[haar] = _haar_from_ginibre(x[haar])
+    normal = np.flatnonzero(kinds == "normal")
+    if normal.size:
+        q = _haar_from_ginibre(x[normal])
+        z = np.stack([samples[i][2] for i in normal])
+        x[normal] = q @ diagonal_stack(z) @ dag(q)
+    return x
+
+
+def random_ensemble(kind: str, dim: int, seed=0) -> Matrix:
+    """Draw one matrix from a named ensemble (one of ``ENSEMBLES``),
+    deterministically in ``seed``: the one-matrix case of ``ensemble_stack``."""
+    return ensemble_stack([ensemble_sample(kind, dim, seed)])[0]
+
+
+def haar_unitary(dim: int, seed=0) -> Matrix:
+    """Haar-distributed unitary via QR of a Ginibre sample."""
+    return random_ensemble("haar_unitary", dim, seed)
 
 
 def random_hermitian(dim: int, seed=0) -> Matrix:
     """Hermitian sample (G + G*)/2; Hermitian exactly, entry by entry."""
-    g = ginibre(dim, seed)
-    return (g + dag(g)) / 2.0
+    return random_ensemble("hermitian", dim, seed)
 
 
 def random_normal(dim: int, seed=0) -> Matrix:
     """Normal sample Q diag(z) Q* with Haar Q and complex Gaussian z."""
-    rng = _rng(seed)
-    q = haar_unitary(dim, rng)
-    z = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / np.sqrt(2.0)
-    return q @ np.diag(z) @ dag(q)
-
-
-_ENSEMBLES = {
-    "ginibre": ginibre,
-    "haar_unitary": haar_unitary,
-    "hermitian": random_hermitian,
-    "normal": random_normal,
-}
-
-
-def random_ensemble(kind: str, dim: int, seed=0) -> Matrix:
-    """Draw one matrix from a named ensemble, deterministically in ``seed``."""
-    if dim < 1:
-        raise ContractError(f"ensemble dimension must be >= 1, got {dim}")
-    try:
-        sampler = _ENSEMBLES[kind]
-    except KeyError:
-        raise ContractError(f"unknown ensemble {kind!r}; expected one of {sorted(_ENSEMBLES)}") from None
-    return sampler(dim, seed)
+    return random_ensemble("normal", dim, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,8 @@ WITNESS_TOL = 1e-8
 CHOI_PSD_TOL = 1e-9
 #: relative cutoff below which Choi eigenvalues are dropped in Kraus recovery
 KRAUS_CUTOFF = 1e-11
+#: a map is unital when ||Phi(I) - I|| <= UNITAL_TOL
+UNITAL_TOL = 1e-9
 #: relative cutoff below which Schmidt coefficients are dropped from a witness
 _SCHMIDT_REL_TOL = 1e-12
 #: largest dimension that a builtin map, a trial suite or the explorer
@@ -210,6 +212,13 @@ def apply_choi_stack(j4: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.einsum("...sij,...iajb->...sab", xs, j4)
 
 
+def unital_mask(images_of_identity: np.ndarray) -> np.ndarray:
+    """Whether ||Phi(I) - I|| <= UNITAL_TOL, for Phi(I) or for each of a
+    (..., d, d) stack of them (from ``apply_choi_stack`` on the identity)."""
+    eye = np.eye(images_of_identity.shape[-1])
+    return operator_norms(images_of_identity - eye) <= UNITAL_TOL
+
+
 def amplify(phi: MapRep, n: int) -> MapRep:
     """The blockwise amplification Phi_n on M_n(M_k) ~ M_{nk}."""
     if n < 1:
@@ -254,12 +263,20 @@ def mix(maps, weights) -> MapRep:
     if len(maps) != len(weights) or not maps:
         raise ContractError("mix needs equally many maps and weights, at least one")
     k, d = maps[0].in_dim, maps[0].out_dim
-    j = np.zeros((k * d, k * d), dtype=np.complex128)
-    for phi, w in zip(maps, weights):
-        if (phi.in_dim, phi.out_dim) != (k, d):
-            raise DimensionError("mixed maps must share dimensions")
-        j += w * choi_matrix(phi)
-    return from_choi(j, k, d)
+    if any((phi.in_dim, phi.out_dim) != (k, d) for phi in maps):
+        raise DimensionError("mixed maps must share dimensions")
+    return from_choi(mix_choi_stack([choi_matrix(phi) for phi in maps], weights), k, d)
+
+
+def mix_choi_stack(chois, weights) -> np.ndarray:
+    """The Choi matrix sum_m w_m J_m of a mixture, or a stack of them: each
+    J_m is one Choi matrix or a (T, N, N) stack, each w_m a number or a
+    (T,) array, and leading axes broadcast, so one map may be mixed with a
+    stack.  Terms are added in order, as ``mix`` adds them."""
+    j = np.zeros(np.broadcast_shapes(*(np.shape(c) for c in chois)), dtype=np.complex128)
+    for c, w in zip(chois, weights):
+        j += np.asarray(w, dtype=np.float64)[..., None, None] * c
+    return j
 
 
 def phi_of_identity(phi: MapRep) -> Matrix:
@@ -267,7 +284,8 @@ def phi_of_identity(phi: MapRep) -> Matrix:
 
 
 def is_unital(phi: MapRep) -> bool:
-    return operator_norm(phi_of_identity(phi) - np.eye(phi.out_dim)) <= 1e-9
+    """||Phi(I) - I|| <= UNITAL_TOL: the one-map case of ``unital_mask``."""
+    return bool(unital_mask(phi_of_identity(phi)))
 
 
 def unitalize(phi: MapRep) -> MapRep:
@@ -277,20 +295,20 @@ def unitalize(phi: MapRep) -> MapRep:
     positivity (on Kraus maps it acts by K_i -> S^(-1/2) K_i).
     """
     if phi.kraus is not None:
-        return from_kraus(unitalize_kraus_stack([phi.kraus])[0])
+        return unitalize_kraus_stack([phi.kraus])[0]
     inv_sqrt = _inverse_sqrt(phi_of_identity(phi))
     r = np.kron(np.eye(phi.in_dim, dtype=np.complex128), inv_sqrt)
     return from_choi(r @ phi.choi @ dag(r), phi.in_dim, phi.out_dim)
 
 
-def unitalize_kraus_stack(families: list) -> list:
-    """``unitalize`` on Kraus families, (L, d, k) arrays of any ranks L that
-    share d and k: K -> S^(-1/2) K with S = Phi(I), the inverse square
-    roots taken as one stack.  Each family gets the operators ``unitalize``
-    gives it alone."""
-    l, d, k = families[0].shape
-    s = np.stack([phi_of_identity(MapRep(in_dim=k, out_dim=d, kraus=ops)) for ops in families])
-    return [r @ ops for r, ops in zip(_inverse_sqrt(s), families)]
+def unitalize_kraus_stack(families: list) -> list[MapRep]:
+    """The unital maps, in Kraus form, of Kraus families given as (L, d, k)
+    arrays of any ranks L that share d and k: K -> S^(-1/2) K with
+    S = Phi(I), the inverse square roots taken as one stack.  The Kraus case
+    of ``unitalize``, and of ``random_unital_cp``, is its one-family case."""
+    maps = [from_kraus(ops) for ops in families]
+    s = np.stack([phi_of_identity(phi) for phi in maps])
+    return [from_kraus(r @ phi.kraus) for r, phi in zip(_inverse_sqrt(s), maps)]
 
 
 def _inverse_sqrt(s: np.ndarray) -> np.ndarray:
@@ -351,7 +369,7 @@ def random_unital_cp(k: int, kraus_rank: int, seed=0) -> MapRep:
     """Unitalization of a random Ginibre Kraus family on M_k."""
     if kraus_rank < 1:
         raise ContractError("kraus_rank must be >= 1")
-    return unitalize(from_kraus(ginibre(k, seed, (kraus_rank,))))
+    return unitalize_kraus_stack([ginibre(k, seed, (kraus_rank,))])[0]
 
 
 _BUILTINS = {

@@ -25,6 +25,7 @@ from gruss_lab import (
     harness,
     identity_map,
     map_from_json,
+    map_to_json,
     matrix_from_json,
     mix,
     normalized_choi_map,
@@ -273,13 +274,13 @@ def test_positive_suite_builds_the_transpose_once_per_dim(monkeypatch):
 
 def test_a_lemma2_trial_draws_no_b(monkeypatch):
     draws = []
-    real_draw = harness._draw_input
+    real_draw = harness.ensemble_sample
 
     def counted(kind, dim, rng):
         draws.append(kind)
         return real_draw(kind, dim, rng)
 
-    monkeypatch.setattr(harness, "_draw_input", counted)
+    monkeypatch.setattr(harness, "ensemble_sample", counted)
     for family in ("cp", "positive"):
         for t in range(4):
             draws.clear()
@@ -288,6 +289,53 @@ def test_a_lemma2_trial_draws_no_b(monkeypatch):
     draws.clear()
     harness._draw(harness._CLAIMS["theorem"], "cp", (2, 3), 7, 0)
     assert len(draws) == 2
+
+
+def _public_trial(check, family, dims, seed, t):
+    # trial t's map and inputs built one at a time by the public samplers,
+    # from the trial's generator in the engine's draw order
+    rng = harness._trial_rng(seed, t)
+    dim = dims[t % len(dims)]
+    claim = harness._CLAIMS[check]
+    if claim.families is not None:
+        family = claim.families[t % len(claim.families)]
+    w = float(rng.uniform(0.0, 1.0)) if family == "mixed" else None
+    cp = None
+    if family != "choi":
+        cp = random_unital_cp(dim, int(rng.integers(1, dim * dim + 1)), rng)
+    phi = {"cp": lambda: cp, "choi": lambda: normalized_choi_map(dim),
+           "mixed": lambda: mix([normalized_choi_map(dim), cp], [w, 1.0 - w]),
+           "positive": lambda: (compose(transpose_map(dim), cp) if rng.integers(2) == 0
+                                else compose(cp, transpose_map(dim)))}[family]()
+    kind_a = (("hermitian", "normal")[t % 2] if claim.normal_a and family != "cp"
+              else ("ginibre", "hermitian", "normal")[t % 3])
+    inputs = [random_ensemble(kind_a, dim, rng)]
+    if claim.pair:
+        inputs.append(random_ensemble(("ginibre", "hermitian", "normal")[(t // 3) % 3], dim, rng))
+    for n, x in enumerate(inputs):
+        nrm = operator_norm(x)
+        if nrm > harness._INPUT_NORM_CAP:
+            inputs[n] = x * (harness._INPUT_NORM_CAP / nrm)
+    return phi, inputs
+
+
+@pytest.mark.parametrize("check, family, dims", [
+    ("theorem", "cp", (2, 3)), ("lemma2", "positive", (2, 3)), ("lemma2", "mixed", (2, 3)),
+    ("theorem", "choi", (4, 5)), ("explore", "two-positive", (3,))])
+def test_a_block_builds_what_the_public_samplers_build(check, family, dims):
+    # the engine's stacked maps and inputs equal, bit for bit, the one-trial
+    # builds of random_unital_cp, mix, compose and random_ensemble
+    claim = harness._CLAIMS[check]
+    fixed = harness._fixed_maps(claim, family, dims)
+    _, groups = harness._run_block(claim, family, dims, fixed, 7, range(12), None)
+    for group in groups:
+        for i, t in enumerate(group.rows):
+            phi, inputs = _public_trial(check, family, dims, 7, t)
+            assert map_to_json(group.map(i)) == map_to_json(phi)
+            built = [group.a[i]] + ([] if group.b is None else [group.b[i]])
+            assert len(built) == len(inputs)
+            for x, y in zip(built, inputs):
+                assert np.array_equal(x, y)
 
 
 def _summary_fields(s):

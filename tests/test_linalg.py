@@ -16,6 +16,7 @@ from gruss_lab import (
     operator_norm,
     random_ensemble,
 )
+from gruss_lab.linalg import ENSEMBLES, ensemble_sample, ensemble_stack
 
 
 def test_adjoint_conjugates():
@@ -85,6 +86,15 @@ def test_random_ensembles():
 
     with pytest.raises(ContractError):
         random_ensemble("bogus", 3, seed=0)
+
+
+def test_an_ensemble_stack_builds_each_sample_as_random_ensemble_does():
+    # kinds interleaved, so each kind's rows are a strided part of the stack
+    kinds = [ENSEMBLES[n % 4] for n in range(11)]
+    samples = [ensemble_sample(kind, 3, seed=40 + n) for n, kind in enumerate(kinds)]
+    stack = ensemble_stack(samples)
+    for n, kind in enumerate(kinds):
+        assert np.array_equal(stack[n], random_ensemble(kind, 3, seed=40 + n))
 
 
 def test_matrix_json_roundtrip():

@@ -45,7 +45,13 @@ from gruss_lab import (
     unitary_conj,
     witness_vector,
 )
-from gruss_lab.posmap import WITNESS_TOL
+from gruss_lab.posmap import (
+    WITNESS_TOL,
+    apply_choi_stack,
+    mix_choi_stack,
+    unital_mask,
+    unitalize_kraus_stack,
+)
 
 
 def _basis_matrix(k, i, j):
@@ -496,6 +502,33 @@ def test_random_unital_cp_is_unital_cp():
     phi = random_unital_cp(3, 4, seed=101)
     assert operator_norm(apply(phi, np.eye(3)) - np.eye(3)) <= 1e-10
     assert cp_test(phi).status == CERTIFIED_CP
+
+
+def test_unitalizing_a_stack_of_families_matches_one_family_at_a_time():
+    # ragged Kraus ranks, each family its own generator as random_unital_cp draws it
+    ranks = (1, 4, 2, 9)
+    families = [ginibre(3, seed, (rank,)) for seed, rank in enumerate(ranks)]
+    for seed, (rank, phi) in enumerate(zip(ranks, unitalize_kraus_stack(families))):
+        assert np.array_equal(phi.kraus, random_unital_cp(3, rank, seed=seed).kraus)
+
+
+def test_a_stacked_mix_matches_mix_map_by_map():
+    trace = normalized_choi_map(3)
+    cps = [random_unital_cp(3, 2, seed=s) for s in range(5)]
+    w = np.linspace(0.1, 0.9, 5)
+    stack = mix_choi_stack([choi_matrix(trace), np.stack([choi_matrix(c) for c in cps])],
+                           [w, 1.0 - w])
+    for n, cp in enumerate(cps):
+        assert np.array_equal(stack[n], choi_matrix(mix([trace, cp], [w[n], 1.0 - w[n]])))
+
+
+def test_the_unital_mask_is_is_unital_map_by_map():
+    maps = [normalized_choi_map(3), choi_map(3), to_choi(random_unital_cp(3, 2, seed=1)),
+            mix([normalized_choi_map(3), choi_map(3)], [0.5, 0.5])]
+    eye = np.eye(3, dtype=complex)
+    j4 = np.stack([choi_matrix(phi).reshape(3, 3, 3, 3) for phi in maps])
+    mask = unital_mask(apply_choi_stack(j4, eye[None])[:, 0])
+    assert mask.tolist() == [is_unital(phi) for phi in maps] == [True, False, True, False]
 
 
 def test_positivity_preservation_on_psd_inputs():
