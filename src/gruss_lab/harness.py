@@ -480,8 +480,9 @@ def proof_chain(phi: MapRep, a, b, m: int) -> dict:
 # drawn again on its own: the driver replays the worst trial to report it.
 # Trials run in blocks.  Within a block, the random numbers are drawn trial
 # by trial; the maps, the inputs, the checks on them, Phi and the norms are
-# stacked kernels, one stack per dimension; delta, and everything about a
-# Kraus-form map, is a per-trial step.
+# stacked kernels, one stack per dimension; delta is a per-trial step.  A
+# trial of Kraus-form maps (the cp family) is a per-trial step from its draw
+# on, since drawing and applying its Kraus family is most of its work.
 
 
 def _thread_count() -> int:
@@ -610,12 +611,11 @@ class _Group:
     b: np.ndarray | None
     #: the (T, S, k, k) inputs the claim maps
     inputs: np.ndarray
-    #: Choi-form maps as a (T, k, k, k, k) stack, with their images
+    #: Choi-form maps as a (T, k, k, k, k) stack
     choi: np.ndarray | None = None
+    #: the (T, S, d, d) images of the inputs
     images: np.ndarray | None = None
-    #: Kraus-form maps: their Ginibre families, then the maps the
-    #: per-trial step builds from them
-    kraus: list | None = None
+    #: Kraus-form maps, one per trial
     maps: list | None = None
 
     def map(self, i: int) -> MapRep:
@@ -626,12 +626,10 @@ class _Group:
 
 
 def _group(claim: _Claim, draws: list, rows: list, fixed: dict) -> _Group:
+    # the stacks of drawn trials of Choi-form maps
     a = _inputs([dr.a for dr in draws])
     b = _inputs([dr.b for dr in draws]) if claim.pair else None
     group = _Group(rows, a, b, claim.inputs(a, b))
-    if draws[0].family == "cp":
-        group.kraus = [dr.kraus for dr in draws]
-        return group
     if claim.normal_a and not normal_mask(a).all():
         raise ContractError(f"check {claim.name!r} needs a normal A on maps that are not CP")
     group.choi = _choi_maps(draws, fixed)
@@ -642,53 +640,78 @@ def _group(claim: _Claim, draws: list, rows: list, fixed: dict) -> _Group:
     return group
 
 
-def _trial_step(claim: _Claim, group: _Group, i: int) -> tuple:
-    """Trial i of a group, as far as it is not stacked: a Kraus-form map is
-    unitalized, checked and applied, one map per apply call, and delta
-    takes one call per matrix."""
-    phi = images = None
-    if group.kraus is not None:
-        phi = unitalize_kraus_stack([group.kraus[i]])[0]
-        _require_unital(is_unital(phi), f"check {claim.name!r}")
-        if claim.certifies_cp and cp_test(phi).status != CERTIFIED_CP:
-            raise ContractError(f"check {claim.name!r} needs a certified CP map")
-        images = apply(phi, group.inputs[i])
-    deltas = ()
-    if claim.uses_delta:
-        deltas = tuple(delta(x[i]).value for x in (group.a, group.b) if x is not None)
-    return phi, images, deltas
+def _deltas(claim: _Claim, group: _Group, i: int) -> tuple:
+    # delta of trial i's inputs, one call per matrix
+    if not claim.uses_delta:
+        return ()
+    return tuple(delta(x[i]).value for x in (group.a, group.b) if x is not None)
+
+
+def _kraus_trial(claim: _Claim, family: str, dims: tuple, seed: int, t: int) -> tuple:
+    """Trial t of Kraus-form maps as one per-trial step: its draw, its
+    inputs, its unital CP map, checked, the images of its inputs in one
+    apply call, and delta; as a one-trial group and the delta values."""
+    dr = _draw(claim, family, dims, seed, t)
+    a = _inputs([dr.a])
+    b = _inputs([dr.b]) if claim.pair else None
+    phi = unitalize_kraus_stack([dr.kraus])[0]
+    _require_unital(is_unital(phi), f"check {claim.name!r}")
+    if claim.certifies_cp and cp_test(phi).status != CERTIFIED_CP:
+        raise ContractError(f"check {claim.name!r} needs a certified CP map")
+    group = _Group([0], a, b, claim.inputs(a, b), maps=[phi])
+    group.images = apply(phi, group.inputs[0])[None]
+    return group, _deltas(claim, group, 0)
+
+
+def _joined(rows: list, parts: list) -> _Group:
+    # one-trial groups of Kraus-form maps as the group of ``rows``
+    def stack(xs):
+        return None if xs[0] is None else np.concatenate(xs)
+
+    return _Group(rows, stack([g.a for g in parts]), stack([g.b for g in parts]),
+                  stack([g.inputs for g in parts]), images=stack([g.images for g in parts]),
+                  maps=[g.maps[0] for g in parts])
 
 
 def _run_block(claim: _Claim, family: str, dims: tuple, fixed: dict, seed: int, ts,
                viol_tol: float | None, pooled: bool = True) -> tuple[dict, list]:
     """Trials ``ts`` as one block: their evaluations (arrays in ``ts``
-    order) and the block's groups.  The per-trial steps of a pooled block
-    run through ``_map_over_trials``."""
-    draws = [_draw(claim, family, dims, seed, t) for t in ts]
-    groups = []
-    for dim in dict.fromkeys(dr.dim for dr in draws):
-        rows = [n for n, dr in enumerate(draws) if dr.dim == dim]
-        groups.append(_group(claim, [draws[n] for n in rows], rows, fixed))
-    slots = [(group, i) for group in groups for i in range(len(group.rows))]
+    order) and the block's groups, one per dimension.  The per-trial steps
+    of a pooled block run through ``_map_over_trials``, one step per trial:
+    a whole trial of Kraus-form maps (``_kraus_trial``), else delta."""
+    ts = list(ts)
+    by_dim = {}
+    for n, t in enumerate(ts):
+        by_dim.setdefault(dims[t % len(dims)], []).append(n)
+    kraus_form = (claim.families or (family,)) == ("cp",)
+    if kraus_form:
+        order = [ts[n] for rows in by_dim.values() for n in rows]
 
-    def trial(n: int):
-        return _trial_step(claim, *slots[n])
+        def trial(n: int):
+            return _kraus_trial(claim, family, dims, seed, order[n])
+    else:
+        draws = [_draw(claim, family, dims, seed, t) for t in ts]
+        groups = [_group(claim, [draws[n] for n in rows], rows, fixed)
+                  for rows in by_dim.values()]
+        slots = [(group, i) for group in groups for i in range(len(group.rows))]
+
+        def trial(n: int):
+            return None, _deltas(claim, *slots[n])
 
     if pooled:
-        steps = iter(_map_over_trials(trial, len(slots), _thread_count()))
+        steps = iter(_map_over_trials(trial, len(ts), _thread_count()))
     else:
-        steps = (trial(n) for n in range(len(slots)))
-    out = {}
-    for group in groups:
-        done = [next(steps) for _ in group.rows]
-        if group.kraus is not None:
-            group.maps = [phi for phi, _, _ in done]
-            group.images = np.stack([images for _, images, _ in done])
-        deltas = tuple(np.array(values) for values in zip(*(ds for _, _, ds in done)))
+        steps = (trial(n) for n in range(len(ts)))
+    out, built = {}, []
+    for g, rows in enumerate(by_dim.values()):
+        parts, done = zip(*(next(steps) for _ in rows))
+        group = _joined(rows, parts) if kraus_form else groups[g]
+        built.append(group)
+        deltas = tuple(np.array(values) for values in zip(*done))
         for key, value in claim.evaluate(group.images, group.a, group.b, deltas,
                                          viol_tol).items():
-            out.setdefault(key, np.empty(len(draws), dtype=value.dtype))[group.rows] = value
-    return out, groups
+            out.setdefault(key, np.empty(len(ts), dtype=value.dtype))[rows] = value
+    return out, built
 
 
 def _validate_trial_config(check: str, family: str, dims, viol_tol: float | None) -> None:
