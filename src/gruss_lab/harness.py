@@ -402,7 +402,7 @@ def reproduce_counterexample() -> CounterexampleReport:
                                 inequality_fails=bool(defect > bound))
 
 
-def check_corollary(k: int, a, b, trace: MapRep | None = None) -> dict:
+def check_corollary(k: int, a, b) -> dict:
     """Explicit matrix inequality induced by the normalized trace-type map.
 
     lhs = ||(k^2-k-1) tr(AB) I - k AB - (k-1) tr(A) tr(B) I
@@ -410,13 +410,12 @@ def check_corollary(k: int, a, b, trace: MapRep | None = None) -> dict:
     rhs = (k^2-k-1)^2/(k-1) * delta(A) * delta(B)
 
     and the bracket identity: (k-1)/(k^2-k-1)^2 times the bracketed matrix
-    equals Phi(AB) - Phi(A)Phi(B) for Phi = normalized_choi_map(k), which
-    is built here unless the caller passes it as ``trace``.  Needs k >= 4 so
-    the map is at least 3-positive.
+    equals Phi(AB) - Phi(A)Phi(B) for Phi = normalized_choi_map(k).  Needs
+    k >= 4 so the map is at least 3-positive.
     """
     if k < 4:
         raise ContractError(f"corollary check needs k >= 4 (map must be 3-positive), got {k}")
-    phi = normalized_choi_map(k) if trace is None else trace
+    phi = normalized_choi_map(k)
     a, b = _pair(phi, a, b)
     res = _check_one(_CLAIMS["corollary"], phi, a, b, (delta(a).value, delta(b).value))
     return {key: res[key] for key in ("lhs", "rhs", "formula_residual", "ok", "formula_ok")}
@@ -480,9 +479,9 @@ def proof_chain(phi: MapRep, a, b, m: int) -> dict:
 # drawn again on its own: the driver replays the worst trial to report it.
 # Trials run in blocks.  Within a block, the random numbers are drawn trial
 # by trial; the maps, the inputs, the checks on them, Phi and the norms are
-# stacked kernels, one stack per dimension; delta is a per-trial step.  A
-# trial of Kraus-form maps (the cp family) is a per-trial step from its draw
-# on, since drawing and applying its Kraus family is most of its work.
+# built per dimension, as stacked kernels (Kraus-form maps are unitalized as
+# one stack, then checked and applied map by map); delta is the per-trial
+# step, the only one the thread pool runs.
 
 
 def _thread_count() -> int:
@@ -601,7 +600,7 @@ def _choi_maps(draws: list, fixed: dict) -> np.ndarray:
     return j4
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Group:
     """The trials of one block at one dimension, as stacks."""
 
@@ -611,107 +610,74 @@ class _Group:
     b: np.ndarray | None
     #: the (T, S, k, k) inputs the claim maps
     inputs: np.ndarray
-    #: Choi-form maps as a (T, k, k, k, k) stack
-    choi: np.ndarray | None = None
     #: the (T, S, d, d) images of the inputs
-    images: np.ndarray | None = None
-    #: Kraus-form maps, one per trial
-    maps: list | None = None
+    images: np.ndarray
+    #: the maps: Kraus-form maps, one per trial, or a (T, k, k, k, k) stack
+    #: of Choi matrices
+    maps: list | np.ndarray
 
     def map(self, i: int) -> MapRep:
-        if self.maps is not None:
+        if isinstance(self.maps, list):
             return self.maps[i]
-        k = self.choi.shape[1]
-        return from_choi(self.choi[i].reshape(k * k, k * k), k, k)
+        k = self.maps.shape[1]
+        return from_choi(self.maps[i].reshape(k * k, k * k), k, k)
 
 
 def _group(claim: _Claim, draws: list, rows: list, fixed: dict) -> _Group:
-    # the stacks of drawn trials of Choi-form maps
+    # the stacks of drawn trials at one dimension; its draws share a map
+    # form, Kraus (the cp family) or Choi
     a = _inputs([dr.a for dr in draws])
     b = _inputs([dr.b for dr in draws]) if claim.pair else None
-    group = _Group(rows, a, b, claim.inputs(a, b))
+    inputs = claim.inputs(a, b)
+    what = f"check {claim.name!r}"
+    if draws[0].family == "cp":
+        maps = unitalize_kraus_stack([dr.kraus for dr in draws])
+        _require_unital([is_unital(phi) for phi in maps], what)
+        if claim.certifies_cp and any(cp_test(phi).status != CERTIFIED_CP for phi in maps):
+            raise ContractError(f"{what} needs a certified CP map")
+        images = np.stack([apply(phi, x) for phi, x in zip(maps, inputs)])
+        return _Group(rows, a, b, inputs, images, maps)
     if claim.normal_a and not normal_mask(a).all():
-        raise ContractError(f"check {claim.name!r} needs a normal A on maps that are not CP")
-    group.choi = _choi_maps(draws, fixed)
-    eye = np.eye(group.choi.shape[-1], dtype=np.complex128)
-    _require_unital(unital_mask(apply_choi_stack(group.choi, eye[None])[:, 0]),
-                    f"check {claim.name!r}")
-    group.images = apply_choi_stack(group.choi, group.inputs)
-    return group
-
-
-def _deltas(claim: _Claim, group: _Group, i: int) -> tuple:
-    # delta of trial i's inputs, one call per matrix
-    if not claim.uses_delta:
-        return ()
-    return tuple(delta(x[i]).value for x in (group.a, group.b) if x is not None)
-
-
-def _kraus_trial(claim: _Claim, family: str, dims: tuple, seed: int, t: int) -> tuple:
-    """Trial t of Kraus-form maps as one per-trial step: its draw, its
-    inputs, its unital CP map, checked, the images of its inputs in one
-    apply call, and delta; as a one-trial group and the delta values."""
-    dr = _draw(claim, family, dims, seed, t)
-    a = _inputs([dr.a])
-    b = _inputs([dr.b]) if claim.pair else None
-    phi = unitalize_kraus_stack([dr.kraus])[0]
-    _require_unital(is_unital(phi), f"check {claim.name!r}")
-    if claim.certifies_cp and cp_test(phi).status != CERTIFIED_CP:
-        raise ContractError(f"check {claim.name!r} needs a certified CP map")
-    group = _Group([0], a, b, claim.inputs(a, b), maps=[phi])
-    group.images = apply(phi, group.inputs[0])[None]
-    return group, _deltas(claim, group, 0)
-
-
-def _joined(rows: list, parts: list) -> _Group:
-    # one-trial groups of Kraus-form maps as the group of ``rows``
-    def stack(xs):
-        return None if xs[0] is None else np.concatenate(xs)
-
-    return _Group(rows, stack([g.a for g in parts]), stack([g.b for g in parts]),
-                  stack([g.inputs for g in parts]), images=stack([g.images for g in parts]),
-                  maps=[g.maps[0] for g in parts])
+        raise ContractError(f"{what} needs a normal A on maps that are not CP")
+    choi = _choi_maps(draws, fixed)
+    eye = np.eye(choi.shape[-1], dtype=np.complex128)
+    _require_unital(unital_mask(apply_choi_stack(choi, eye[None])[:, 0]), what)
+    return _Group(rows, a, b, inputs, apply_choi_stack(choi, inputs), choi)
 
 
 def _run_block(claim: _Claim, family: str, dims: tuple, fixed: dict, seed: int, ts,
                viol_tol: float | None, pooled: bool = True) -> tuple[dict, list]:
     """Trials ``ts`` as one block: their evaluations (arrays in ``ts``
-    order) and the block's groups, one per dimension.  The per-trial steps
-    of a pooled block run through ``_map_over_trials``, one step per trial:
-    a whole trial of Kraus-form maps (``_kraus_trial``), else delta."""
+    order) and the block's groups, one per dimension.  The trials are drawn
+    and built here; the per-trial step, delta of a trial's inputs, runs
+    through ``_map_over_trials`` in a pooled block, one step per trial."""
     ts = list(ts)
     by_dim = {}
     for n, t in enumerate(ts):
         by_dim.setdefault(dims[t % len(dims)], []).append(n)
-    kraus_form = (claim.families or (family,)) == ("cp",)
-    if kraus_form:
-        order = [ts[n] for rows in by_dim.values() for n in rows]
+    draws = [_draw(claim, family, dims, seed, t) for t in ts]
+    groups = [_group(claim, [draws[n] for n in rows], rows, fixed)
+              for rows in by_dim.values()]
+    slots = {n: (group, i) for group in groups for i, n in enumerate(group.rows)}
 
-        def trial(n: int):
-            return _kraus_trial(claim, family, dims, seed, order[n])
-    else:
-        draws = [_draw(claim, family, dims, seed, t) for t in ts]
-        groups = [_group(claim, [draws[n] for n in rows], rows, fixed)
-                  for rows in by_dim.values()]
-        slots = [(group, i) for group in groups for i in range(len(group.rows))]
-
-        def trial(n: int):
-            return None, _deltas(claim, *slots[n])
+    def trial(n: int) -> tuple:
+        # delta of trial n's inputs, one call per matrix
+        group, i = slots[n]
+        if not claim.uses_delta:
+            return ()
+        return tuple(delta(x[i]).value for x in (group.a, group.b) if x is not None)
 
     if pooled:
-        steps = iter(_map_over_trials(trial, len(ts), _thread_count()))
+        steps = _map_over_trials(trial, len(ts), _thread_count())
     else:
-        steps = (trial(n) for n in range(len(ts)))
-    out, built = {}, []
-    for g, rows in enumerate(by_dim.values()):
-        parts, done = zip(*(next(steps) for _ in rows))
-        group = _joined(rows, parts) if kraus_form else groups[g]
-        built.append(group)
-        deltas = tuple(np.array(values) for values in zip(*done))
+        steps = [trial(n) for n in range(len(ts))]
+    out = {}
+    for group in groups:
+        deltas = tuple(np.array(values) for values in zip(*(steps[n] for n in group.rows)))
         for key, value in claim.evaluate(group.images, group.a, group.b, deltas,
                                          viol_tol).items():
-            out.setdefault(key, np.empty(len(ts), dtype=value.dtype))[rows] = value
-    return out, built
+            out.setdefault(key, np.empty(len(ts), dtype=value.dtype))[group.rows] = value
+    return out, groups
 
 
 def _validate_trial_config(check: str, family: str, dims, viol_tol: float | None) -> None:
@@ -742,8 +708,9 @@ def _require_order(what: str, claim: _Claim, family: str, dims) -> None:
 
 def _known_order(family: str, dim: int) -> int | None:
     # positivity orders guaranteed by construction; mixtures inherit the
-    # minimum order of their components.  None = CP, certified via the Choi
-    # spectrum inside the check.
+    # minimum order of their components.  None = CP by construction; the
+    # suites of the claims that certify CP (lemma1, lemma2) also check each
+    # map's Choi spectrum with cp_test.
     if family == "cp":
         return None
     if family in ("choi", "mixed"):
@@ -812,8 +779,7 @@ def run_trials(check: str, family: str = "cp", dims=(2, 3, 4), trials: int = 100
     aggregate is deterministic and independent of the execution order, of
     the block size (``TRIAL_BLOCK``) and of the thread count, which comes
     from GRUSS_LAB_THREADS (0 or 1 means sequential; capped at the core
-    count).  The worst instance is the trial
-    of smallest margin.
+    count).  The worst instance is the trial of smallest margin.
     ``viol_tol`` is for ``theorem`` only (see ``check_theorem``).
     """
     dims = tuple(int(d) for d in dims)

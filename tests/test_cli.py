@@ -121,7 +121,9 @@ def test_verify_deterministic_and_exit_code(capsys):
 
 def test_reports_do_not_depend_on_the_thread_count(capsys, monkeypatch):
     runs = (["verify", "theorem", "--dims", "2,3", "--trials", "24", "--seed", "11"],
-            ["explore", "two-positive", "--trials", "24", "--seed", "11"])
+            ["explore", "two-positive", "--trials", "24", "--seed", "11"],
+            ["verify", "lemma1", "--family", "cp", "--dims", "2,3", "--trials", "24",
+             "--seed", "11"])
     for argv in runs:
         reports = []
         for threads in ("0", "4"):

@@ -255,9 +255,6 @@ def test_corollary_suite_builds_the_trace_map_once_per_dim(monkeypatch):
     assert sorted(builds) == [4, 5]
     assert s.trials == 9 and s.worst_formula_residual <= 1e-10
 
-    a, b = ginibre(5, seed=1), random_ensemble("normal", 5, seed=2)
-    assert check_corollary(5, a, b) == check_corollary(5, a, b, trace=normalized_choi_map(5))
-
 
 def test_positive_suite_builds_the_transpose_once_per_dim(monkeypatch):
     builds = []
@@ -321,7 +318,8 @@ def _public_trial(check, family, dims, seed, t):
 
 @pytest.mark.parametrize("check, family, dims", [
     ("theorem", "cp", (2, 3)), ("lemma2", "positive", (2, 3)), ("lemma2", "mixed", (2, 3)),
-    ("theorem", "choi", (4, 5)), ("explore", "two-positive", (3,))])
+    ("theorem", "choi", (4, 5)), ("explore", "two-positive", (3,)),
+    ("theorem", "cp", (8, 16)), ("lemma1", "cp", (2, 3))])
 def test_a_block_builds_what_the_public_samplers_build(check, family, dims):
     # the engine's stacked maps and inputs equal, bit for bit, the one-trial
     # builds of random_unital_cp, mix, compose and random_ensemble
