@@ -42,7 +42,8 @@ from .linalg import as_matrix, dag, operator_norm, operator_norms
 #: bound on ||UU* - U*U|| for U = C/||C|| below which C is treated as normal
 NORMALITY_TOL = 1e-9
 
-#: delta_general stops once its bracket is this narrow, relative to 1 + ||C||
+#: delta_general stops once its bracket is this narrow, relative to
+#: ||C - tr(C)/dim I|| / 2, a lower bound on delta(C)
 BRACKET_TOL = 1e-12
 
 _MAX_ITERATIONS = 200
@@ -68,6 +69,8 @@ class DeltaResult:
     collected, or the unit eigenvectors behind the disk's support (its
     distance from the center to the nearest support eigenvalue); for the
     oracle it is the grid minimum less the grid spacing (f is 1-Lipschitz).
+    The convex route's gap is at most BRACKET_TOL * value, unless rounding
+    stops the solver first.
     """
 
     value: float
@@ -82,12 +85,14 @@ class DeltaResult:
 
 def _exact_scale(x) -> float:
     """Power of two that brings the largest |entry| of ``x`` near 1 when
-    its square would overflow or underflow, else 1.  Scaling by a power of
-    two is exact, and delta is positively homogeneous, so a route may solve
-    the scaled problem and divide its results by the scale.  A subnormal
-    entry is scaled by at most 2**1000, which keeps the scale finite."""
+    it lies outside about 2**-300 .. 2**300, else 1: the model multiplies
+    three factors of that size (``_all_active``), and their product must
+    stay inside the float range.  Scaling by a power of two is exact, and
+    delta is positively homogeneous, so a route may solve the scaled problem
+    and divide its results by the scale.  A subnormal entry is scaled by at
+    most 2**1000, which keeps the scale finite."""
     e = math.frexp(float(np.abs(x).max()))[1]
-    return 1.0 if abs(e) < 500 else 2.0 ** -max(e, -1000)
+    return 1.0 if abs(e) < 300 else 2.0 ** -max(e, -1000)
 
 
 def is_normal(c) -> bool:
@@ -289,14 +294,20 @@ def delta_general(c) -> DeltaResult:
     Newton steps converge quadratically (A. S. Lewis and M. L. Overton,
     Acta Numerica 5 (1996)).  On normal C the Newton point is never taken.
 
-    A spread of C - tr(C)/dim whose square would leave the float range is
+    A spread of C - tr(C)/dim whose cube would leave the float range is
     solved at an exact power-of-two scale (``_exact_scale``), with every
     bound below taken on the scaled problem.
 
-    The solver stops when upper - lower <= BRACKET_TOL * (1 + ||C||), when
-    rounding stops the new atom of a model point from raising the lower
-    bound, or after _MAX_ITERATIONS steps; the value is the best evaluated
-    norm and certified_gap the final upper - lower in every case.
+    The solver stops when upper - lower <= tol, tested after each SVD and
+    again as soon as a new atom raises the lower bound, so the atom that
+    closes the bracket costs no further SVD.  tol = BRACKET_TOL *
+    sigma_1(C0) / 2 for C0 = C - tr(C)/dim I, the first SVD's upper bound:
+    as ||C0|| / 2 <= delta(C) <= ||C||, it is relative to delta(C) and never
+    looser than BRACKET_TOL * ||C||, and C = 0 stops at once with gap 0.
+    The solver also stops when rounding stops the new atom of a model point
+    from raising the lower bound, or after _MAX_ITERATIONS steps; the value
+    is the best evaluated norm and certified_gap the final upper - lower in
+    every case.
     """
     c = as_matrix(c, square=True)
     dim = c.shape[0]
@@ -307,7 +318,6 @@ def delta_general(c) -> DeltaResult:
     c0 = c - mu * eye
     scale = _exact_scale(c0)
     c0 = c0 * scale
-    tol = BRACKET_TOL * (1.0 + operator_norm(c) * scale)
 
     support: list = []
     g = -math.inf
@@ -322,6 +332,8 @@ def delta_general(c) -> DeltaResult:
         lowered = sv[0] < upper
         if lowered:
             upper, best = float(sv[0]), lam
+        if step == 0:
+            tol = BRACKET_TOL * upper / 2.0  # ||C0|| / 2 <= delta(C0)
         if upper - math.sqrt(max(g, 0.0)) <= tol:
             break
         v = vh[0].conj()
@@ -332,6 +344,8 @@ def delta_general(c) -> DeltaResult:
         g_new, model_new, support_new = _add_atom(support, (zv + lam, s))
         if g_new > g:
             g, model, support = g_new, model_new, support_new
+            if upper - math.sqrt(g) <= tol:
+                break  # the new state closes the bracket
         elif lam == model:
             break  # the new state no longer raises the model: rounding level
         newton = None

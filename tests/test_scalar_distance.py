@@ -315,6 +315,36 @@ def test_newton_steps_cut_the_iteration_tail(monkeypatch, dim):
     assert svds_per_call("normal", range(20)).max() <= 7
 
 
+def test_a_new_state_that_closes_the_bracket_ends_the_solve(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+
+    def svds_per_call(kind, dim, seeds):
+        counts = []
+        for seed in seeds:
+            calls.clear()
+            delta_general(random_ensemble(kind, dim, seed=seed))
+            counts.append(len(calls))
+        return np.array(counts)
+
+    # the scalar nearest a 2 x 2 matrix is tr(C)/2, where the solve starts,
+    # and the first SVD's state closes the bracket there; for a normal one
+    # the top singular value is double there, and a second state is needed
+    assert (svds_per_call("ginibre", 2, range(40)) == 1).all()
+    assert svds_per_call("hermitian", 2, range(20)).max() <= 2
+    assert svds_per_call("normal", 2, range(20)).max() <= 2
+    for dim in (3, 4, 8):
+        # the extreme eigenvectors of a Hermitian C close it at the model point
+        assert (svds_per_call("hermitian", dim, range(20)) == 3).all()
+        assert svds_per_call("ginibre", dim, range(500, 540)).mean() <= 6
+
+
 def test_normality_does_not_depend_on_the_scale_of_c():
     # ||C||^2 overflows for the first matrix and underflows for the second
     big = np.diag([1e200, 1.0])
@@ -352,9 +382,45 @@ def test_delta_general_brackets_do_not_depend_on_the_scale_of_c(c):
 
 @pytest.mark.parametrize("e", [260, 300, 400])
 def test_newton_guard_stays_finite_at_large_scales(e):
-    # ||C|| ~ 2**e is left unscaled (the spread is below 2**500), so the
+    # ||C|| ~ 2**260 is left unscaled (the spread is below 2**300), so the
     # Newton guard's products of squared norms would overflow; scaled by a
     # power of two they stay finite and decide exactly as at scale 1
+    c = ginibre(3, seed=4)
+    base = delta_general(c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = delta_general(c * 2.0**e)
+    assert (res.value, res.certified_gap) == (base.value * 2.0**e, base.certified_gap * 2.0**e)
+
+
+@pytest.mark.parametrize("dim", [8, 16])
+@pytest.mark.parametrize("e", [-450, -400, -340, 341, 400, 450])
+def test_model_products_stay_in_range_before_the_rescale(dim, e):
+    # the closed-form model multiplies three factors of the spread's size,
+    # which leave the float range well before the spread's square does; at
+    # an exact power-of-two scale the solve repeats the one at scale 1
+    for seed in range(3):
+        c = random_ensemble("normal", dim, seed=seed)
+        base = delta_general(c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = delta_general(c * 2.0**e)
+        assert (res.value, res.certified_gap) == (base.value * 2.0**e,
+                                                   base.certified_gap * 2.0**e)
+
+
+def test_brackets_are_tight_relative_to_the_value_at_small_scales():
+    # the stop rule's tolerance is relative to the spread, so a small C
+    # gets as tight a bracket as a unit one
+    cs = [ginibre(4, seed=seed) for seed in range(40)]
+    for factor in (1.0, 1e-6, 1e-9, 1e-12):
+        for c in cs:
+            res = delta_general(factor * c)
+            assert res.certified_gap <= BRACKET_TOL * res.value
+
+
+@pytest.mark.parametrize("e", [-30, -60, -200])
+def test_small_scales_repeat_the_solve_at_scale_one(e):
     c = ginibre(3, seed=4)
     base = delta_general(c)
     with warnings.catch_warnings():
