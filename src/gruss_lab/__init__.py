@@ -42,8 +42,6 @@ from .linalg import (
     matrix_to_json,
     operator_norm,
     random_ensemble,
-    random_hermitian,
-    random_normal,
 )
 from .posmap import (
     CERTIFIED_CP,

@@ -25,6 +25,8 @@ from dataclasses import fields, is_dataclass
 
 from .errors import ContractError, DimensionError, NumericError
 from .harness import (
+    CHECKS,
+    FAMILIES,
     check_theorem,
     explore_two_positive,
     reproduce_counterexample,
@@ -117,10 +119,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("verify", help="randomized trial suite for one check")
-    p.add_argument("check", choices=["theorem", "lemma1", "lemma2", "corollary"])
+    p.add_argument("check", choices=CHECKS)
     p.add_argument("--dims", default="2,3,4", help="comma-separated dimensions")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--family", choices=["cp", "choi", "mixed", "positive"], default="cp")
+    p.add_argument("--family", choices=FAMILIES, default="cp")
     p.add_argument("--viol-tol", type=float, default=None,
                    help="override the theorem check's violation tolerance "
                         "(default 1e-8*(1+bound); not NaN)")
@@ -254,6 +256,8 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, dict, dict, int]:
 _ERROR_TYPES = {
     DimensionError: "dimension",
     NumericError: "numeric",
+    FloatingPointError: "numeric",
+    np.linalg.LinAlgError: "numeric",
     ContractError: "contract",
 }
 
@@ -282,7 +286,10 @@ def route(argv=None) -> int:
         return 1
     t0 = time.perf_counter()
     try:
-        config, result, residuals, code = _run_command(args)
+        # an overflow or a NaN in a kernel stops the command as a numeric
+        # error, rather than printing a warning and going on with inf or NaN
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            config, result, residuals, code = _run_command(args)
         report = {
             "command": args.command,
             "config": config,

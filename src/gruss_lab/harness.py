@@ -328,6 +328,22 @@ def check_theorem(phi: MapRep, a, b, viol_tol: float | None = None) -> GrussRepo
                        margin=res["margin"], violated=res["violated"], phi=phi, a=a, b=b)
 
 
+def _admit(claim: _Claim, phi: MapRep, a: Matrix, order: int | None = None) -> bool:
+    # the claim's hypotheses on one unital map, as its record states them:
+    # a certified CP map is admitted at once (returns True); any other needs
+    # a caller-known positivity order >= claim.order, and a normal A if asked
+    what = f"check_{claim.name}"
+    _require_unital(is_unital(phi), what)
+    if cp_test(phi).status == CERTIFIED_CP:
+        return True
+    if claim.order > 1 and (order is None or order < claim.order):
+        raise ContractError(f"{what} needs a CP map or a known positivity order "
+                            f">= {claim.order}, got {order}")
+    if claim.normal_a and not is_normal(a):
+        raise ContractError(f"{what} needs a normal A on maps that are not certified CP")
+    return False
+
+
 def check_lemma1(phi: MapRep, a, b, known_positivity_order: int | None = None) -> dict:
     """Cauchy-Schwarz-type defect bound plus the block covariance matrix.
 
@@ -337,48 +353,31 @@ def check_lemma1(phi: MapRep, a, b, known_positivity_order: int | None = None) -
     product of the two self-defects, and the minimal eigenvalue of the 2x2
     block matrix of defects, which must be PSD up to tolerance.
     """
-    _require_unital(is_unital(phi), "check_lemma1")
-    if known_positivity_order is None:
-        if cp_test(phi).status != CERTIFIED_CP:
-            raise ContractError(
-                "check_lemma1 needs a CP map or an explicit known_positivity_order >= 3"
-            )
-    elif known_positivity_order < 3:
-        raise ContractError("check_lemma1 needs positivity order >= 3")
-
     a, b = _pair(phi, a, b)
-    res = _check_one(_CLAIMS["lemma1"], phi, a, b, ())
+    claim = _CLAIMS["lemma1"]
+    _admit(claim, phi, a, known_positivity_order)
+    res = _check_one(claim, phi, a, b, ())
     return {key: res[key] for key in
             ("lhs_squared", "rhs_product", "block_min_eig", "cauchy_ok", "block_ok")}
 
 
-def check_lemma2(phi: MapRep, a, require_normal: bool = True,
-                 known_positive: bool = False) -> dict:
+def check_lemma2(phi: MapRep, a) -> dict:
     """Variance bound ||Phi(A*A) - Phi(A)*Phi(A)|| <= delta(A)^2.
 
-    For merely positive unital maps the bound is claimed for normal A only
-    (``require_normal=True``); dropping normality is allowed only when the
-    map is certified CP.  Positivity of the map is spot-checked with a small
-    rank-1 witness search (seed 0) unless ``known_positive`` says the caller
-    already guarantees it (e.g. the map is a composition of positive maps).
+    Requires a unital map.  The bound holds for any A when the map is
+    certified CP (via the Choi spectrum), and for normal A when it is merely
+    positive; on a map that is not certified CP, positivity is spot-checked
+    with a small rank-1 witness search (seed 0, 8 starts, 60 iterations).
     """
-    _require_unital(is_unital(phi), "check_lemma2")
     a = as_matrix(a, square=True)
-    if require_normal:
-        if not is_normal(a):
-            raise ContractError("check_lemma2 with require_normal=True needs a normal A")
-    else:
-        if cp_test(phi).status != CERTIFIED_CP:
-            raise ContractError(
-                "check_lemma2 may drop the normality hypothesis only for certified CP maps"
-            )
-    if not known_positive:
+    claim = _CLAIMS["lemma2"]
+    if not _admit(claim, phi, a):
         probe = n_positivity_search(phi, 1, starts=8, max_iters=60, seed=0)
         if probe.status == CERTIFIED_NOT_N_POSITIVE:
             raise ContractError(
                 f"map is not positive (rank-1 witness value {probe.min_value_found:.3e})"
             )
-    res = _check_one(_CLAIMS["lemma2"], phi, a, None, (delta(a).value,))
+    res = _check_one(claim, phi, a, None, (delta(a).value,))
     return {key: res[key] for key in ("lhs", "delta", "bound", "ok")}
 
 
@@ -413,11 +412,11 @@ def check_corollary(k: int, a, b) -> dict:
     equals Phi(AB) - Phi(A)Phi(B) for Phi = normalized_choi_map(k).  Needs
     k >= 4 so the map is at least 3-positive.
     """
-    if k < 4:
-        raise ContractError(f"corollary check needs k >= 4 (map must be 3-positive), got {k}")
+    claim = _CLAIMS["corollary"]
+    _require_order("check_corollary", claim, "choi", (k,))
     phi = normalized_choi_map(k)
     a, b = _pair(phi, a, b)
-    res = _check_one(_CLAIMS["corollary"], phi, a, b, (delta(a).value, delta(b).value))
+    res = _check_one(claim, phi, a, b, (delta(a).value, delta(b).value))
     return {key: res[key] for key in ("lhs", "rhs", "formula_residual", "ok", "formula_ok")}
 
 
@@ -608,8 +607,6 @@ class _Group:
     rows: list
     a: np.ndarray
     b: np.ndarray | None
-    #: the (T, S, k, k) inputs the claim maps
-    inputs: np.ndarray
     #: the (T, S, d, d) images of the inputs
     images: np.ndarray
     #: the maps: Kraus-form maps, one per trial, or a (T, k, k, k, k) stack
@@ -636,13 +633,13 @@ def _group(claim: _Claim, draws: list, rows: list, fixed: dict) -> _Group:
         if claim.certifies_cp and any(cp_test(phi).status != CERTIFIED_CP for phi in maps):
             raise ContractError(f"{what} needs a certified CP map")
         images = np.stack([apply(phi, x) for phi, x in zip(maps, inputs)])
-        return _Group(rows, a, b, inputs, images, maps)
+        return _Group(rows, a, b, images, maps)
     if claim.normal_a and not normal_mask(a).all():
         raise ContractError(f"{what} needs a normal A on maps that are not CP")
     choi = _choi_maps(draws, fixed)
     eye = np.eye(choi.shape[-1], dtype=np.complex128)
     _require_unital(unital_mask(apply_choi_stack(choi, eye[None])[:, 0]), what)
-    return _Group(rows, a, b, inputs, apply_choi_stack(choi, inputs), choi)
+    return _Group(rows, a, b, apply_choi_stack(choi, inputs), choi)
 
 
 def _run_block(claim: _Claim, family: str, dims: tuple, fixed: dict, seed: int, ts,
@@ -680,39 +677,37 @@ def _run_block(claim: _Claim, family: str, dims: tuple, fixed: dict, seed: int, 
     return out, groups
 
 
-def _validate_trial_config(check: str, family: str, dims, viol_tol: float | None) -> None:
-    if check not in CHECKS:
-        raise ContractError(f"unknown check {check!r}; expected one of {CHECKS}")
-    if family not in FAMILIES:
-        raise ContractError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    dims = list(dims)
-    if not dims or any(int(d) < 2 for d in dims):
-        raise ContractError(f"dims must all be >= 2, got {dims}")
-    if any(int(d) > MAX_DIM for d in dims):
-        raise ContractError(f"dims must all be <= MAX_DIM = {MAX_DIM}, got {dims}")
-    _require_order(f"check {check!r}", _CLAIMS[check], family, dims)
-    if viol_tol is not None and check != "theorem":
-        raise ContractError(f"viol_tol applies to check 'theorem' only, not {check!r}")
+def _validate_trial_config(claim: _Claim, family: str, dims: tuple, trials: int,
+                           viol_tol: float | None) -> None:
+    if not dims or any(d < 2 for d in dims):
+        raise ContractError(f"dims must all be >= 2, got {list(dims)}")
+    if any(d > MAX_DIM for d in dims):
+        raise ContractError(f"dims must all be <= MAX_DIM = {MAX_DIM}, got {list(dims)}")
+    _require_order(f"check {claim.name!r}", claim, family, dims)
+    if viol_tol is not None and claim.name != "theorem":
+        raise ContractError(f"viol_tol applies to check 'theorem' only, not {claim.name!r}")
     _require_viol_tol(viol_tol)
+    if trials < 0:
+        raise ContractError(f"trials must be >= 0, got {trials}")
 
 
 def _require_order(what: str, claim: _Claim, family: str, dims) -> None:
     # every family the claim draws must have the claim's positivity order at
-    # every dim; None = CP counts as infinite order
+    # every dim
     for drawn in claim.families or (family,):
-        bad = [d for d in dims if (_known_order(drawn, d) or math.inf) < claim.order]
+        bad = [d for d in dims if _known_order(drawn, d) < claim.order]
         if bad:
             raise ContractError(f"{what} needs positivity order >= {claim.order}; family "
                                 f"{drawn!r} has a lower order at dims {bad}")
 
 
-def _known_order(family: str, dim: int) -> int | None:
+def _known_order(family: str, dim: int) -> float:
     # positivity orders guaranteed by construction; mixtures inherit the
-    # minimum order of their components.  None = CP by construction; the
-    # suites of the claims that certify CP (lemma1, lemma2) also check each
-    # map's Choi spectrum with cp_test.
+    # minimum order of their components.  CP by construction is infinite
+    # order; the suites of the claims that certify CP (lemma1, lemma2) also
+    # check each map's Choi spectrum with cp_test.
     if family == "cp":
-        return None
+        return math.inf
     if family in ("choi", "mixed"):
         return dim - 1
     return 1
@@ -731,9 +726,8 @@ def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int,
     # blocks.  The worst trial (smallest margin; largest ratio for the
     # explorer) is drawn and checked again, as a one-trial block, to build
     # the report's worstInstance.
-    if trials < 0:
-        raise ContractError(f"trials must be >= 0, got {trials}")
     claim = _CLAIMS[check]
+    _validate_trial_config(claim, family, dims, trials, viol_tol)
     fixed = _fixed_maps(claim, family, dims)
     block = max(1, min(TRIAL_BLOCK, _BLOCK_ENTRIES // max(dims) ** 4))
 
@@ -782,9 +776,11 @@ def run_trials(check: str, family: str = "cp", dims=(2, 3, 4), trials: int = 100
     count).  The worst instance is the trial of smallest margin.
     ``viol_tol`` is for ``theorem`` only (see ``check_theorem``).
     """
-    dims = tuple(int(d) for d in dims)
-    _validate_trial_config(check, family, dims, viol_tol)
-    return _run_suite(check, family, dims, trials, seed, viol_tol)
+    if check not in CHECKS:
+        raise ContractError(f"unknown check {check!r}; expected one of {CHECKS}")
+    if family not in FAMILIES:
+        raise ContractError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    return _run_suite(check, family, tuple(int(d) for d in dims), trials, seed, viol_tol)
 
 
 def explore_two_positive(trials: int, seed: int = 0, k: int = 3) -> TrialSummary:
@@ -798,8 +794,4 @@ def explore_two_positive(trials: int, seed: int = 0, k: int = 3) -> TrialSummary
     this is evidence gathering, not a verdict.  The worst instance is the
     trial of largest ratio; ``worst_margin`` is the smallest bound - defect.
     """
-    if k > MAX_DIM:
-        raise ContractError(f"explore_two_positive needs k <= MAX_DIM = {MAX_DIM}, got {k}")
-    # the trace-type map is 2-positive from k = 3
-    _require_order("explore_two_positive", _CLAIMS["explore"], "two-positive", (k,))
-    return _run_suite("explore", "two-positive", (k,), trials, seed)
+    return _run_suite("explore", "two-positive", (int(k),), trials, seed)

@@ -146,16 +146,6 @@ def haar_unitary(dim: int, seed=0) -> Matrix:
     return random_ensemble("haar_unitary", dim, seed)
 
 
-def random_hermitian(dim: int, seed=0) -> Matrix:
-    """Hermitian sample (G + G*)/2; Hermitian exactly, entry by entry."""
-    return random_ensemble("hermitian", dim, seed)
-
-
-def random_normal(dim: int, seed=0) -> Matrix:
-    """Normal sample Q diag(z) Q* with Haar Q and complex Gaussian z."""
-    return random_ensemble("normal", dim, seed)
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format: {"rows": r, "cols": c, "re": [[...]], "im": [[...]]}
 

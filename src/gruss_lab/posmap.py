@@ -507,8 +507,9 @@ def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 
     Otherwise the minimization runs ``starts`` alternating-eigenvector
     descents, each from a random frame drawn from its own child of
     ``SeedSequence(seed)``.
-    The starts run as stacked kernels, ``SEARCH_BLOCK`` at a time, and each
-    stops on its own; the first start reaching the lowest value wins.
+    The starts run as stacked kernels, ``SEARCH_BLOCK`` at a time, each
+    block spawning only its own seed children, and each start stops on its
+    own; the first start reaching the lowest value wins.
     Results are deterministic in (seed, starts) and do not depend on the
     block size.  The verdict is certified only in the refutation direction.
     """
@@ -521,11 +522,12 @@ def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 
         return replace(cp_test(phi), n=n)
     j = choi_matrix(phi)
     j4 = ((j + dag(j)) / 2.0).reshape(k, d, k, d)
-    children = np.random.SeedSequence(seed).spawn(starts)
+    # spawn numbers children on from the last: start i gets child i
+    root = np.random.SeedSequence(seed)
     best_val, best_x = np.inf, None
     for lo in range(0, starts, SEARCH_BLOCK):
         draws = np.stack([_alternating_minimum(child, d, n)
-                          for child in children[lo:lo + SEARCH_BLOCK]])
+                          for child in root.spawn(min(SEARCH_BLOCK, starts - lo))])
         b_frames, _ = np.linalg.qr(draws)
         vals, xs = _alternating_minima(j4, b_frames, max_iters)
         first = int(np.argmin(vals))

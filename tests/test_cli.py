@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,39 @@ def test_non_finite_numbers_are_encoded_not_raised(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 1
     assert json.loads(captured.err)["error"]["type"] == "io"
+
+
+@pytest.mark.parametrize("argv", [
+    ["defect", "--map", "idmap", "--a", "huge", "--b", "huge"],
+    ["npositive", "--map", "huge-kraus", "--n", "1"],
+    ["dilate", "--map", "huge-kraus"],
+], ids=["defect", "npositive", "dilate"])
+def test_an_overflow_in_a_kernel_is_one_numeric_error_line(capsys, fixtures, argv):
+    # finite inputs whose products overflow: no warning is printed, and the
+    # error blames the arithmetic, not the input
+    huge = np.diag([1e200, 1.0])
+    fixtures["huge"] = _write(fixtures["tmp_path"] / "huge.json", matrix_to_json(huge))
+    fixtures["huge-kraus"] = _write(fixtures["tmp_path"] / "huge_kraus.json",
+                                    {"kind": "kraus", "ops": [matrix_to_json(huge)]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = route([fixtures.get(arg, arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "numeric"
+
+
+def test_a_failed_decomposition_is_a_numeric_error(capsys, fixtures, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "n_positivity_search", fail)
+    code = route(["npositive", "--map", fixtures["transpose"], "--n", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.err) == {"error": {"type": "numeric",
+                                                  "message": "SVD did not converge"}}
 
 
 @pytest.mark.parametrize("argv", [

@@ -156,6 +156,8 @@ def test_check_lemma1_trivial_cases():
     assert res["lhs_squared"] <= 1e-14
     assert res["rhs_product"] <= 1e-14
     assert res["block_min_eig"] >= -1e-10
+    # a certified CP map is admitted whatever order the caller states
+    assert check_lemma1(phi, np.eye(2), np.eye(2), known_positivity_order=1)["block_ok"]
 
     u = haar_unitary(3, seed=2)
     res = check_lemma1(unitary_conj(u), ginibre(3, seed=3), ginibre(3, seed=4))
@@ -184,26 +186,35 @@ def test_check_lemma1_rejects_weak_maps():
 
 def test_check_lemma2_examples():
     phi = random_unital_cp(2, 2, seed=4)
-    res = check_lemma2(phi, np.eye(2), require_normal=True)
+    res = check_lemma2(phi, np.eye(2))
     assert res["lhs"] <= 1e-12 and res["ok"]
 
     # the transpose fixes diagonal matrices, so the defect vanishes
-    res = check_lemma2(transpose_map(2), np.diag([1.0, 4.0]), require_normal=True)
+    res = check_lemma2(transpose_map(2), np.diag([1.0, 4.0]))
     assert res["lhs"] <= 1e-12
     assert res["bound"] == pytest.approx(2.25, abs=1e-9)
 
     composite = unitalize(compose(transpose_map(3), random_unital_cp(3, 4, seed=11)))
     a = random_ensemble("normal", 3, seed=12)
-    res = check_lemma2(composite, a, require_normal=True)
+    res = check_lemma2(composite, a)
     assert res["ok"]
 
 
 def test_check_lemma2_hypothesis_violations():
-    with pytest.raises(ContractError):
-        check_lemma2(transpose_map(2), np.array([[0.0, 1.0], [0.0, 0.0]]), require_normal=True)
-    with pytest.raises(ContractError):
-        # dropping normality requires a CP map
-        check_lemma2(transpose_map(2), np.array([[0.0, 1.0], [0.0, 0.0]]), require_normal=False)
+    # a map that is not certified CP needs a normal A
+    with pytest.raises(ContractError, match="normal A"):
+        check_lemma2(transpose_map(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+    composite = unitalize(compose(transpose_map(3), random_unital_cp(3, 4, seed=11)))
+    with pytest.raises(ContractError, match="normal A"):
+        check_lemma2(composite, ginibre(3, seed=2))
+
+
+def test_check_lemma2_admits_any_a_on_a_certified_cp_map():
+    # the claim record's rule: a CP map needs no normal A
+    res = check_lemma2(random_unital_cp(3, 4, seed=1), ginibre(3, seed=2))
+    assert res["lhs"] == pytest.approx(2.359531318141058, rel=1e-12)
+    assert res["bound"] == pytest.approx(4.194356114833452, rel=1e-12)
+    assert res["ok"]
 
 
 def test_counterexample_exact_numbers():
@@ -474,7 +485,7 @@ def _replayed(check, family, phi, a, b):
                            known_positivity_order=None if family == "cp" else k - 1)
         margin = min(res["rhs_product"] - res["lhs_squared"], res["block_min_eig"])
     elif check == "lemma2":
-        res = check_lemma2(phi, a, require_normal=family != "cp", known_positive=True)
+        res = check_lemma2(phi, a)
         margin = res["bound"] - res["lhs"]
     else:
         res = check_corollary(k, a, b)
@@ -530,7 +541,7 @@ def test_each_check_maps_its_inputs_in_one_apply_call(monkeypatch):
     a, b = ginibre(4, seed=1), ginibre(4, seed=2)
     runs = [(lambda: gruss_defect(phi, a, b), 3),
             (lambda: check_lemma1(phi, a, b), 7),
-            (lambda: check_lemma2(phi, a, require_normal=False, known_positive=True), 2),
+            (lambda: check_lemma2(phi, a), 2),
             (lambda: check_corollary(4, a, b), 3)]
     for run, size in runs:
         stacks.clear()

@@ -371,6 +371,32 @@ def test_search_does_not_depend_on_block_size(monkeypatch):
             assert np.array_equal(v.witness_b, runs[0].witness_b)
 
 
+def test_search_spawns_the_seed_children_of_one_block_at_a_time(monkeypatch):
+    # the children of all starts are the ones one spawn would give, but no
+    # block spawns more than its own, so memory does not grow with --starts
+    expected = [child.spawn_key for child in np.random.SeedSequence(9).spawn(5)]
+    spawned, keys = [], []
+
+    class Root(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawned.append(n_children)
+            return super().spawn(n_children)
+
+    real = posmap._alternating_minimum
+
+    def recorded(child, d, n):
+        keys.append(child.spawn_key)
+        return real(child, d, n)
+
+    monkeypatch.setattr(posmap, "SEARCH_BLOCK", 2)
+    monkeypatch.setattr(posmap, "_alternating_minimum", recorded)
+    monkeypatch.setattr(posmap.np.random, "SeedSequence", Root)
+    verdict = n_positivity_search(transpose_map(3), 2, starts=5, seed=9)
+    assert spawned == [2, 2, 1]
+    assert keys == expected
+    assert verdict.starts == 5
+
+
 def test_search_reports_the_starts_it_ran():
     # n >= min(k, d) is decided exactly by the Choi spectrum and runs no start
     for phi in (choi_map(3), random_unital_cp(3, 2, seed=4)):

@@ -362,7 +362,7 @@ def test_normality_does_not_depend_on_the_scale_of_c():
     with pytest.raises(ContractError):
         delta(tiny, "disk")
     with pytest.raises(ContractError):
-        check_lemma2(transpose_map(2), tiny, require_normal=True)
+        check_lemma2(transpose_map(2), tiny)
 
 
 @pytest.mark.parametrize("c", [np.diag([1e200, 1.0]), np.diag([1e-200, 0.0]),
