@@ -273,8 +273,6 @@ class _Claim:
     pair: bool = True
     #: whether it needs delta of its inputs (of A and B, or of A alone)
     uses_delta: bool = True
-    #: CP maps enter only through cp_test: a suite certifies its Kraus maps
-    certifies_cp: bool = False
     #: maps that are not CP need a normal A, drawn normal and checked
     normal_a: bool = False
     #: its worst trial: the smallest "margin" or the largest "ratio"
@@ -283,9 +281,8 @@ class _Claim:
 
 _CLAIMS = {claim.name: claim for claim in (
     _Claim("theorem", 3, _product_inputs, _theorem),
-    _Claim("lemma1", 3, _lemma1_inputs, _lemma1, uses_delta=False, certifies_cp=True),
-    _Claim("lemma2", 1, _lemma2_inputs, _lemma2, pair=False, certifies_cp=True,
-           normal_a=True),
+    _Claim("lemma1", 3, _lemma1_inputs, _lemma1, uses_delta=False),
+    _Claim("lemma2", 1, _lemma2_inputs, _lemma2, pair=False, normal_a=True),
     _Claim("corollary", 3, _product_inputs, _corollary, families=("choi",)),
     # the explorer alternates the trace-type map itself with its mixtures
     _Claim("explore", 2, _product_inputs, _explore, families=("choi", "mixed"),
@@ -328,27 +325,32 @@ def check_theorem(phi: MapRep, a, b, viol_tol: float | None = None) -> GrussRepo
                        margin=res["margin"], violated=res["violated"], phi=phi, a=a, b=b)
 
 
+def _is_cp(phi: MapRep) -> bool:
+    # Kraus form is CP by construction; a Choi matrix is decided by cp_test
+    return phi.kraus is not None or cp_test(phi).status == CERTIFIED_CP
+
+
 def _admit(claim: _Claim, phi: MapRep, a: Matrix, order: int | None = None) -> bool:
     # the claim's hypotheses on one unital map, as its record states them:
-    # a certified CP map is admitted at once (returns True); any other needs
-    # a caller-known positivity order >= claim.order, and a normal A if asked
+    # a CP map is admitted at once (returns True); any other needs a
+    # caller-known positivity order >= claim.order, and a normal A if asked
     what = f"check_{claim.name}"
     _require_unital(is_unital(phi), what)
-    if cp_test(phi).status == CERTIFIED_CP:
+    if _is_cp(phi):
         return True
     if claim.order > 1 and (order is None or order < claim.order):
         raise ContractError(f"{what} needs a CP map or a known positivity order "
                             f">= {claim.order}, got {order}")
     if claim.normal_a and not is_normal(a):
-        raise ContractError(f"{what} needs a normal A on maps that are not certified CP")
+        raise ContractError(f"{what} needs a normal A on maps that are not CP")
     return False
 
 
 def check_lemma1(phi: MapRep, a, b, known_positivity_order: int | None = None) -> dict:
     """Cauchy-Schwarz-type defect bound plus the block covariance matrix.
 
-    Requires a unital map that is CP (certified via the Choi spectrum) or
-    known by construction to be at least 3-positive
+    Requires a unital map that is CP (Kraus form, or a Choi matrix that
+    ``cp_test`` certifies) or known by construction to be at least 3-positive
     (``known_positivity_order``).  Returns the squared cross defect, the
     product of the two self-defects, and the minimal eigenvalue of the 2x2
     block matrix of defects, which must be PSD up to tolerance.
@@ -364,10 +366,10 @@ def check_lemma1(phi: MapRep, a, b, known_positivity_order: int | None = None) -
 def check_lemma2(phi: MapRep, a) -> dict:
     """Variance bound ||Phi(A*A) - Phi(A)*Phi(A)|| <= delta(A)^2.
 
-    Requires a unital map.  The bound holds for any A when the map is
-    certified CP (via the Choi spectrum), and for normal A when it is merely
-    positive; on a map that is not certified CP, positivity is spot-checked
-    with a small rank-1 witness search (seed 0, 8 starts, 60 iterations).
+    Requires a unital map.  The bound holds for any A on a CP map (Kraus
+    form, or a Choi matrix ``cp_test`` certifies), and for normal A on a
+    merely positive one, whose positivity is spot-checked with a small
+    rank-1 witness search (seed 0, 8 starts, 60 iterations).
     """
     a = as_matrix(a, square=True)
     claim = _CLAIMS["lemma2"]
@@ -440,8 +442,8 @@ def proof_chain(phi: MapRep, a, b, m: int) -> dict:
     if not is_normal(b):
         raise ContractError("proof_chain needs a normal B")
     _require_unital(is_unital(phi), "proof_chain")
-    if cp_test(phi).status != CERTIFIED_CP:
-        raise ContractError("proof_chain needs a certified CP map")
+    if not _is_cp(phi):
+        raise ContractError("proof_chain needs a CP map")
 
     scaled, big_m = rescale_for_decomposition(a, m)
     dec = decompose_unitary_sum(scaled, m, mode="strict")
@@ -478,9 +480,9 @@ def proof_chain(phi: MapRep, a, b, m: int) -> dict:
 # drawn again on its own: the driver replays the worst trial to report it.
 # Trials run in blocks.  Within a block, the random numbers are drawn trial
 # by trial; the maps, the inputs, the checks on them, Phi and the norms are
-# built per dimension, as stacked kernels (Kraus-form maps are unitalized as
-# one stack, then checked and applied map by map); delta is the per-trial
-# step, the only one the thread pool runs.
+# built per dimension, as stacked kernels (Kraus-form maps, CP by
+# construction, are unitalized as one stack, then checked unital and applied
+# map by map); delta is the per-trial step, the only one the thread pool runs.
 
 
 def _thread_count() -> int:
@@ -630,8 +632,6 @@ def _group(claim: _Claim, draws: list, rows: list, fixed: dict) -> _Group:
     if draws[0].family == "cp":
         maps = unitalize_kraus_stack([dr.kraus for dr in draws])
         _require_unital([is_unital(phi) for phi in maps], what)
-        if claim.certifies_cp and any(cp_test(phi).status != CERTIFIED_CP for phi in maps):
-            raise ContractError(f"{what} needs a certified CP map")
         images = np.stack([apply(phi, x) for phi, x in zip(maps, inputs)])
         return _Group(rows, a, b, images, maps)
     if claim.normal_a and not normal_mask(a).all():
@@ -703,9 +703,8 @@ def _require_order(what: str, claim: _Claim, family: str, dims) -> None:
 
 def _known_order(family: str, dim: int) -> float:
     # positivity orders guaranteed by construction; mixtures inherit the
-    # minimum order of their components.  CP by construction is infinite
-    # order; the suites of the claims that certify CP (lemma1, lemma2) also
-    # check each map's Choi spectrum with cp_test.
+    # minimum order of their components.  The cp family's Kraus-form maps
+    # are CP by construction, infinite order.
     if family == "cp":
         return math.inf
     if family in ("choi", "mixed"):

@@ -28,7 +28,7 @@ def as_matrix(values, *, square: bool = False) -> Matrix:
         raise DimensionError(f"expected a 2-D matrix, got shape {a.shape}")
     if square and a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a.real).all() or not np.isfinite(a.imag).all():
+    if not np.isfinite(a).all():  # both parts of every entry
         raise ContractError("matrix entries must be finite (no NaN/Inf)")
     return a
 
@@ -39,22 +39,17 @@ def dag(a: Matrix) -> Matrix:
 
 
 def operator_norm(a) -> float:
-    """Largest singular value of ``a``."""
-    a = np.asarray(a, dtype=np.complex128)
+    """Largest singular value of ``a``: the one-matrix ``operator_norms``."""
+    return float(operator_norms(a))
+
+
+def operator_norms(stack) -> np.ndarray:
+    """Largest singular value of each matrix in a (..., n, m) stack (0 if empty)."""
     try:
-        s = np.linalg.svd(a, compute_uv=False)
+        s = np.linalg.svd(np.asarray(stack, dtype=np.complex128), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"svd did not converge: {exc}") from exc
-    return float(s[0]) if s.size else 0.0
-
-
-def operator_norms(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in a (..., n, m) stack."""
-    try:
-        s = np.linalg.svd(stack, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"batched svd did not converge: {exc}") from exc
-    return s[..., 0]
+    return s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
 
 
 def diagonal_stack(v) -> np.ndarray:

@@ -53,10 +53,10 @@ from .linalg import (
 )
 
 #: a searched witness (n < min(k, d)) whose Rayleigh value is at or below
-#: -WITNESS_TOL certifies "not n-positive"
+#: -WITNESS_TOL * ||J||_F certifies "not n-positive"
 WITNESS_TOL = 1e-8
-#: Choi eigenvalues down to -CHOI_PSD_TOL still count as PSD; below it
-#: cp_test refutes and choi_to_kraus raises
+#: Choi eigenvalues down to -CHOI_PSD_TOL * ||J||_F still count as PSD;
+#: below it cp_test refutes and choi_to_kraus raises
 CHOI_PSD_TOL = 1e-9
 #: relative cutoff below which Choi eigenvalues are dropped in Kraus recovery
 KRAUS_CUTOFF = 1e-11
@@ -167,16 +167,16 @@ def to_choi(phi: MapRep) -> MapRep:
 def choi_to_kraus(phi: MapRep) -> MapRep:
     """Recover a Kraus family from the Choi matrix.
 
-    Eigenvalues in (-CHOI_PSD_TOL, 0) are clamped to zero, lower ones raise
-    ``NotCompletelyPositiveError``; eigenvalues below KRAUS_CUTOFF * ||J||
-    are discarded.
+    Eigenvalues in (-CHOI_PSD_TOL * ||J||_F, 0) are clamped to zero, lower
+    ones raise ``NotCompletelyPositiveError``; eigenvalues below
+    KRAUS_CUTOFF * ||J|| are discarded.
     """
     k, d = phi.in_dim, phi.out_dim
     j = choi_matrix(phi)
     w, vecs = np.linalg.eigh((j + dag(j)) / 2.0)
-    if w[0] < -CHOI_PSD_TOL:
+    if w[0] < -CHOI_PSD_TOL * np.linalg.norm(w):
         raise NotCompletelyPositiveError(
-            f"Choi matrix has eigenvalue {w[0]:.3e} < -{CHOI_PSD_TOL:.0e}; map is not CP"
+            f"Choi eigenvalue {w[0]:.3e} < -{CHOI_PSD_TOL:.0e} ||J||_F; map is not CP"
         )
     w = np.clip(w, 0.0, None)
     keep = w > KRAUS_CUTOFF * max(float(w[-1]), 1e-300)
@@ -431,13 +431,15 @@ def rayleigh_value(phi: MapRep, x) -> float:
 def cp_test(phi: MapRep) -> NPositivityVerdict:
     """Exact complete-positivity test via the Choi spectrum.
 
-    ``certified_cp`` iff the minimal Choi eigenvalue is >= -CHOI_PSD_TOL;
-    either way the minimal eigenvector (Schmidt-decomposed) is the witness.
+    ``certified_cp`` iff the minimal Choi eigenvalue is >= -CHOI_PSD_TOL *
+    ||J||_F; either way the minimal eigenvector (Schmidt-decomposed) is the
+    witness.
     """
     j = choi_matrix(phi)
     w, vecs = np.linalg.eigh((j + dag(j)) / 2.0)
     min_eig = float(w[0])
-    status = CERTIFIED_CP if min_eig >= -CHOI_PSD_TOL else CERTIFIED_NOT_N_POSITIVE
+    cp = min_eig >= -CHOI_PSD_TOL * np.linalg.norm(w)  # ||w||_2 = ||J||_F
+    status = CERTIFIED_CP if cp else CERTIFIED_NOT_N_POSITIVE
     a, b = schmidt_decompose(vecs[:, 0], phi.in_dim, phi.out_dim)
     return NPositivityVerdict(n=min(phi.in_dim, phi.out_dim), status=status,
                               min_value_found=min_eig, witness_a=a, witness_b=b, starts=0)
@@ -539,7 +541,8 @@ def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 
     nrm = np.linalg.norm(x)
     if nrm > 0:
         b = b / nrm
-    status = CERTIFIED_NOT_N_POSITIVE if best_val <= -WITNESS_TOL else HEURISTICALLY_N_POSITIVE
+    refuted = best_val <= -WITNESS_TOL * np.linalg.norm(j)
+    status = CERTIFIED_NOT_N_POSITIVE if refuted else HEURISTICALLY_N_POSITIVE
     return NPositivityVerdict(n=n, status=status, min_value_found=float(best_val),
                               witness_a=a, witness_b=b, starts=starts)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NumericError
-from .linalg import Matrix, as_matrix, operator_norm
+from .linalg import Matrix, as_matrix, diagonal_stack, operator_norm
 
 #: largest number of unitaries a decomposition builds; at 1024 the
 #: unitaries of a 32 x 32 matrix take 16 MB
@@ -31,40 +31,41 @@ MAX_UNITARIES = 1024
 
 @dataclass(frozen=True, eq=False)
 class UnitarySumDecomposition:
-    """m unitaries whose mean reconstructs the decomposed operator."""
+    """m unitaries, as one (m, n, n) array, whose mean reconstructs the
+    decomposed operator."""
 
     m: int
-    unitaries: tuple[Matrix, ...]
+    unitaries: np.ndarray
     reconstruction_error: float
 
 
-def scalar_unimodular_sum(s: float, m: int, mode: str = "strict") -> np.ndarray:
-    """m unit-modulus complex numbers summing to m*s.
+def scalar_unimodular_sum(s, m: int, mode: str = "strict") -> np.ndarray:
+    """m unit-modulus complex numbers summing to m*s; for an array of values,
+    an (..., m) array whose row t sums to m*s_t.
 
     Even m: m/2 conjugate pairs e^(+-i theta) with cos(theta) = s.
     Odd m: one 1 plus (m-1)/2 conjugate pairs with cos(theta) = (ms-1)/(m-1).
     Strict mode requires 0 <= s <= 1 - 2/m; relaxed mode allows the full
-    range 0 <= s <= 1 (both phase formulas stay well defined there).
-    Pair phases are emitted in a fixed (+, -) order, so output is
-    deterministic.
+    range 0 <= s <= 1 (both phase formulas stay well defined there); one
+    value out of range rejects the array.  Pair phases are emitted in a
+    fixed (+, -) order, so output is deterministic.
     """
     if mode not in ("strict", "relaxed"):
         raise ContractError(f"unknown mode {mode!r}")
     if m < 2:
         raise ContractError(f"need m >= 2, got {m}")
-    s = float(s)
+    s = np.asarray(s, dtype=np.float64)
     limit = 1.0 - 2.0 / m if mode == "strict" else 1.0
-    if not (-1e-12 <= s <= limit + 1e-12):
-        raise ContractError(f"s={s} outside [0, {limit}] for mode={mode!r}, m={m}")
-    s = min(max(s, 0.0), 1.0)
-    if m % 2 == 0:
-        theta = np.arccos(s)
-        pair = np.array([np.exp(1j * theta), np.exp(-1j * theta)])
-        return np.tile(pair, m // 2)
-    c = np.clip((m * s - 1.0) / (m - 1.0), -1.0, 1.0)
+    bad = ~((-1e-12 <= s) & (s <= limit + 1e-12))  # NaN is out of range too
+    if bad.any():
+        raise ContractError(f"s={float(s[bad][0])} outside [0, {limit}] for mode={mode!r}, m={m}")
+    s = np.clip(s, 0.0, 1.0)
+    c = s if m % 2 == 0 else np.clip((m * s - 1.0) / (m - 1.0), -1.0, 1.0)
     theta = np.arccos(c)
-    pair = np.array([np.exp(1j * theta), np.exp(-1j * theta)])
-    return np.concatenate(([1.0 + 0j], np.tile(pair, (m - 1) // 2)))
+    pairs = np.tile(np.stack([np.exp(1j * theta), np.exp(-1j * theta)], axis=-1), m // 2)
+    if m % 2 == 0:
+        return pairs
+    return np.concatenate((np.ones(s.shape + (1,), dtype=np.complex128), pairs), axis=-1)
 
 
 def decompose_unitary_sum(a, m: int, mode: str = "strict") -> UnitarySumDecomposition:
@@ -98,11 +99,11 @@ def decompose_unitary_sum(a, m: int, mode: str = "strict") -> UnitarySumDecompos
         if nrm > 1.0 + 1e-10:
             raise ContractError(f"relaxed mode needs ||A|| <= 1, got {nrm:.6g}")
 
-    phases = np.stack([scalar_unimodular_sum(min(float(s_t), 1.0), m, mode=mode) for s_t in s])
-    unitaries = tuple(u @ np.diag(phases[:, j]) @ vh for j in range(m))
-    mean = sum(unitaries) / m
-    err = operator_norm(mean - a)
-    return UnitarySumDecomposition(m=m, unitaries=unitaries, reconstruction_error=float(err))
+    # row t of the phase table averages to s_t; unitary j is U diag(column j) V*
+    phases = scalar_unimodular_sum(np.minimum(s, 1.0), m, mode=mode)
+    unitaries = u @ diagonal_stack(phases.T) @ vh
+    err = operator_norm(sum(unitaries) / m - a)
+    return UnitarySumDecomposition(m=m, unitaries=unitaries, reconstruction_error=err)
 
 
 def rescale_for_decomposition(a, m: int) -> tuple[Matrix, float]:

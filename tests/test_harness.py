@@ -16,6 +16,7 @@ from gruss_lab import (
     check_lemma2,
     check_theorem,
     compose,
+    cp_test,
     delta,
     explore_two_positive,
     from_kraus,
@@ -35,6 +36,7 @@ from gruss_lab import (
     random_unital_cp,
     reproduce_counterexample,
     run_trials,
+    to_choi,
     transpose_map,
     unitalize,
     unitary_conj,
@@ -215,6 +217,28 @@ def test_check_lemma2_admits_any_a_on_a_certified_cp_map():
     assert res["lhs"] == pytest.approx(2.359531318141058, rel=1e-12)
     assert res["bound"] == pytest.approx(4.194356114833452, rel=1e-12)
     assert res["ok"]
+
+
+def test_kraus_maps_are_cp_without_a_cp_test(monkeypatch):
+    # a Kraus-form map is CP by construction: the cp suites and the checks
+    # on a Kraus map never decide it again; a Choi-form map still is decided
+    calls = []
+
+    def counted(phi):
+        calls.append(phi.form)
+        return cp_test(phi)
+
+    monkeypatch.setattr(harness, "cp_test", counted)
+    for check in ("lemma1", "lemma2"):
+        assert run_trials(check, "cp", dims=(2, 3), trials=12, seed=1).violations == 0
+    phi = random_unital_cp(3, 4, seed=1)
+    a, b = ginibre(3, seed=2), random_ensemble("normal", 3, seed=3)
+    assert check_lemma1(phi, a, b)["block_ok"]
+    assert check_lemma2(phi, a)["ok"]
+    assert proof_chain(phi, a, b, 5)["link_defect_le_sum"]
+    assert calls == []
+    assert check_lemma2(to_choi(phi), a)["ok"]
+    assert calls == ["choi"]
 
 
 def test_counterexample_exact_numbers():

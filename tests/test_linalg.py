@@ -16,7 +16,7 @@ from gruss_lab import (
     operator_norm,
     random_ensemble,
 )
-from gruss_lab.linalg import ENSEMBLES, ensemble_sample, ensemble_stack
+from gruss_lab.linalg import ENSEMBLES, ensemble_sample, ensemble_stack, operator_norms
 
 
 def test_adjoint_conjugates():
@@ -41,6 +41,17 @@ def test_as_matrix_rejects_bad_shapes_and_nan():
         as_matrix([[np.nan, 0], [0, 1]])
     with pytest.raises(ContractError):
         as_matrix([[np.inf, 0], [0, 1]])
+    # one finiteness pass covers the imaginary parts too
+    for bad in (complex(0.0, np.nan), complex(1.0, np.inf), complex(0.0, -np.inf)):
+        with pytest.raises(ContractError):
+            as_matrix([[1.0, bad], [0.0, 1.0]])
+
+
+def test_operator_norm_is_the_one_matrix_case_of_operator_norms():
+    for x in (ginibre(3, seed=1), ginibre(4, seed=2)[:, :2], as_matrix([[0, -6], [6, 0]])):
+        assert operator_norm(x) == operator_norms(x[None])[0]
+    assert operator_norm(np.zeros((2, 0))) == 0.0
+    assert operator_norms(np.zeros((3, 2, 0))).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_operator_norm_examples():

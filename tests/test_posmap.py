@@ -354,7 +354,8 @@ def test_stacked_search_matches_kron_reference():
     for phi, n in cases:
         best = min(_reference_values(phi, n, 50, seed=3))
         v = n_positivity_search(phi, n, starts=50, seed=3)
-        expected = CERTIFIED_NOT_N_POSITIVE if best <= -WITNESS_TOL else HEURISTICALLY_N_POSITIVE
+        refuted = best <= -WITNESS_TOL * np.linalg.norm(choi_matrix(phi))
+        expected = CERTIFIED_NOT_N_POSITIVE if refuted else HEURISTICALLY_N_POSITIVE
         assert v.status == expected
         assert abs(v.min_value_found - best) <= 1e-12
 
@@ -407,14 +408,42 @@ def test_search_reports_the_starts_it_ran():
 
 
 def test_exact_decision_agrees_with_cp_test():
-    # min Choi eigenvalue -eps: eps = 2e-9 and 5e-9 lie between CHOI_PSD_TOL
-    # and WITNESS_TOL, where the exact decision must still refute
+    # min Choi eigenvalue -eps, with ||J||_F = 2 - eps: eps = 2e-9 and 5e-9
+    # lie between CHOI_PSD_TOL ||J||_F (2e-9 at its edge) and WITNESS_TOL
+    # ||J||_F, where the exact decision must still refute
     for eps in (2e-9, 5e-9, 5e-8):
         phi = mix([identity_map(2), transpose_map(2)], [1.0 - eps, eps])
         exact = cp_test(phi)
         assert exact.status == CERTIFIED_NOT_N_POSITIVE
         for n in (2, 3):
             assert n_positivity_search(phi, n, seed=1).status == exact.status
+
+
+def _scaled(phi, c):
+    # the map c * Phi, in Phi's form
+    if phi.kraus is not None:
+        return from_kraus(np.sqrt(c) * phi.kraus)
+    return from_choi(c * choi_matrix(phi), phi.in_dim, phi.out_dim)
+
+
+def test_positivity_verdicts_do_not_depend_on_the_scale():
+    # the tolerances are relative to ||J||_F, so c * Phi gets Phi's verdict
+    cases = [(random_unital_cp(3, 4, seed=1), 2, HEURISTICALLY_N_POSITIVE),
+             (random_unital_cp(3, 4, seed=1), 3, CERTIFIED_CP),
+             (choi_map(3), 2, HEURISTICALLY_N_POSITIVE),
+             (choi_map(3), 3, CERTIFIED_NOT_N_POSITIVE),
+             (transpose_map(3), 2, CERTIFIED_NOT_N_POSITIVE)]
+    for phi, n, expected in cases:
+        for c in (1e-12, 1e-6, 1.0, 1e4, 1e8):
+            scaled = _scaled(phi, c)
+            assert n_positivity_search(scaled, n, starts=20, seed=1).status == expected
+            cp = cp_test(scaled).status == CERTIFIED_CP
+            assert cp == (phi.kraus is not None)
+            if cp:
+                choi_to_kraus(to_choi(scaled))
+            else:
+                with pytest.raises(NotCompletelyPositiveError):
+                    choi_to_kraus(scaled)
 
 
 def test_search_rejects_fewer_than_one_start():

@@ -42,6 +42,10 @@ def test_scalar_contract_errors():
         scalar_unimodular_sum(1.5, 4, mode="relaxed")
     with pytest.raises(ContractError):
         scalar_unimodular_sum(0.0, 1)
+    # one value out of range rejects the whole array
+    for bad in (0.5, -0.1, np.nan):
+        with pytest.raises(ContractError):
+            scalar_unimodular_sum(np.array([0.1, bad, 0.2]), 3)
 
 
 def test_scalar_phase_invariants():
@@ -53,6 +57,33 @@ def test_scalar_phase_invariants():
             z = scalar_unimodular_sum(s, m)
             assert np.max(np.abs(np.abs(z) - 1.0)) <= 1e-14
             assert abs(z.sum() - m * s) <= 1e-12
+
+
+def test_scalar_sum_of_an_array_is_the_per_value_sums():
+    rng = np.random.default_rng(5)
+    for m in (2, 3, 4, 7):
+        for mode, limit in (("strict", 1.0 - 2.0 / m), ("relaxed", 1.0)):
+            if mode == "strict" and m < 3:
+                continue
+            s = np.append(rng.uniform(0.0, limit, 6), [0.0, limit])
+            z = scalar_unimodular_sum(s, m, mode=mode)
+            assert z.shape == (s.size, m)
+            for t, s_t in enumerate(s):
+                assert np.array_equal(z[t], scalar_unimodular_sum(float(s_t), m, mode=mode))
+
+
+def test_decompose_returns_the_unitaries_as_one_stack():
+    # unitary j is U diag(z_j) V*, z_j the j-th phases of the singular values
+    for n, m, mode in ((1, 3, "strict"), (3, 4, "strict"), (4, 7, "strict"), (3, 2, "relaxed")):
+        a = ginibre(n, seed=n + m)
+        limit = 1.0 if mode == "relaxed" else 1.0 - 2.0 / m
+        a = a * (0.8 * limit / operator_norm(a))
+        dec = decompose_unitary_sum(a, m, mode=mode)
+        assert dec.unitaries.shape == (m, n, n)
+        u, s, vh = np.linalg.svd(a)
+        phases = np.stack([scalar_unimodular_sum(s_t, m, mode=mode) for s_t in s])
+        for j in range(m):
+            assert np.array_equal(dec.unitaries[j], u @ np.diag(phases[:, j]) @ vh)
 
 
 def test_decompose_zero_matrix():
