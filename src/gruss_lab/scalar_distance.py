@@ -14,10 +14,12 @@ bound: the optimum of a weighted smallest-enclosing-disk model.
 
 * ``delta_general`` -- any C, and what ``delta`` runs.  Column generation:
   each step evaluates ||C - lambda I||, an upper bound, and adds its top
-  right singular vector to the model, until the two bounds meet.  The next
-  lambda is the model's minimizer, or, where sigma_1(C - lambda I)^2 is
-  smooth and its quadratic model stays above the lower bound, the Newton
-  point that the same SVD gives.
+  right singular vector to the model, until the two bounds meet; the first
+  SVD contributes all of its states, which on a normal C make the model the
+  spectral disk at once.  The next lambda is the model's minimizer, or,
+  from the first SVD on, where sigma_1(C - lambda I)^2 is smooth and its
+  quadratic model stays above the lower bound, the Newton point that the
+  same SVD gives.
 * ``delta_normal`` -- spectral reference route for normal C: the same model
   over unit eigenvectors, i.e. the smallest disk enclosing the spectrum.
 * ``delta_grid_oracle`` -- exact minimum over a square grid (Lipschitz
@@ -236,12 +238,13 @@ def smallest_enclosing_disk(points) -> SpectralDisk:
                         support=tuple(mu + z / scale for z, _ in support))
 
 
-def _newton_point(u, sv, vh, lam: complex, zv: complex, s: float,
+def _newton_point(u, sv: list, vh, lam: complex, zv: complex, s: float,
                   g: float) -> complex | None:
     """Newton point of f(lam) = sigma_1(C0 - lam I)^2 from the full SVD
-    M = C0 - lam I = sum_j sigma_j u_j v_j*, or None when the quadratic
-    model predicts a value at or below the lower bound g (f* >= g, so the
-    model is then wrong, as it always is on normal C).
+    M = C0 - lam I = sum_j sigma_j u_j v_j*, with the singular values ``sv``
+    as Python floats, or None when the quadratic model predicts a value at
+    or below the lower bound g (f* >= g, so the model is then wrong, as it
+    always is on normal C).
 
     With f smooth at a simple sigma_1, the gradient over (Re, Im) lam is
     -2 (z - lam) = -2 zv, and the Hessian is
@@ -253,21 +256,26 @@ def _newton_point(u, sv, vh, lam: complex, zv: complex, s: float,
     That bound multiplies squares of f's size, so it is evaluated with f, f2,
     s, w and g over the power of two nearest f: exact, so the decision is the
     unscaled one wherever that stays finite, and the products never overflow.
+    The sum runs over the d - 1 lower singular values in Python scalars.
     """
-    f, f2 = sv[0] * sv[0], sv[1] * sv[1]
+    s1 = sv[0]
+    f, f2 = s1 * s1, sv[1] * sv[1]
     w2 = zv.real * zv.real + zv.imag * zv.imag
     r = 2.0 ** -math.frexp(f)[1]
     fr, f2r = f * r, f2 * r
     if fr - 2.0 * (w2 * r) / (2.0 + 4.0 * (fr + f2r) * (s * r) / (fr * (fr - f2r))) <= g * r:
         return None  # predicted = f - 2 w^T H^-1 w <= f - 2 |w|^2 / lambda_max(H)
-    p = sv[0] * (vh[1:] @ u[:, 0])  # sigma_1 <v_j, u_1>
-    q = sv[1:] * (u[:, 1:].conj().T @ vh[0].conj())  # sigma_j <u_j, v_1>
-    c1, ci = p + q, 1j * (q - p)
-    gaps = f - sv[1:] ** 2
     # H = 2 [[hxx, hxy], [hxy, hyy]], so the step -H^-1 grad is H^-1 (2 zv)
-    hxx = 1.0 + float(np.sum((c1.real ** 2 + c1.imag ** 2) / gaps))
-    hyy = 1.0 + float(np.sum((ci.real ** 2 + ci.imag ** 2) / gaps))
-    hxy = float(np.sum((c1.conj() * ci).real / gaps))
+    hxx = hyy = hxy = 0.0
+    for vu, uv, sj in zip((vh[1:] @ u[:, 0]).tolist(),  # <v_j, u_1>
+                          (vh[0] @ u[:, 1:]).tolist(), sv[1:]):  # conj(<u_j, v_1>)
+        p, q = s1 * vu, sj * uv.conjugate()
+        c1, ci = p + q, 1j * (q - p)
+        gap = f - sj * sj
+        hxx += (c1.real * c1.real + c1.imag * c1.imag) / gap
+        hyy += (ci.real * ci.real + ci.imag * ci.imag) / gap
+        hxy += (c1.real * ci.real + c1.imag * ci.imag) / gap
+    hxx, hyy = 1.0 + hxx, 1.0 + hyy
     det = hxx * hyy - hxy * hxy
     step = complex(hyy * zv.real - hxy * zv.imag, hxx * zv.imag - hxy * zv.real) / det
     if f - (zv.real * step.real + zv.imag * step.imag) <= g:
@@ -281,15 +289,19 @@ def delta_general(c) -> DeltaResult:
     Column generation over states, starting at lambda = tr(C)/dim.  Each
     step takes one SVD of C - lambda I: its top singular value is an upper
     bound, and its top right singular vector v becomes the atom
-    z = <v, Cv>, s = ||Cv||^2 - |z|^2.  The model
+    z = <v, Cv>, s = ||Cv||^2 - |z|^2.  The first SVD contributes all of
+    its states: after the top one, every other right singular vector whose
+    atom lies above the lower bound at the current model point joins the
+    model too, so on a normal C, whose singular vectors there are
+    eigenvectors, the model after one SVD is the spectral disk.  The model
     min over lambda of max_i |z_i - lambda|^2 + s_i  over the retained
     atoms is re-solved in closed form (keeping only its 1-3 support atoms),
     which gives a lower bound that never decreases and the model point, its
     minimizer.  The next lambda is the model point, except where
-    f = sigma_1(C - lambda I)^2 is smooth: from the second step on, right
-    after a step that lowered the upper bound and with sigma_1 > sigma_2,
-    the same SVD gives the Newton point of f (``_newton_point``), taken when
-    its predicted value exceeds the lower bound.  Column generation alone
+    f = sigma_1(C - lambda I)^2 is smooth: after any step that lowered the
+    upper bound, the first included, and with sigma_1 > sigma_2, the same
+    SVD gives the Newton point of f (``_newton_point``), taken when its
+    predicted value exceeds the lower bound.  Column generation alone
     converges linearly at such a smooth minimum, which non-normal C have;
     Newton steps converge quadratically (A. S. Lewis and M. L. Overton,
     Acta Numerica 5 (1996)).  On normal C the Newton point is never taken.
@@ -299,8 +311,8 @@ def delta_general(c) -> DeltaResult:
     bound below taken on the scaled problem.
 
     The solver stops when upper - lower <= tol, tested after each SVD and
-    again as soon as a new atom raises the lower bound, so the atom that
-    closes the bracket costs no further SVD.  tol = BRACKET_TOL *
+    again as soon as new atoms raise the lower bound, so the atoms that
+    close the bracket cost no further SVD.  tol = BRACKET_TOL *
     sigma_1(C0) / 2 for C0 = C - tr(C)/dim I, the first SVD's upper bound:
     as ||C0|| / 2 <= delta(C) <= ||C||, it is relative to delta(C) and never
     looser than BRACKET_TOL * ||C||, and C = 0 stops at once with gap 0.
@@ -309,47 +321,69 @@ def delta_general(c) -> DeltaResult:
     is the best evaluated norm and certified_gap the final upper - lower in
     every case.
     """
-    c = as_matrix(c, square=True)
-    dim = c.shape[0]
+    m = np.ascontiguousarray(as_matrix(c, square=True))
+    dim = m.shape[0]
     # work relative to tr(C)/dim, where the atoms are no larger than 2 delta,
     # and on a scale where the model's squared distances stay finite
-    mu = complex(np.trace(c)) / dim
-    eye = np.eye(dim)
-    c0 = c - mu * eye
-    scale = _exact_scale(c0)
-    c0 = c0 * scale
+    diag = m.reshape(-1)[::dim + 1]  # a view (m is C-ordered) of m's diagonal
+    mu = complex(diag.sum()) / dim
+    diag -= mu
+    scale = _exact_scale(m)
+    if scale != 1.0:
+        m *= scale
+    c0_diag = diag.copy()  # m holds C0 now, and C0 - lam I at each step
 
     support: list = []
     g = -math.inf
     lam = model = 0j  # the point evaluated next, and the model point
     upper, best = math.inf, 0j
     for step in range(_MAX_ITERATIONS):
-        m = c0 - lam * eye
+        if step:
+            np.subtract(c0_diag, lam, out=diag)
         try:
             u, sv, vh = np.linalg.svd(m)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"svd did not converge: {exc}") from exc
+        sv = sv.tolist()
         lowered = sv[0] < upper
         if lowered:
-            upper, best = float(sv[0]), lam
+            upper, best = sv[0], lam
         if step == 0:
             tol = BRACKET_TOL * upper / 2.0  # ||C0|| / 2 <= delta(C0)
         if upper - math.sqrt(max(g, 0.0)) <= tol:
             break
-        v = vh[0].conj()
-        w = m @ v
-        zv = complex(np.vdot(v, w))
-        r = w - zv * v  # s = ||r||^2 = ||Cv||^2 - |z|^2 without the cancellation
-        s = float(np.vdot(r, r).real)
-        g_new, model_new, support_new = _add_atom(support, (zv + lam, s))
-        if g_new > g:
-            g, model, support = g_new, model_new, support_new
+        # the states: every right singular vector at the first step, the top
+        # one after it (in vector form, cheaper for one state);
+        # s = ||r||^2 = ||Mv||^2 - |z|^2 without the cancellation
+        if step == 0:
+            v = vh.conj().T
+            w = m @ v
+            zs = np.einsum("ij,ij->j", v.conj(), w)
+            r = w - v * zs
+            ss = np.einsum("ij,ij->j", r.conj(), r).real.tolist()
+            zs = zs.tolist()
+        else:
+            v = vh[0].conj()
+            w = m @ v
+            zv = complex(np.vdot(v, w))
+            r = w - zv * v
+            zs, ss = [zv], [float(np.vdot(r, r).real)]
+        zv, s = zs[0], ss[0]
+        raised = False
+        for j, (z, sj) in enumerate(zip(zs, ss)):
+            z += lam
+            if j and abs(z - model) ** 2 + sj <= g:
+                continue  # inside the model at its point: adds nothing
+            g_new, model_new, support_new = _add_atom(support, (z, sj))
+            if g_new > g:
+                g, model, support, raised = g_new, model_new, support_new, True
+        if raised:
             if upper - math.sqrt(g) <= tol:
-                break  # the new state closes the bracket
+                break  # the new states close the bracket
         elif lam == model:
             break  # the new state no longer raises the model: rounding level
         newton = None
-        if step > 0 and lowered and sv[0] > sv[1]:
+        if lowered and sv[0] > sv[1]:
             newton = _newton_point(u, sv, vh, lam, zv, s, g)
         lam = model if newton is None else newton
     gap = max(upper - math.sqrt(max(g, 0.0)), 0.0)

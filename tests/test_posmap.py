@@ -408,10 +408,12 @@ def test_search_reports_the_starts_it_ran():
 
 
 def test_exact_decision_agrees_with_cp_test():
-    # min Choi eigenvalue -eps, with ||J||_F = 2 - eps: eps = 2e-9 and 5e-9
-    # lie between CHOI_PSD_TOL ||J||_F (2e-9 at its edge) and WITNESS_TOL
-    # ||J||_F, where the exact decision must still refute
-    for eps in (2e-9, 5e-9, 5e-8):
+    # min Choi eigenvalue -eps, with ||J||_F = 2 - eps, so the refutation
+    # threshold -CHOI_PSD_TOL ||J||_F is just above -2e-9: eps = 2.001e-9
+    # lies 1e-12 past it (far beyond eigh's rounding of ~4e-16 here) and
+    # eps = 5e-9 further, both above -WITNESS_TOL ||J||_F, where a searched
+    # witness would not refute but the exact decision must; 5e-8 lies past both
+    for eps in (2.001e-9, 5e-9, 5e-8):
         phi = mix([identity_map(2), transpose_map(2)], [1.0 - eps, eps])
         exact = cp_test(phi)
         assert exact.status == CERTIFIED_NOT_N_POSITIVE

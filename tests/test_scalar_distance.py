@@ -286,8 +286,9 @@ def test_general_bracket_is_tight():
             assert 0.0 <= res.certified_gap <= 1e-11 * (1 + operator_norm(c))
 
 
-@pytest.mark.parametrize("dim", [3, 4, 8, 16])
-def test_newton_steps_cut_the_iteration_tail(monkeypatch, dim):
+def _svds_per_call(monkeypatch, cs):
+    """SVDs each delta_general call on the matrices ``cs`` takes, and the
+    results."""
     calls = []
     svd = np.linalg.svd
 
@@ -296,53 +297,65 @@ def test_newton_steps_cut_the_iteration_tail(monkeypatch, dim):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
+    counts, results = [], []
+    for c in cs:
+        calls.clear()
+        results.append(delta_general(c))
+        counts.append(len(calls))
+    return np.array(counts), results
 
-    def svds_per_call(kind, seeds):
-        # SVDs each delta_general call takes, the one for ||C|| included
-        counts = []
-        for seed in seeds:
-            calls.clear()
-            delta_general(random_ensemble(kind, dim, seed=seed))
-            counts.append(len(calls))
-        return np.array(counts)
 
+def _counts(monkeypatch, kind, dim, seeds):
+    return _svds_per_call(monkeypatch, [random_ensemble(kind, dim, seed=seed)
+                                        for seed in seeds])[0]
+
+
+@pytest.mark.parametrize("dim", [3, 4, 8, 16])
+def test_newton_steps_cut_the_iteration_tail(monkeypatch, dim):
     # non-normal C: sigma_1 is simple at the optimum, and Newton steps on
     # sigma_1^2 replace the linear tail of column generation
-    ginibre_counts = svds_per_call("ginibre", range(500, 540))
+    ginibre_counts = _counts(monkeypatch, "ginibre", dim, range(500, 540))
     assert ginibre_counts.mean() <= 9 and ginibre_counts.max() <= 15
     # normal C: the quadratic model is wrong, and the model points stay
-    assert svds_per_call("hermitian", range(20)).max() <= 4
-    assert svds_per_call("normal", range(20)).max() <= 7
+    assert _counts(monkeypatch, "hermitian", dim, range(20)).max() <= 4
+    assert _counts(monkeypatch, "normal", dim, range(20)).max() <= 7
 
 
 def test_a_new_state_that_closes_the_bracket_ends_the_solve(monkeypatch):
-    calls = []
-    svd = np.linalg.svd
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-
-    def svds_per_call(kind, dim, seeds):
-        counts = []
-        for seed in seeds:
-            calls.clear()
-            delta_general(random_ensemble(kind, dim, seed=seed))
-            counts.append(len(calls))
-        return np.array(counts)
-
     # the scalar nearest a 2 x 2 matrix is tr(C)/2, where the solve starts,
-    # and the first SVD's state closes the bracket there; for a normal one
-    # the top singular value is double there, and a second state is needed
-    assert (svds_per_call("ginibre", 2, range(40)) == 1).all()
-    assert svds_per_call("hermitian", 2, range(20)).max() <= 2
-    assert svds_per_call("normal", 2, range(20)).max() <= 2
+    # and the first SVD's states close the bracket there; for a normal one
+    # the top singular value is double there, and its second state is needed
+    assert (_counts(monkeypatch, "ginibre", 2, range(40)) == 1).all()
+    assert (_counts(monkeypatch, "hermitian", 2, range(20)) == 1).all()
+    assert (_counts(monkeypatch, "normal", 2, range(20)) == 1).all()
     for dim in (3, 4, 8):
         # the extreme eigenvectors of a Hermitian C close it at the model point
-        assert (svds_per_call("hermitian", dim, range(20)) == 3).all()
-        assert svds_per_call("ginibre", dim, range(500, 540)).mean() <= 6
+        assert (_counts(monkeypatch, "hermitian", dim, range(20)) == 2).all()
+        assert _counts(monkeypatch, "ginibre", dim, range(500, 540)).mean() <= 6
+
+
+@pytest.mark.parametrize("dim", [3, 4, 8, 16])
+def test_newton_from_the_first_svd_shortens_non_normal_solves(monkeypatch, dim):
+    # the first SVD's Newton point is taken where its model stays above the
+    # lower bound, which every state of that SVD raised
+    assert _counts(monkeypatch, "ginibre", dim, range(300)).mean() <= 4.6
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+def test_the_first_svd_gives_the_spectral_disk(monkeypatch, dim):
+    # at tr(C)/dim the right singular vectors of a normal C are eigenvectors,
+    # so its states make the model the smallest disk around the spectrum, and
+    # the second SVD, at the disk's center, closes the bracket
+    hermitian = [random_ensemble("hermitian", dim, seed=seed) for seed in range(300)]
+    normal = [random_ensemble("normal", dim, seed=seed) for seed in range(300)]
+    counts, hermitian_res = _svds_per_call(monkeypatch, hermitian)
+    assert (counts == (1 if dim == 2 else 2)).all()
+    counts, normal_res = _svds_per_call(monkeypatch, normal)
+    assert counts.mean() <= 2.2
+    degenerate = _degenerate_spectra(dim)
+    results = hermitian_res + normal_res + [delta_general(c) for c in degenerate]
+    for c, res in zip(hermitian + normal + degenerate, results):
+        assert abs(res.minimizer - delta_normal(c).minimizer) <= 1e-12 * (1 + operator_norm(c))
 
 
 def test_normality_does_not_depend_on_the_scale_of_c():
