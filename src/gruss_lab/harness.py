@@ -57,7 +57,7 @@ from .posmap import (
     MapRep,
     apply,
     apply_choi_stack,
-    choi_matrix,
+    choi_kraus_stack,
     compose_choi_stack,
     cp_test,
     from_choi,
@@ -66,6 +66,7 @@ from .posmap import (
     mix_choi_stack,
     n_positivity_search,
     normalized_choi_map,
+    phi_of_identity_kraus_stack,
     transpose_map,
     unital_mask,
     unitalize_kraus_stack,
@@ -481,8 +482,9 @@ def proof_chain(phi: MapRep, a, b, m: int) -> dict:
 # Trials run in blocks.  Within a block, the random numbers are drawn trial
 # by trial; the maps, the inputs, the checks on them, Phi and the norms are
 # built per dimension, as stacked kernels (Kraus-form maps, CP by
-# construction, are unitalized as one stack, then checked unital and applied
-# map by map); delta is the per-trial step, the only one the thread pool runs.
+# construction, are unitalized, checked unital and turned into Choi matrices
+# as one stack per Kraus rank, and applied map by map); delta is the
+# per-trial step, the only one the thread pool runs.
 
 
 def _thread_count() -> int:
@@ -581,8 +583,7 @@ def _choi_maps(draws: list, fixed: dict) -> np.ndarray:
     if rows.size:
         # the random unital CP map that random_unital_cp builds from the
         # drawn Kraus family, in Choi form
-        cp = np.stack([choi_matrix(phi)
-                       for phi in unitalize_kraus_stack([draws[i].kraus for i in rows])])
+        cp = choi_kraus_stack(unitalize_kraus_stack([draws[i].kraus for i in rows]))
         mixed = families[rows] == "mixed"
         if mixed.any():
             w = np.array([draws[i].weight for i in rows[mixed]])
@@ -631,7 +632,7 @@ def _group(claim: _Claim, draws: list, rows: list, fixed: dict) -> _Group:
     what = f"check {claim.name!r}"
     if draws[0].family == "cp":
         maps = unitalize_kraus_stack([dr.kraus for dr in draws])
-        _require_unital([is_unital(phi) for phi in maps], what)
+        _require_unital(unital_mask(phi_of_identity_kraus_stack(maps)), what)
         images = np.stack([apply(phi, x) for phi, x in zip(maps, inputs)])
         return _Group(rows, a, b, images, maps)
     if claim.normal_a and not normal_mask(a).all():

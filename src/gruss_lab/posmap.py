@@ -115,6 +115,14 @@ class NPositivityVerdict:
 def from_kraus(ops) -> MapRep:
     """Build a (completely positive) map from its Kraus family: L d x k
     matrices, as a sequence or as an (L, d, k) array."""
+    ops = _kraus_family(ops)
+    # a copy over a (d, L, k) buffer: apply's d x Lk [K_1 ... K_L] is a view
+    wide = np.array(ops.transpose(1, 0, 2), order="C")
+    return MapRep(in_dim=ops.shape[2], out_dim=ops.shape[1], kraus=wide.transpose(1, 0, 2))
+
+
+def _kraus_family(ops) -> np.ndarray:
+    # a Kraus family as a checked complex (L, d, k) array
     try:
         ops = np.asarray(ops, dtype=np.complex128)
     except ValueError:  # operators of different shapes (or not numbers)
@@ -125,9 +133,7 @@ def from_kraus(ops) -> MapRep:
         raise DimensionError(f"a Kraus family must be an (L, d, k) stack, got shape {ops.shape}")
     if not np.isfinite(ops).all():
         raise ContractError("Kraus operator entries must be finite (no NaN/Inf)")
-    # a copy over a (d, L, k) buffer: apply's d x Lk [K_1 ... K_L] is a view
-    wide = np.array(ops.transpose(1, 0, 2), order="C")
-    return MapRep(in_dim=ops.shape[2], out_dim=ops.shape[1], kraus=wide.transpose(1, 0, 2))
+    return ops
 
 
 def from_choi(j, in_dim: int, out_dim: int) -> MapRep:
@@ -147,9 +153,20 @@ def choi_matrix(phi: MapRep) -> Matrix:
     """The Choi matrix J = sum_ij E_ij (x) Phi(E_ij) of ``phi``."""
     if phi.choi is not None:
         return phi.choi
-    # J = sum_l w_l w_l* with w_l = vec of K_l^T (index (i, a) -> K_l[a, i])
-    w = phi.kraus.transpose(0, 2, 1).reshape(len(phi.kraus), -1)
-    return np.einsum("li,lj->ij", w, w.conj())
+    return choi_kraus_stack([phi])[0]
+
+
+def choi_kraus_stack(maps: list) -> np.ndarray:
+    """The (N, dk, dk) stack of the Choi matrices of N Kraus-form maps
+    M_k -> M_d of any Kraus ranks, one einsum per rank: ``choi_matrix`` of
+    a Kraus map is its one-map case."""
+    groups = _rank_groups(_kraus_arrays(maps))
+    parts = []
+    for rows, buf in groups:
+        # J = sum_l w_l w_l* with w_l = vec of K_l^T (index (i, a) -> K_l[a, i])
+        w = buf.transpose(0, 2, 3, 1).reshape(len(rows), buf.shape[2], -1)
+        parts.append(np.einsum("gli,glj->gij", w, w.conj()))
+    return _in_input_order(groups, parts)
 
 
 def superop_matrix(phi: MapRep) -> Matrix:
@@ -197,11 +214,18 @@ def apply(phi: MapRep, x) -> np.ndarray:
     if not np.isfinite(xs).all():
         raise ContractError("matrix entries must be finite (no NaN/Inf)")
     if phi.kraus is not None:
-        # [K_1 X ... K_L X] [K_1 ... K_L]*: two GEMMs through the d x Lk stack
-        wide = phi.kraus.transpose(1, 0, 2).reshape(d, -1)
-        return (wide.reshape(-1, k) @ xs).reshape(*xs.shape[:-2], d, -1) @ dag(wide)
+        return _kraus_images(phi.kraus.transpose(1, 0, 2).reshape(d, -1), xs)
     out = apply_choi_stack(phi.choi.reshape(k, d, k, d), xs.reshape(-1, k, k))
     return out.reshape(*xs.shape[:-2], d, d)
+
+
+def _kraus_images(wide: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    # [K_1 X ... K_L X] [K_1 ... K_L]*: two GEMMs through the d x Lk stack
+    # wide = [K_1 ... K_L], on one X or an (S, k, k) stack of them, or for
+    # each map of a (G, d, Lk) stack of them on one X
+    d, k = wide.shape[-2], xs.shape[-1]
+    kx = wide.reshape(*wide.shape[:-2], -1, k) @ xs
+    return kx.reshape(*kx.shape[:-2], d, -1) @ dag(wide)
 
 
 def apply_choi_stack(j4: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -304,11 +328,74 @@ def unitalize(phi: MapRep) -> MapRep:
 def unitalize_kraus_stack(families: list) -> list[MapRep]:
     """The unital maps, in Kraus form, of Kraus families given as (L, d, k)
     arrays of any ranks L that share d and k: K -> S^(-1/2) K with
-    S = Phi(I), the inverse square roots taken as one stack.  The Kraus case
-    of ``unitalize``, and of ``random_unital_cp``, is its one-family case."""
-    maps = [from_kraus(ops) for ops in families]
-    s = np.stack([phi_of_identity(phi) for phi in maps])
-    return [from_kraus(r @ phi.kraus) for r, phi in zip(_inverse_sqrt(s), maps)]
+    S = Phi(I).  The families of one rank go through Phi(I) and the
+    products as one stack, and the inverse square roots of all of them as
+    one stack.  The Kraus case of ``unitalize``, and of
+    ``random_unital_cp``, is its one-family case."""
+    groups = _rank_groups([_kraus_family(ops) for ops in families])
+    r = _inverse_sqrt(_identity_images(groups))
+    _, d, _, k = groups[0][1].shape
+    out = [None] * len(r)
+    for rows, buf in groups:
+        # (G, 1, d, d) @ (G, L, d, k), laid out in from_kraus's (d, L, k) buffers
+        ops = r[rows][:, None] @ buf.transpose(0, 2, 1, 3)
+        wide = np.array(ops.transpose(0, 2, 1, 3), order="C")
+        for i, w in zip(rows, wide):
+            out[i] = MapRep(in_dim=k, out_dim=d, kraus=w.transpose(1, 0, 2))
+    return out
+
+
+def phi_of_identity_kraus_stack(maps: list) -> np.ndarray:
+    """The (N, d, d) stack of Phi(I) of N Kraus-form maps M_k -> M_d of any
+    Kraus ranks, one stacked ``apply`` product per rank, each with the bits
+    of ``phi_of_identity``."""
+    return _identity_images(_rank_groups(_kraus_arrays(maps)))
+
+
+def _kraus_arrays(maps: list) -> list:
+    # the (L, d, k) Kraus arrays of Kraus-form maps
+    if any(phi.kraus is None for phi in maps):
+        raise ContractError("a stack of Kraus maps takes Kraus-form maps only")
+    return [phi.kraus for phi in maps]
+
+
+def _rank_groups(families: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    # (L, d, k) Kraus families grouped by rank L, in order of first
+    # appearance: each group's positions in ``families`` and its C-ordered
+    # (G, d, L, k) stack of them, from_kraus's layout; a one-family group of
+    # a map's Kraus buffer is a view of it, not a copy
+    if not families:
+        raise ContractError("a stack of Kraus families needs at least one family")
+    if any(ops.shape[1:] != families[0].shape[1:] for ops in families):
+        raise DimensionError("stacked Kraus families must share their dimensions d and k")
+    by_rank: dict = {}
+    for i, ops in enumerate(families):
+        by_rank.setdefault(len(ops), []).append(i)
+    groups = []
+    for rows in by_rank.values():
+        bufs = [families[i].transpose(1, 0, 2) for i in rows]
+        groups.append((np.array(rows), np.ascontiguousarray(bufs[0])[None] if len(rows) == 1
+                       else np.array(bufs)))
+    return groups
+
+
+def _in_input_order(groups: list, parts: list) -> np.ndarray:
+    # the stack of the maps' results from each group's stack of them
+    if len(parts) == 1:  # one group holds every map, in order
+        return parts[0]
+    n = sum(len(rows) for rows, _ in groups)
+    out = np.empty((n, *parts[0].shape[1:]), dtype=parts[0].dtype)
+    for (rows, _), part in zip(groups, parts):
+        out[rows] = part
+    return out
+
+
+def _identity_images(groups: list) -> np.ndarray:
+    # the (N, d, d) stack of Phi(I) of grouped Kraus maps, through apply's
+    # products on each group's (G, d, Lk) stack of [K_1 ... K_L]
+    eye = np.eye(groups[0][1].shape[3], dtype=np.complex128)
+    return _in_input_order(groups, [_kraus_images(buf.reshape(*buf.shape[:2], -1), eye)
+                                    for _, buf in groups])
 
 
 def _inverse_sqrt(s: np.ndarray) -> np.ndarray:

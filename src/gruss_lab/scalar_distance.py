@@ -109,9 +109,12 @@ def is_normal(c) -> bool:
 
 def normal_mask(cs) -> np.ndarray:
     """``is_normal`` of each matrix of a (T, d, d) stack, d >= 1, each at
-    its own exact prescale."""
+    its own exact prescale: ``_exact_scale``'s power of two, from one
+    ``np.frexp`` of each matrix's largest |entry|."""
     cs = np.asarray(cs, dtype=np.complex128)
-    cs = cs * np.array([_exact_scale(c) for c in cs])[:, None, None]
+    e = np.frexp(np.abs(cs).max(axis=(1, 2)))[1]
+    scale = np.where(np.abs(e) < 300, 1.0, np.ldexp(1.0, -np.maximum(e, -1000)))
+    cs = cs * scale[:, None, None]
     nrm = operator_norms(cs)
     u = cs / np.where(nrm > 0, nrm, 1.0)[:, None, None]  # C = 0 is normal
     return operator_norms(u @ dag(u) - dag(u) @ u) <= NORMALITY_TOL

@@ -48,7 +48,10 @@ from gruss_lab import (
 from gruss_lab.posmap import (
     WITNESS_TOL,
     apply_choi_stack,
+    choi_kraus_stack,
     mix_choi_stack,
+    phi_of_identity,
+    phi_of_identity_kraus_stack,
     unital_mask,
     unitalize_kraus_stack,
 )
@@ -561,12 +564,48 @@ def test_random_unital_cp_is_unital_cp():
     assert cp_test(phi).status == CERTIFIED_CP
 
 
+# Kraus ranks in shuffled order: some repeated (grouped into stacks), some
+# singletons
+_RAGGED_RANKS = (3, 1, 9, 3, 4, 2, 9, 3, 5)
+
+
 def test_unitalizing_a_stack_of_families_matches_one_family_at_a_time():
-    # ragged Kraus ranks, each family its own generator as random_unital_cp draws it
-    ranks = (1, 4, 2, 9)
-    families = [ginibre(3, seed, (rank,)) for seed, rank in enumerate(ranks)]
-    for seed, (rank, phi) in enumerate(zip(ranks, unitalize_kraus_stack(families))):
-        assert np.array_equal(phi.kraus, random_unital_cp(3, rank, seed=seed).kraus)
+    # each family its own generator as random_unital_cp draws it
+    for dim in (2, 3, 8, 16):
+        families = [ginibre(dim, seed, (rank,)) for seed, rank in enumerate(_RAGGED_RANKS)]
+        maps = unitalize_kraus_stack(families)
+        assert [len(phi.kraus) for phi in maps] == list(_RAGGED_RANKS)
+        for seed, (rank, phi) in enumerate(zip(_RAGGED_RANKS, maps)):
+            assert np.array_equal(phi.kraus, random_unital_cp(dim, rank, seed=seed).kraus)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 16])
+def test_kraus_stacks_match_choi_matrix_and_phi_of_identity_map_by_map(dim):
+    maps = [from_kraus(ginibre(dim, seed, (rank,))) for seed, rank in enumerate(_RAGGED_RANKS)]
+    chois = choi_kraus_stack(maps)
+    images = phi_of_identity_kraus_stack(maps)
+    assert chois.shape == (len(maps), dim * dim, dim * dim)
+    for n, phi in enumerate(maps):
+        # the Choi matrix as sum_l w_l w_l*, w_l = vec of K_l^T, map by map
+        w = phi.kraus.transpose(0, 2, 1).reshape(len(phi.kraus), -1)
+        assert np.array_equal(chois[n], np.einsum("li,lj->ij", w, w.conj()))
+        assert np.array_equal(chois[n], choi_matrix(phi))
+        assert np.array_equal(images[n], phi_of_identity(phi))
+
+
+def test_kraus_stacks_reject_an_empty_or_mixed_stack():
+    with pytest.raises(ContractError):
+        unitalize_kraus_stack([])
+    with pytest.raises(DimensionError):  # families on M_2 -> M_2 and M_3 -> M_2
+        unitalize_kraus_stack([ginibre(2, 0, (2,)),
+                               np.random.default_rng(0).standard_normal((2, 2, 3))])
+    with pytest.raises(DimensionError):
+        unitalize_kraus_stack([ginibre(2, 0, (2,)), ginibre(3, 1, (2,))])
+    for stack in (choi_kraus_stack, phi_of_identity_kraus_stack):
+        with pytest.raises(ContractError):
+            stack([])
+        with pytest.raises(ContractError):  # a Choi-form map
+            stack([random_unital_cp(2, 2), to_choi(random_unital_cp(2, 2))])
 
 
 def test_a_stacked_mix_matches_mix_map_by_map():
