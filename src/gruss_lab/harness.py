@@ -58,7 +58,6 @@ from .posmap import (
     apply,
     apply_choi_stack,
     choi_kraus_stack,
-    compose_choi_stack,
     cp_test,
     from_choi,
     is_unital,
@@ -66,7 +65,6 @@ from .posmap import (
     mix_choi_stack,
     n_positivity_search,
     normalized_choi_map,
-    phi_of_identity_kraus_stack,
     transpose_map,
     unital_mask,
     unitalize_kraus_stack,
@@ -482,9 +480,10 @@ def proof_chain(phi: MapRep, a, b, m: int) -> dict:
 # Trials run in blocks.  Within a block, the random numbers are drawn trial
 # by trial; the maps, the inputs, the checks on them, Phi and the norms are
 # built per dimension, as stacked kernels (Kraus-form maps, CP by
-# construction, are unitalized, checked unital and turned into Choi matrices
-# as one stack per Kraus rank, and applied map by map); delta is the
-# per-trial step, the only one the thread pool runs.
+# construction, are unitalized and turned into Choi matrices as one stack per
+# Kraus rank, and applied map by map; every map is checked unital on the
+# image of I, mapped with its inputs); delta is the per-trial step, the only
+# one the thread pool runs.
 
 
 def _thread_count() -> int:
@@ -556,17 +555,11 @@ def _inputs(samples: list) -> np.ndarray:
 
 
 def _fixed_maps(claim: _Claim, family: str, dims: tuple) -> dict:
-    # the Choi matrices, reshaped (k, k, k, k), that every trial of a
-    # dimension shares, built once per suite: the trace-type map (the choi
-    # and mixed families) and the transpose (the positive family)
-    families = set(claim.families or (family,))
-    maps = {}
-    for d in set(dims):
-        if families & {"choi", "mixed"}:
-            maps["trace", d] = normalized_choi_map(d).choi.reshape(d, d, d, d)
-        if "positive" in families:
-            maps["transpose", d] = transpose_map(d).choi.reshape(d, d, d, d)
-    return maps
+    # the trace-type map's Choi matrix, reshaped (k, k, k, k), by dimension:
+    # every choi and mixed trial of a dimension shares it, built once per suite
+    if not set(claim.families or (family,)) & {"choi", "mixed"}:
+        return {}
+    return {d: normalized_choi_map(d).choi.reshape(d, d, d, d) for d in set(dims)}
 
 
 def _choi_maps(draws: list, fixed: dict) -> np.ndarray:
@@ -576,7 +569,7 @@ def _choi_maps(draws: list, fixed: dict) -> np.ndarray:
     dim = draws[0].dim
     families = np.array([dr.family for dr in draws])
     j4 = np.empty((len(draws), dim, dim, dim, dim), dtype=np.complex128)
-    trace = fixed.get(("trace", dim))
+    trace = fixed.get(dim)
     if trace is not None:
         j4[families == "choi"] = trace
     rows = np.flatnonzero(families != "choi")
@@ -592,13 +585,12 @@ def _choi_maps(draws: list, fixed: dict) -> np.ndarray:
         cp = cp.reshape(-1, dim, dim, dim, dim)
         positive = families[rows] == "positive"
         flip = np.array([draws[i].flip for i in rows])
-        t4 = fixed.get(("transpose", dim))
-        after = positive & ~flip  # compose(transpose, cp)
-        if after.any():
-            j4[rows[after]] = compose_choi_stack(t4, cp[after])
-        before = positive & flip  # compose(cp, transpose)
-        if before.any():
-            j4[rows[before]] = compose_choi_stack(cp[before], t4)
+        # the transpose's Choi matrix is the swap, so composing with it
+        # permutes the CP map's Choi indices (i, a, j, b)
+        after = positive & ~flip  # compose(transpose, cp): J_cp[i, b, j, a]
+        j4[rows[after]] = cp[after].transpose(0, 1, 4, 3, 2)
+        before = positive & flip  # compose(cp, transpose): J_cp[j, a, i, b]
+        j4[rows[before]] = cp[before].transpose(0, 3, 2, 1, 4)
     return j4
 
 
@@ -625,22 +617,24 @@ class _Group:
 
 def _group(claim: _Claim, draws: list, rows: list, fixed: dict) -> _Group:
     # the stacks of drawn trials at one dimension; its draws share a map
-    # form, Kraus (the cp family) or Choi
+    # form, Kraus (the cp family) or Choi.  I is each trial's last input, so
+    # the unital check reads Phi(I) from the one images call
     a = _inputs([dr.a for dr in draws])
     b = _inputs([dr.b for dr in draws]) if claim.pair else None
-    inputs = claim.inputs(a, b)
     what = f"check {claim.name!r}"
-    if draws[0].family == "cp":
-        maps = unitalize_kraus_stack([dr.kraus for dr in draws])
-        _require_unital(unital_mask(phi_of_identity_kraus_stack(maps)), what)
-        images = np.stack([apply(phi, x) for phi, x in zip(maps, inputs)])
-        return _Group(rows, a, b, images, maps)
-    if claim.normal_a and not normal_mask(a).all():
+    cp = draws[0].family == "cp"
+    if claim.normal_a and not cp and not normal_mask(a).all():
         raise ContractError(f"{what} needs a normal A on maps that are not CP")
-    choi = _choi_maps(draws, fixed)
-    eye = np.eye(choi.shape[-1], dtype=np.complex128)
-    _require_unital(unital_mask(apply_choi_stack(choi, eye[None])[:, 0]), what)
-    return _Group(rows, a, b, apply_choi_stack(choi, inputs), choi)
+    eye = np.broadcast_to(np.eye(a.shape[-1], dtype=np.complex128), (len(draws), 1, *a.shape[1:]))
+    inputs = np.concatenate([claim.inputs(a, b), eye], axis=1)
+    if cp:
+        maps = unitalize_kraus_stack([dr.kraus for dr in draws])
+        images = np.stack([apply(phi, x) for phi, x in zip(maps, inputs)])
+    else:
+        maps = _choi_maps(draws, fixed)
+        images = apply_choi_stack(maps, inputs)
+    _require_unital(unital_mask(images[:, -1]), what)
+    return _Group(rows, a, b, images[:, :-1], maps)
 
 
 def _run_block(claim: _Claim, family: str, dims: tuple, fixed: dict, seed: int, ts,

@@ -38,6 +38,7 @@ from .errors import (
     ContractError,
     DimensionError,
     NotCompletelyPositiveError,
+    NumericError,
     UnitalizationError,
 )
 from .linalg import (
@@ -160,7 +161,9 @@ def choi_kraus_stack(maps: list) -> np.ndarray:
     """The (N, dk, dk) stack of the Choi matrices of N Kraus-form maps
     M_k -> M_d of any Kraus ranks, one einsum per rank: ``choi_matrix`` of
     a Kraus map is its one-map case."""
-    groups = _rank_groups(_kraus_arrays(maps))
+    if any(phi.kraus is None for phi in maps):
+        raise ContractError("a stack of Kraus maps takes Kraus-form maps only")
+    groups = _rank_groups([phi.kraus for phi in maps])
     parts = []
     for rows, buf in groups:
         # J = sum_l w_l w_l* with w_l = vec of K_l^T (index (i, a) -> K_l[a, i])
@@ -238,7 +241,7 @@ def apply_choi_stack(j4: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def unital_mask(images_of_identity: np.ndarray) -> np.ndarray:
     """Whether ||Phi(I) - I|| <= UNITAL_TOL, for Phi(I) or for each of a
-    (..., d, d) stack of them (from ``apply_choi_stack`` on the identity)."""
+    (..., d, d) stack of them (the trial engine maps I as one more input)."""
     eye = np.eye(images_of_identity.shape[-1])
     return operator_norms(images_of_identity - eye) <= UNITAL_TOL
 
@@ -266,18 +269,11 @@ def compose(after: MapRep, before: MapRep) -> MapRep:
             f"cannot compose: inner dims {before.out_dim} vs {after.in_dim}"
         )
     k, c, d = before.in_dim, before.out_dim, after.out_dim
-    j = compose_choi_stack(choi_matrix(after).reshape(c, d, c, d),
-                           choi_matrix(before).reshape(k, c, k, c))
-    return from_choi(j.reshape(k * d, k * d), k, d)
-
-
-def compose_choi_stack(after4: np.ndarray, before4: np.ndarray) -> np.ndarray:
-    """Choi matrices, reshaped (k, d, k, d), of after o before for Choi
-    matrices reshaped (c, d, c, d) and (k, c, k, c), or for stacks of
-    them: leading axes broadcast, so one map may be composed with a stack."""
     # (A o B)(E_ij) = sum_ce B(E_ij)[c, e] A(E_ce), so
     # J[(i,a),(j,b)] = sum_ce J_B[(i,c),(j,e)] J_A[(c,a),(e,b)]
-    return np.einsum("...icje,...caeb->...iajb", before4, after4)
+    j = np.einsum("icje,caeb->iajb", choi_matrix(before).reshape(k, c, k, c),
+                  choi_matrix(after).reshape(c, d, c, d))
+    return from_choi(j.reshape(k * d, k * d), k, d)
 
 
 def mix(maps, weights) -> MapRep:
@@ -333,8 +329,12 @@ def unitalize_kraus_stack(families: list) -> list[MapRep]:
     one stack.  The Kraus case of ``unitalize``, and of
     ``random_unital_cp``, is its one-family case."""
     groups = _rank_groups([_kraus_family(ops) for ops in families])
-    r = _inverse_sqrt(_identity_images(groups))
     _, d, _, k = groups[0][1].shape
+    # Phi(I) through apply's products on each group's (G, d, Lk) stack of
+    # [K_1 ... K_L]
+    eye = np.eye(k, dtype=np.complex128)
+    images = [_kraus_images(buf.reshape(*buf.shape[:2], -1), eye) for _, buf in groups]
+    r = _inverse_sqrt(_in_input_order(groups, images))
     out = [None] * len(r)
     for rows, buf in groups:
         # (G, 1, d, d) @ (G, L, d, k), laid out in from_kraus's (d, L, k) buffers
@@ -343,20 +343,6 @@ def unitalize_kraus_stack(families: list) -> list[MapRep]:
         for i, w in zip(rows, wide):
             out[i] = MapRep(in_dim=k, out_dim=d, kraus=w.transpose(1, 0, 2))
     return out
-
-
-def phi_of_identity_kraus_stack(maps: list) -> np.ndarray:
-    """The (N, d, d) stack of Phi(I) of N Kraus-form maps M_k -> M_d of any
-    Kraus ranks, one stacked ``apply`` product per rank, each with the bits
-    of ``phi_of_identity``."""
-    return _identity_images(_rank_groups(_kraus_arrays(maps)))
-
-
-def _kraus_arrays(maps: list) -> list:
-    # the (L, d, k) Kraus arrays of Kraus-form maps
-    if any(phi.kraus is None for phi in maps):
-        raise ContractError("a stack of Kraus maps takes Kraus-form maps only")
-    return [phi.kraus for phi in maps]
 
 
 def _rank_groups(families: list) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -390,21 +376,16 @@ def _in_input_order(groups: list, parts: list) -> np.ndarray:
     return out
 
 
-def _identity_images(groups: list) -> np.ndarray:
-    # the (N, d, d) stack of Phi(I) of grouped Kraus maps, through apply's
-    # products on each group's (G, d, Lk) stack of [K_1 ... K_L]
-    eye = np.eye(groups[0][1].shape[3], dtype=np.complex128)
-    return _in_input_order(groups, [_kraus_images(buf.reshape(*buf.shape[:2], -1), eye)
-                                    for _, buf in groups])
-
-
 def _inverse_sqrt(s: np.ndarray) -> np.ndarray:
     # S^(-1/2) of Phi(I) = S, or of each matrix of a stack of them; S must be
-    # Hermitian positive definite
-    nrm = operator_norms(s)
-    if np.any(operator_norms(s - dag(s)) > 1e-8 * np.maximum(nrm, 1e-300)):
-        raise UnitalizationError("Phi(I) is not Hermitian; cannot unitalize")
+    # Hermitian positive definite.  The guards scale by ||(S + S*)/2||, the
+    # largest |eigenvalue|, and bound ||S - S*|| by its Frobenius norm
     w, q = np.linalg.eigh((s + dag(s)) / 2.0)
+    if not np.isfinite(w).all():  # eigh returns NaN on an overflowed S
+        raise NumericError("Phi(I) is not finite; cannot unitalize")
+    nrm = np.max(np.abs(w), axis=-1)
+    if np.any(np.linalg.norm(s - dag(s), axis=(-2, -1)) > 1e-8 * np.maximum(nrm, 1e-300)):
+        raise UnitalizationError("Phi(I) is not Hermitian; cannot unitalize")
     singular = w[..., 0] <= 1e-8 * nrm
     if np.any(singular):
         raise UnitalizationError(f"Phi(I) is numerically singular (min eigenvalue "

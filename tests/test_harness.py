@@ -15,6 +15,7 @@ from gruss_lab import (
     check_lemma1,
     check_lemma2,
     check_theorem,
+    choi_matrix,
     compose,
     cp_test,
     delta,
@@ -291,17 +292,34 @@ def test_corollary_suite_builds_the_trace_map_once_per_dim(monkeypatch):
     assert s.trials == 9 and s.worst_formula_residual <= 1e-10
 
 
-def test_positive_suite_builds_the_transpose_once_per_dim(monkeypatch):
-    builds = []
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_the_positive_family_composes_with_the_transpose_bit_for_bit(dim):
+    # the engine permutes the CP maps' Choi indices where compose runs the
+    # einsum with the transpose's swap matrix, every product x * 1 or x * 0:
+    # equal arrays, and equal sign bits, which map_to_json cannot see
+    cases = [(rank, flip) for rank in range(1, dim * dim + 1) for flip in (False, True)]
+    draws = [harness._Draw(dim, "positive", None, ginibre(dim, rank, (rank,)), flip, None, None)
+             for rank, flip in cases]
+    fixed = harness._fixed_maps(harness._CLAIMS["lemma2"], "positive", (dim,))
+    t = transpose_map(dim)
+    for (rank, flip), j4 in zip(cases, harness._choi_maps(draws, fixed)):
+        cp = random_unital_cp(dim, rank, seed=rank)
+        want = choi_matrix(compose(cp, t) if flip else compose(t, cp))
+        got = j4.reshape(dim * dim, dim * dim)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.view(np.float64)),
+                              np.signbit(want.view(np.float64)))
 
-    def counted(k):
-        builds.append(k)
-        return transpose_map(k)
 
-    monkeypatch.setattr(harness, "transpose_map", counted)
-    s = run_trials("lemma2", family="positive", dims=(2, 3, 2), trials=9, seed=2)
-    assert sorted(builds) == [2, 3]
-    assert s.trials == 9 and s.violations == 0
+@pytest.mark.parametrize("check, family, dims", [
+    ("theorem", "cp", (2, 3)), ("lemma2", "positive", (2, 3)), ("theorem", "mixed", (4, 5))])
+def test_the_engine_rejects_a_map_that_is_not_unital(monkeypatch, check, family, dims):
+    # Kraus families left as drawn: the Kraus-form maps of the cp family,
+    # and the Choi matrices built from them, map I away from I
+    monkeypatch.setattr(harness, "unitalize_kraus_stack",
+                        lambda families: [from_kraus(f) for f in families])
+    with pytest.raises(ContractError, match="requires a unital map"):
+        run_trials(check, family=family, dims=dims, trials=4, seed=0)
 
 
 def test_a_lemma2_trial_draws_no_b(monkeypatch):

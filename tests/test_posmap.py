@@ -15,6 +15,7 @@ from gruss_lab import (
     ContractError,
     DimensionError,
     NotCompletelyPositiveError,
+    NumericError,
     UnitalizationError,
     amplify,
     apply,
@@ -51,7 +52,6 @@ from gruss_lab.posmap import (
     choi_kraus_stack,
     mix_choi_stack,
     phi_of_identity,
-    phi_of_identity_kraus_stack,
     unital_mask,
     unitalize_kraus_stack,
 )
@@ -219,6 +219,15 @@ def test_unitalize():
     zero = from_kraus([np.zeros((2, 2))])
     with pytest.raises(UnitalizationError):
         unitalize(zero)
+
+    # X -> X + tr(X) N in Choi form: Phi(I) = I + 2N is not Hermitian
+    n = np.array([[0.0, 0.1], [0.0, 0.0]])
+    skew = from_choi(choi_matrix(identity_map(2)) + np.kron(np.eye(2), n), 2, 2)
+    with pytest.raises(UnitalizationError, match="not Hermitian"):
+        unitalize(skew)
+
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+        unitalize(from_kraus([np.full((2, 2), 1e200)]))  # Phi(I) overflows
 
 
 def test_cp_test_verdicts():
@@ -583,14 +592,18 @@ def test_unitalizing_a_stack_of_families_matches_one_family_at_a_time():
 def test_kraus_stacks_match_choi_matrix_and_phi_of_identity_map_by_map(dim):
     maps = [from_kraus(ginibre(dim, seed, (rank,))) for seed, rank in enumerate(_RAGGED_RANKS)]
     chois = choi_kraus_stack(maps)
-    images = phi_of_identity_kraus_stack(maps)
     assert chois.shape == (len(maps), dim * dim, dim * dim)
+    x = ginibre(dim, seed=dim)
     for n, phi in enumerate(maps):
         # the Choi matrix as sum_l w_l w_l*, w_l = vec of K_l^T, map by map
         w = phi.kraus.transpose(0, 2, 1).reshape(len(phi.kraus), -1)
         assert np.array_equal(chois[n], np.einsum("li,lj->ij", w, w.conj()))
         assert np.array_equal(chois[n], choi_matrix(phi))
-        assert np.array_equal(images[n], phi_of_identity(phi))
+        # I mapped as the last of a stack of inputs, as the trial engine
+        # maps it, leaves the other images and Phi(I) as they are alone
+        images = apply(phi, np.stack([x, np.eye(dim)]))
+        assert np.array_equal(images[0], apply(phi, x))
+        assert np.array_equal(images[1], phi_of_identity(phi))
 
 
 def test_kraus_stacks_reject_an_empty_or_mixed_stack():
@@ -601,11 +614,10 @@ def test_kraus_stacks_reject_an_empty_or_mixed_stack():
                                np.random.default_rng(0).standard_normal((2, 2, 3))])
     with pytest.raises(DimensionError):
         unitalize_kraus_stack([ginibre(2, 0, (2,)), ginibre(3, 1, (2,))])
-    for stack in (choi_kraus_stack, phi_of_identity_kraus_stack):
-        with pytest.raises(ContractError):
-            stack([])
-        with pytest.raises(ContractError):  # a Choi-form map
-            stack([random_unital_cp(2, 2), to_choi(random_unital_cp(2, 2))])
+    with pytest.raises(ContractError):
+        choi_kraus_stack([])
+    with pytest.raises(ContractError):  # a Choi-form map
+        choi_kraus_stack([random_unital_cp(2, 2), to_choi(random_unital_cp(2, 2))])
 
 
 def test_a_stacked_mix_matches_mix_map_by_map():
