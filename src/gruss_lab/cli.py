@@ -32,7 +32,7 @@ from .harness import (
     reproduce_counterexample,
     run_trials,
 )
-from .linalg import matrix_from_json, matrix_to_json, operator_norm
+from .linalg import dag, matrix_from_json, matrix_to_json, operator_norm, operator_norms
 from .posmap import map_from_json, n_positivity_search
 from .scalar_distance import delta
 from .stinespring import dilate, dilation_residual, homomorphism_check
@@ -222,8 +222,8 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, dict, dict, int]:
         config = {"matrix": args.matrix, "m": args.m, "mode": args.mode}
         a = _load_matrix(args.matrix)
         dec = decompose_unitary_sum(a, args.m, mode=args.mode)
-        eye = np.eye(a.shape[0])
-        unitarity = max(operator_norm(u.conj().T @ u - eye) for u in dec.unitaries)
+        u = dec.unitaries
+        unitarity = float(operator_norms(dag(u) @ u - np.eye(a.shape[0])).max())
         result = {
             "m": dec.m,
             "unitaries": [matrix_to_json(u) for u in dec.unitaries],

@@ -11,10 +11,10 @@ and the central claim checked here is the product bound
 for unital n-positive linear maps with n >= 3, where delta is the distance
 to the scalars.  Supporting claims get their own checks:
 
-* ``lemma1``    -- Cauchy-Schwarz-type bound: defect^2 is at most the product
-  of the two self-defects ||Phi(AA*) - Phi(A)Phi(A)*|| and
-  ||Phi(B*B) - Phi(B)*Phi(B)||, plus positivity of the 2x2 block matrix of
-  defects (the operator covariance-variance inequality).
+* ``lemma1``    -- Cauchy-Schwarz-type bound ||D||^2 <= ||V_A|| ||V_B|| for
+  D = Phi(AB) - Phi(A)Phi(B) and the self-defects V_A = Phi(AA*) - Phi(A)Phi(A)*
+  and V_B = Phi(B*B) - Phi(B)*Phi(B), plus positivity of the covariance block
+  [[V_A, D], [D*, V_B]] (the operator covariance-variance inequality).
 * ``lemma2``    -- variance bound ||Phi(A*A) - Phi(A)*Phi(A)|| <= delta(A)^2
   for unital positive maps and normal A (any A when the map is CP).
 * ``corollary`` -- the bound instantiated on the normalized trace-type map
@@ -60,7 +60,6 @@ from .posmap import (
     choi_kraus_stack,
     cp_test,
     from_choi,
-    is_unital,
     map_to_json,
     mix_choi_stack,
     n_positivity_search,
@@ -123,20 +122,12 @@ class CounterexampleReport:
     inequality_fails: bool
 
 
-def _pair(phi: MapRep, a, b) -> tuple[Matrix, Matrix]:
+def _pair(dim: int, a, b) -> tuple[Matrix, Matrix]:
     a = as_matrix(a, square=True)
     b = as_matrix(b, square=True)
-    if a.shape != b.shape or a.shape[0] != phi.in_dim:
-        raise DimensionError(
-            f"defect needs A, B in M_{phi.in_dim}; got {a.shape} and {b.shape}"
-        )
+    if a.shape != b.shape or a.shape[0] != dim:
+        raise DimensionError(f"defect needs A, B in M_{dim}; got {a.shape} and {b.shape}")
     return a, b
-
-
-def _require_unital(unital, what: str) -> None:
-    # ``unital``: is_unital of one map, or unital_mask of a stack of them
-    if not np.all(unital):
-        raise ContractError(f"{what} requires a unital map (||Phi(I) - I|| > 1e-9)")
 
 
 def _require_viol_tol(viol_tol: float | None) -> None:
@@ -161,8 +152,7 @@ def _product_inputs(a, b):
 
 
 def _lemma1_inputs(a, b):
-    a_dag, b_dag = dag(a), dag(b)
-    return np.stack([a @ b, a, b, a @ a_dag, b_dag @ b, a_dag, b_dag @ a_dag], axis=1)
+    return np.stack([a @ b, a, b, a @ dag(a), dag(b) @ b], axis=1)
 
 
 def _lemma2_inputs(a, b):
@@ -188,31 +178,27 @@ def _theorem(images, a, b, deltas, viol_tol):
 
 
 def _explore(images, a, b, deltas, viol_tol):
-    da, db = deltas
-    defect = _defects(images)
-    bound = da * db
+    out = _theorem(images, a, b, deltas, viol_tol)
+    defect, bound = out["defect"], out["bound"]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(bound > 1e-12, defect / bound,
                          np.where(defect <= 1e-10, 0.0, np.inf))
     # a candidate counterexample, recorded and never raised
-    return {"defect": defect, "bound": bound, "ratio": ratio, "margin": bound - defect,
-            "violated": ratio > 1.0 + 1e-6}
+    out.update(ratio=ratio, violated=ratio > 1.0 + 1e-6)
+    return out
 
 
 def _lemma1(images, a, b, deltas, viol_tol):
-    p_ab, p_a, p_b, p_aa, p_bb, p_ad, p_ba = np.moveaxis(images, 1, 0)
-    lhs_squared = operator_norms(p_ab - p_a @ p_b) ** 2
-    self_a = operator_norms(p_aa - p_a @ dag(p_a))
-    self_b = operator_norms(p_bb - dag(p_b) @ p_b)
-    rhs_product = self_a * self_b
-
-    # block covariance matrix for the pair (X, Y) = (A*, B), with Phi(X) = p_ad
-    bxx = p_aa - dag(p_ad) @ p_ad
-    bxy = p_ab - dag(p_ad) @ p_b
-    byx = p_ba - dag(p_b) @ p_ad
-    byy = p_bb - dag(p_b) @ p_b
-    block = np.concatenate([np.concatenate([bxx, bxy], axis=-1),
-                            np.concatenate([byx, byy], axis=-1)], axis=-2)
+    # the covariance block [[V_A, D], [D*, V_B]] of the pair (A*, B): every
+    # admitted map has positive order, so Phi(A*) = Phi(A)*
+    p_ab, p_a, p_b, p_aa, p_bb = np.moveaxis(images, 1, 0)
+    d = p_ab - p_a @ p_b
+    v_a = p_aa - p_a @ dag(p_a)
+    v_b = p_bb - dag(p_b) @ p_b
+    lhs_squared = operator_norms(d) ** 2
+    rhs_product = operator_norms(v_a) * operator_norms(v_b)
+    block = np.concatenate([np.concatenate([v_a, d], axis=-1),
+                            np.concatenate([dag(d), v_b], axis=-1)], axis=-2)
     block = (block + dag(block)) / 2.0
     block_min_eig = np.linalg.eigvalsh(block)[:, 0]
     cauchy_ok = lhs_squared <= rhs_product + 1e-8 * (1.0 + rhs_product)
@@ -289,20 +275,37 @@ _CLAIMS = {claim.name: claim for claim in (
 )}
 
 
-def _check_one(claim: _Claim, phi: MapRep, a: Matrix, b: Matrix | None, deltas: tuple,
-               viol_tol: float | None = None) -> dict:
-    # the claim on one instance: its inputs mapped in one apply call, then
-    # evaluated as a one-trial stack; values come back as Python scalars
-    a = a[None]
-    b = None if b is None else b[None]
-    images = apply(phi, claim.inputs(a, b)[0])[None]
-    out = claim.evaluate(images, a, b, tuple(np.array([v]) for v in deltas), viol_tol)
-    return {key: value[0].item() for key, value in out.items()}
+def _images(inputs: np.ndarray, maps: list | np.ndarray, what: str) -> np.ndarray:
+    # the (T, S, d, d) images of the inputs under each trial's map, of a list
+    # (apply) or a Choi stack (apply_choi_stack).  I is each trial's last
+    # input, so the unital check reads Phi(I) from the one images call
+    eye = np.broadcast_to(np.eye(inputs.shape[-1], dtype=np.complex128),
+                          (len(inputs), 1, *inputs.shape[2:]))
+    inputs = np.concatenate([inputs, eye], axis=1)
+    if isinstance(maps, list):
+        images = np.stack([apply(phi, x) for phi, x in zip(maps, inputs)])
+    else:
+        images = apply_choi_stack(maps, inputs)
+    if not unital_mask(images[:, -1]).all():
+        raise ContractError(f"{what} requires a unital map (||Phi(I) - I|| > 1e-9)")
+    return images[:, :-1]
+
+
+def _check_one(claim: _Claim, phi: MapRep, a: Matrix, b: Matrix | None,
+               viol_tol: float | None = None) -> tuple[dict, list]:
+    # the claim on one instance, evaluated as a one-trial stack: its values
+    # as Python scalars, and delta of its inputs if it uses delta, solved
+    # once its one images call has admitted the map
+    stacks = (a[None], None if b is None else b[None])
+    images = _images(claim.inputs(*stacks), [phi], f"check_{claim.name}")
+    found = [delta(x) for x in (a, b) if x is not None] if claim.uses_delta else []
+    out = claim.evaluate(images, *stacks, tuple(np.array([r.value]) for r in found), viol_tol)
+    return {key: value[0].item() for key, value in out.items()}, found
 
 
 def gruss_defect(phi: MapRep, a, b) -> float:
     """|| Phi(AB) - Phi(A) Phi(B) ||."""
-    a, b = _pair(phi, a, b)
+    a, b = _pair(phi.in_dim, a, b)
     return float(_defects(apply(phi, _product_inputs(a[None], b[None])[0])[None])[0])
 
 
@@ -314,12 +317,9 @@ def check_theorem(phi: MapRep, a, b, viol_tol: float | None = None) -> GrussRepo
     enforced here.  ``viol_tol`` (default 1e-8 (1 + bound)) may be infinite
     or negative, not NaN.
     """
-    _require_unital(is_unital(phi), "check_theorem")
     _require_viol_tol(viol_tol)
-    a, b = _pair(phi, a, b)
-    da = delta(a)
-    db = delta(b)
-    res = _check_one(_CLAIMS["theorem"], phi, a, b, (da.value, db.value), viol_tol)
+    a, b = _pair(phi.in_dim, a, b)
+    res, (da, db) = _check_one(_CLAIMS["theorem"], phi, a, b, viol_tol)
     return GrussReport(defect=res["defect"], delta_a=da, delta_b=db, bound=res["bound"],
                        margin=res["margin"], violated=res["violated"], phi=phi, a=a, b=b)
 
@@ -330,11 +330,10 @@ def _is_cp(phi: MapRep) -> bool:
 
 
 def _admit(claim: _Claim, phi: MapRep, a: Matrix, order: int | None = None) -> bool:
-    # the claim's hypotheses on one unital map, as its record states them:
-    # a CP map is admitted at once (returns True); any other needs a
-    # caller-known positivity order >= claim.order, and a normal A if asked
+    # the claim's hypotheses on one map, as its record states them: a CP map
+    # is admitted at once (returns True); any other needs a caller-known
+    # positivity order >= claim.order, and a normal A if asked
     what = f"check_{claim.name}"
-    _require_unital(is_unital(phi), what)
     if _is_cp(phi):
         return True
     if claim.order > 1 and (order is None or order < claim.order):
@@ -354,10 +353,10 @@ def check_lemma1(phi: MapRep, a, b, known_positivity_order: int | None = None) -
     product of the two self-defects, and the minimal eigenvalue of the 2x2
     block matrix of defects, which must be PSD up to tolerance.
     """
-    a, b = _pair(phi, a, b)
+    a, b = _pair(phi.in_dim, a, b)
     claim = _CLAIMS["lemma1"]
     _admit(claim, phi, a, known_positivity_order)
-    res = _check_one(claim, phi, a, b, ())
+    res, _ = _check_one(claim, phi, a, b)
     return {key: res[key] for key in
             ("lhs_squared", "rhs_product", "block_min_eig", "cauchy_ok", "block_ok")}
 
@@ -378,7 +377,7 @@ def check_lemma2(phi: MapRep, a) -> dict:
             raise ContractError(
                 f"map is not positive (rank-1 witness value {probe.min_value_found:.3e})"
             )
-    res = _check_one(claim, phi, a, None, (delta(a).value,))
+    res, _ = _check_one(claim, phi, a, None)
     return {key: res[key] for key in ("lhs", "delta", "bound", "ok")}
 
 
@@ -411,13 +410,15 @@ def check_corollary(k: int, a, b) -> dict:
 
     and the bracket identity: (k-1)/(k^2-k-1)^2 times the bracketed matrix
     equals Phi(AB) - Phi(A)Phi(B) for Phi = normalized_choi_map(k).  Needs
-    k >= 4 so the map is at least 3-positive.
+    k >= 4 so the map is at least 3-positive, and k <= MAX_DIM.
     """
     claim = _CLAIMS["corollary"]
     _require_order("check_corollary", claim, "choi", (k,))
+    if k > MAX_DIM:
+        raise ContractError(f"check_corollary needs k <= MAX_DIM = {MAX_DIM}, got {k}")
+    a, b = _pair(k, a, b)
     phi = normalized_choi_map(k)
-    a, b = _pair(phi, a, b)
-    res = _check_one(claim, phi, a, b, (delta(a).value, delta(b).value))
+    res, _ = _check_one(claim, phi, a, b)
     return {key: res[key] for key in ("lhs", "rhs", "formula_residual", "ok", "formula_ok")}
 
 
@@ -436,11 +437,9 @@ def proof_chain(phi: MapRep, a, b, m: int) -> dict:
     """
     if m < 3:
         raise ContractError(f"proof_chain needs m >= 3, got {m}")
-    a = as_matrix(a, square=True)
-    b = as_matrix(b, square=True)
+    a, b = _pair(phi.in_dim, a, b)
     if not is_normal(b):
         raise ContractError("proof_chain needs a normal B")
-    _require_unital(is_unital(phi), "proof_chain")
     if not _is_cp(phi):
         raise ContractError("proof_chain needs a CP map")
 
@@ -450,8 +449,11 @@ def proof_chain(phi: MapRep, a, b, m: int) -> dict:
     reconstruction = operator_norm(big_m * mean - a)
 
     norm_a, norm_b = operator_norm(a), operator_norm(b)
-    defect = gruss_defect(phi, a, b)
-    unitary_defects = [gruss_defect(phi, u, b) for u in dec.unitaries]
+    # (A, B) and every (U_j, B) as one instance's 3(m + 1) product inputs
+    lefts = np.concatenate([a[None], dec.unitaries])
+    inputs = _product_inputs(lefts, np.broadcast_to(b, lefts.shape))
+    images = _images(inputs.reshape(1, -1, *a.shape), [phi], "proof_chain")
+    defect, *unitary_defects = _defects(images.reshape(m + 1, 3, *images.shape[-2:]))
     sum_bound = (big_m / m) * float(np.sum(unitary_defects))
     final_bound = (m * m + 2.0) / (m * m - 2.0 * m) * norm_a * norm_b
 
@@ -481,9 +483,10 @@ def proof_chain(phi: MapRep, a, b, m: int) -> dict:
 # by trial; the maps, the inputs, the checks on them, Phi and the norms are
 # built per dimension, as stacked kernels (Kraus-form maps, CP by
 # construction, are unitalized and turned into Choi matrices as one stack per
-# Kraus rank, and applied map by map; every map is checked unital on the
-# image of I, mapped with its inputs); delta is the per-trial step, the only
-# one the thread pool runs.
+# Kraus rank, and applied map by map).  Phi runs in ``_images``, as for the
+# public checks: one call maps each trial's inputs and I, and rejects a map
+# that is not unital.  delta is the per-trial step, the only one the thread
+# pool runs.
 
 
 def _thread_count() -> int:
@@ -617,24 +620,15 @@ class _Group:
 
 def _group(claim: _Claim, draws: list, rows: list, fixed: dict) -> _Group:
     # the stacks of drawn trials at one dimension; its draws share a map
-    # form, Kraus (the cp family) or Choi.  I is each trial's last input, so
-    # the unital check reads Phi(I) from the one images call
+    # form, Kraus (the cp family) or Choi
     a = _inputs([dr.a for dr in draws])
     b = _inputs([dr.b for dr in draws]) if claim.pair else None
     what = f"check {claim.name!r}"
     cp = draws[0].family == "cp"
     if claim.normal_a and not cp and not normal_mask(a).all():
         raise ContractError(f"{what} needs a normal A on maps that are not CP")
-    eye = np.broadcast_to(np.eye(a.shape[-1], dtype=np.complex128), (len(draws), 1, *a.shape[1:]))
-    inputs = np.concatenate([claim.inputs(a, b), eye], axis=1)
-    if cp:
-        maps = unitalize_kraus_stack([dr.kraus for dr in draws])
-        images = np.stack([apply(phi, x) for phi, x in zip(maps, inputs)])
-    else:
-        maps = _choi_maps(draws, fixed)
-        images = apply_choi_stack(maps, inputs)
-    _require_unital(unital_mask(images[:, -1]), what)
-    return _Group(rows, a, b, images[:, :-1], maps)
+    maps = unitalize_kraus_stack([dr.kraus for dr in draws]) if cp else _choi_maps(draws, fixed)
+    return _Group(rows, a, b, _images(claim.inputs(a, b), maps, what), maps)
 
 
 def _run_block(claim: _Claim, family: str, dims: tuple, fixed: dict, seed: int, ts,

@@ -12,8 +12,18 @@ import numpy as np
 import pytest
 
 import gruss_lab
-from gruss_lab import cli, matrix_to_json
+from gruss_lab import (
+    cli,
+    dag,
+    decompose_unitary_sum,
+    ginibre,
+    matrix_from_json,
+    matrix_to_json,
+    operator_norm,
+    rescale_for_decomposition,
+)
 from gruss_lab.cli import route
+from gruss_lab.linalg import operator_norms
 
 
 def _write(path, obj):
@@ -183,6 +193,26 @@ def test_decompose(capsys, fixtures):
     assert len(rep["result"]["unitaries"]) == 5
     assert rep["result"]["reconstructionError"] <= 1e-10
     assert rep["result"]["maxUnitarityResidual"] <= 1e-10
+
+
+def test_the_unitarity_residual_is_one_norm_batch(capsys, tmp_path):
+    # the residual of the (m, n, n) stack of unitaries in one operator_norms
+    # call is, bit for bit, the largest of the residuals unitary by unitary
+    def one_by_one(unitaries):
+        n = unitaries.shape[-1]
+        return max(operator_norm(u.conj().T @ u - np.eye(n)) for u in unitaries)
+
+    for n in (2, 3, 4, 8, 16, 32):
+        for m in (3, 4, 7, 16, 64):
+            scaled, _ = rescale_for_decomposition(ginibre(n, seed=n * m), m)
+            u = decompose_unitary_sum(scaled, m).unitaries
+            assert float(operator_norms(dag(u) @ u - np.eye(n)).max()) == one_by_one(u)
+    a = rescale_for_decomposition(ginibre(5, seed=1), 7)[0]
+    code, rep = _run(capsys, ["decompose", "--matrix", _write(tmp_path / "a.json",
+                                                              matrix_to_json(a)), "--m", "7"])
+    assert code == 0
+    u = np.array([matrix_from_json(x) for x in rep["result"]["unitaries"]])
+    assert rep["result"]["maxUnitarityResidual"] == one_by_one(u)
 
 
 def test_decompose_contract_error_exit_one(capsys, fixtures):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gruss_lab import (
     ContractError,
+    DimensionError,
     apply,
     check_corollary,
     check_lemma1,
@@ -18,6 +19,7 @@ from gruss_lab import (
     choi_matrix,
     compose,
     cp_test,
+    dag,
     delta,
     explore_two_positive,
     from_kraus,
@@ -32,6 +34,7 @@ from gruss_lab import (
     mix,
     normalized_choi_map,
     operator_norm,
+    posmap,
     proof_chain,
     random_ensemble,
     random_unital_cp,
@@ -185,6 +188,45 @@ def test_check_lemma1_rejects_weak_maps():
     with pytest.raises(ContractError):
         check_lemma1(normalized_choi_map(4), np.eye(4), np.eye(4),
                      known_positivity_order=2)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("family", ["cp", "choi", "mixed"])
+def test_the_covariance_block_matches_its_seven_input_construction(monkeypatch, family, k):
+    # the block of the pair (A*, B), built by mapping A* and B*A* as well:
+    # Phi(A*) = Phi(A)* on every map of positive order, so the five-input
+    # block must agree with it to rounding
+    blocks = []
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def captured(x):
+        blocks.append(x[0])
+        return real_eigvalsh(x)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", captured)
+    for seed in range(6):
+        if family == "cp":
+            phi = random_unital_cp(k, 1 + seed % (k * k), seed=seed)
+        elif family == "choi":
+            phi = normalized_choi_map(k)
+        else:
+            phi = mix([normalized_choi_map(k), random_unital_cp(k, 2, seed=seed)],
+                      [0.3 + 0.1 * seed, 0.7 - 0.1 * seed])
+        a = random_ensemble(("ginibre", "hermitian", "normal")[seed % 3], k, seed=seed)
+        b = random_ensemble(("normal", "ginibre", "hermitian")[seed % 3], k, seed=50 + seed)
+        p_ab, p_a, p_b, p_aa, p_bb, p_ad, p_ba = (
+            apply(phi, x) for x in (a @ b, a, b, a @ dag(a), dag(b) @ b, dag(a), dag(b) @ dag(a)))
+        want = np.block([[p_aa - dag(p_ad) @ p_ad, p_ab - dag(p_ad) @ p_b],
+                         [p_ba - dag(p_b) @ p_ad, p_bb - dag(p_b) @ p_b]])
+        blocks.clear()
+        # the block alone, on every map of positive order: the 2-positive
+        # trace-type maps (k < 4) are not admitted by the check
+        harness._check_one(harness._CLAIMS["lemma1"], phi, a, b, ())
+        scale = 1.0 + operator_norm(a) ** 2 + operator_norm(b) ** 2
+        assert operator_norm(blocks[0] - want) <= 1e-13 * scale
+        if family == "cp" or k >= 4:
+            res = check_lemma1(phi, a, b, known_positivity_order=k - 1)
+            assert res["cauchy_ok"] and res["block_ok"]
 
 
 def test_check_lemma2_examples():
@@ -423,6 +465,19 @@ def test_corollary_rejects_small_k():
         check_corollary(3, np.eye(3), np.eye(3))
 
 
+def test_corollary_rejects_its_inputs_before_building_the_map(monkeypatch):
+    builds = []
+    monkeypatch.setattr(harness, "normalized_choi_map", builds.append)
+    with pytest.raises(ContractError, match="MAX_DIM"):
+        check_corollary(posmap.MAX_DIM + 1, np.eye(2), np.eye(2))
+    # the largest k builds a k^4 Choi matrix: mismatched inputs must not
+    with pytest.raises(DimensionError):
+        check_corollary(posmap.MAX_DIM, np.eye(2), np.eye(2))
+    with pytest.raises(DimensionError):
+        check_corollary(4, np.eye(4), np.eye(5))
+    assert builds == []
+
+
 def test_proof_chain_identity_map():
     a = ginibre(2, seed=1)
     b = random_ensemble("normal", 2, seed=2)
@@ -571,21 +626,40 @@ def test_thread_count_is_capped_at_the_core_count(monkeypatch):
 
 
 def test_each_check_maps_its_inputs_in_one_apply_call(monkeypatch):
+    # every Phi evaluation is counted, posmap's own too (is_unital's): each
+    # check maps its inputs and, last, I in one call
     stacks = []
-    real_apply = harness.apply
+    real_apply = posmap.apply
 
     def counted(phi, x):
-        stacks.append(np.shape(x))
+        stacks.append(np.array(x))
         return real_apply(phi, x)
 
     monkeypatch.setattr(harness, "apply", counted)
+    monkeypatch.setattr(posmap, "apply", counted)
     phi = random_unital_cp(4, 3, seed=2)
     a, b = ginibre(4, seed=1), ginibre(4, seed=2)
-    runs = [(lambda: gruss_defect(phi, a, b), 3),
-            (lambda: check_lemma1(phi, a, b), 7),
-            (lambda: check_lemma2(phi, a), 2),
-            (lambda: check_corollary(4, a, b), 3)]
+    normal_b = random_ensemble("normal", 4, seed=3)
+    runs = [(lambda: check_theorem(phi, a, b), 4),
+            (lambda: check_lemma1(phi, a, b), 6),
+            (lambda: check_lemma2(phi, a), 3),
+            (lambda: check_corollary(4, a, b), 4),
+            (lambda: proof_chain(phi, a, normal_b, 5), 3 * 6 + 1)]
     for run, size in runs:
         stacks.clear()
         run()
-        assert stacks == [(size, 4, 4)]
+        assert [x.shape for x in stacks] == [(size, 4, 4)]
+        assert np.array_equal(stacks[0][-1], np.eye(4))
+    # the defect alone needs no unital map, and maps no I
+    stacks.clear()
+    gruss_defect(phi, a, b)
+    assert [x.shape for x in stacks] == [(3, 4, 4)]
+
+
+def test_the_checks_reject_a_map_that_is_not_unital():
+    phi = from_kraus([2.0 * np.eye(2)])  # CP, with Phi(I) = 4 I
+    a, b = ginibre(2, seed=1), random_ensemble("normal", 2, seed=2)
+    with pytest.raises(ContractError, match="check_lemma1 requires a unital map"):
+        check_lemma1(phi, a, b)
+    with pytest.raises(ContractError, match="proof_chain requires a unital map"):
+        proof_chain(phi, a, b, 5)
