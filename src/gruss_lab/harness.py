@@ -413,7 +413,7 @@ def check_corollary(k: int, a, b) -> dict:
     k >= 4 so the map is at least 3-positive, and k <= MAX_DIM.
     """
     claim = _CLAIMS["corollary"]
-    _require_order("check_corollary", claim, "choi", (k,))
+    _require_order("check_corollary", claim, claim.families, (k,))
     if k > MAX_DIM:
         raise ContractError(f"check_corollary needs k <= MAX_DIM = {MAX_DIM}, got {k}")
     a, b = _pair(k, a, b)
@@ -526,13 +526,12 @@ class _Draw:
     b: tuple | None
 
 
-def _draw(claim: _Claim, family: str, dims: tuple, seed: int, t: int) -> _Draw:
+def _draw(claim: _Claim, families: tuple, dims: tuple, seed: int, t: int) -> _Draw:
     """Trial t's random numbers from its own (seed, t) generator: the map's,
     then A's, then B's (none for a claim on A alone)."""
     rng = _trial_rng(seed, t)
     dim = dims[t % len(dims)]
-    if claim.families is not None:
-        family = claim.families[t % len(claim.families)]
+    family = families[t % len(families)]
     weight = float(rng.uniform(0.0, 1.0)) if family == "mixed" else None
     kraus = None
     if family != "choi":
@@ -557,10 +556,10 @@ def _inputs(samples: list) -> np.ndarray:
     return x
 
 
-def _fixed_maps(claim: _Claim, family: str, dims: tuple) -> dict:
+def _fixed_maps(families: tuple, dims: tuple) -> dict:
     # the trace-type map's Choi matrix, reshaped (k, k, k, k), by dimension:
     # every choi and mixed trial of a dimension shares it, built once per suite
-    if not set(claim.families or (family,)) & {"choi", "mixed"}:
+    if not set(families) & {"choi", "mixed"}:
         return {}
     return {d: normalized_choi_map(d).choi.reshape(d, d, d, d) for d in set(dims)}
 
@@ -631,7 +630,7 @@ def _group(claim: _Claim, draws: list, rows: list, fixed: dict) -> _Group:
     return _Group(rows, a, b, _images(claim.inputs(a, b), maps, what), maps)
 
 
-def _run_block(claim: _Claim, family: str, dims: tuple, fixed: dict, seed: int, ts,
+def _run_block(claim: _Claim, families: tuple, dims: tuple, fixed: dict, seed: int, ts,
                viol_tol: float | None, pooled: bool = True) -> tuple[dict, list]:
     """Trials ``ts`` as one block: their evaluations (arrays in ``ts``
     order) and the block's groups, one per dimension.  The trials are drawn
@@ -641,7 +640,7 @@ def _run_block(claim: _Claim, family: str, dims: tuple, fixed: dict, seed: int, 
     by_dim = {}
     for n, t in enumerate(ts):
         by_dim.setdefault(dims[t % len(dims)], []).append(n)
-    draws = [_draw(claim, family, dims, seed, t) for t in ts]
+    draws = [_draw(claim, families, dims, seed, t) for t in ts]
     groups = [_group(claim, [draws[n] for n in rows], rows, fixed)
               for rows in by_dim.values()]
     slots = {n: (group, i) for group in groups for i, n in enumerate(group.rows)}
@@ -666,13 +665,13 @@ def _run_block(claim: _Claim, family: str, dims: tuple, fixed: dict, seed: int, 
     return out, groups
 
 
-def _validate_trial_config(claim: _Claim, family: str, dims: tuple, trials: int,
+def _validate_trial_config(claim: _Claim, families: tuple, dims: tuple, trials: int,
                            viol_tol: float | None) -> None:
     if not dims or any(d < 2 for d in dims):
         raise ContractError(f"dims must all be >= 2, got {list(dims)}")
     if any(d > MAX_DIM for d in dims):
         raise ContractError(f"dims must all be <= MAX_DIM = {MAX_DIM}, got {list(dims)}")
-    _require_order(f"check {claim.name!r}", claim, family, dims)
+    _require_order(f"check {claim.name!r}", claim, families, dims)
     if viol_tol is not None and claim.name != "theorem":
         raise ContractError(f"viol_tol applies to check 'theorem' only, not {claim.name!r}")
     _require_viol_tol(viol_tol)
@@ -680,10 +679,9 @@ def _validate_trial_config(claim: _Claim, family: str, dims: tuple, trials: int,
         raise ContractError(f"trials must be >= 0, got {trials}")
 
 
-def _require_order(what: str, claim: _Claim, family: str, dims) -> None:
-    # every family the claim draws must have the claim's positivity order at
-    # every dim
-    for drawn in claim.families or (family,):
+def _require_order(what: str, claim: _Claim, families: tuple, dims) -> None:
+    # every family drawn must have the claim's positivity order at every dim
+    for drawn in families:
         bad = [d for d in dims if _known_order(drawn, d) < claim.order]
         if bad:
             raise ContractError(f"{what} needs positivity order >= {claim.order}; family "
@@ -715,12 +713,13 @@ def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int,
     # explorer) is drawn and checked again, as a one-trial block, to build
     # the report's worstInstance.
     claim = _CLAIMS[check]
-    _validate_trial_config(claim, family, dims, trials, viol_tol)
-    fixed = _fixed_maps(claim, family, dims)
+    families = claim.families or (family,)  # drawn in turn, trial by trial
+    _validate_trial_config(claim, families, dims, trials, viol_tol)
+    fixed = _fixed_maps(families, dims)
     block = max(1, min(TRIAL_BLOCK, _BLOCK_ENTRIES // max(dims) ** 4))
 
     t0 = time.perf_counter()
-    parts = [_run_block(claim, family, dims, fixed, seed, range(lo, min(lo + block, trials)),
+    parts = [_run_block(claim, families, dims, fixed, seed, range(lo, min(lo + block, trials)),
                         viol_tol)[0]
              for lo in range(0, trials, block)]
     wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -734,7 +733,7 @@ def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int,
         violations = int(np.count_nonzero(rows["violated"]))
         worst = int(np.argmax(rows["ratio"]) if by_ratio else np.argmin(rows["margin"]))
         worst_margin = float(np.min(rows["margin"]))
-        out, (group,) = _run_block(claim, family, dims, fixed, seed, [worst], viol_tol,
+        out, (group,) = _run_block(claim, families, dims, fixed, seed, [worst], viol_tol,
                                    pooled=False)
         worst_instance = {"trialIndex": worst, "dim": dims[worst % len(dims)],
                           "map": map_to_json(group.map(0)), "a": matrix_to_json(group.a[0]),
@@ -747,9 +746,11 @@ def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int,
             worst_instance["margin"] = float(out["margin"][0])
         if "formula_residual" in rows:
             worst_formula = float(np.max(rows["formula_residual"] / (1.0 + rows["lhs"])))
+    # the one family drawn; a claim drawing several reports the suite's label
     return TrialSummary(trials=trials, violations=violations,
                         worst_margin=worst_margin, worst_instance=worst_instance,
-                        seed=seed, wall_time_ms=wall_ms, check=check, family=family,
+                        seed=seed, wall_time_ms=wall_ms, check=check,
+                        family=families[0] if len(families) == 1 else family,
                         worst_ratio=worst_ratio, worst_formula_residual=worst_formula)
 
 

@@ -20,12 +20,13 @@ output block (i, j) = Phi(input block (i, j)).
 
 Positivity criteria.  Phi is n-positive iff <x, J x> >= 0 for every unit
 vector x in C^k (x) C^d of Schmidt rank at most n (for n >= min(k, d) this
-is complete positivity, i.e. J PSD).  See B. M. Terhal and P. Horodecki,
-Phys. Rev. A 61, 040301(R) (2000), and L. Skowronek, E. Stormer and
-K. Zyczkowski, J. Math. Phys. 50, 062106 (2009).  Deciding n-positivity for
-1 < n < min(k, d) is hard in general; ``n_positivity_search`` therefore
-returns *certified* refutations (an explicit witness) but only *heuristic*
-confirmations.
+is complete positivity, i.e. J PSD).  Every decision reads J as Hermitian
+and refuses a J that is not: its map does not preserve adjoints.  See B. M.
+Terhal and P. Horodecki, Phys. Rev. A 61, 040301(R) (2000), and L.
+Skowronek, E. Stormer and K. Zyczkowski, J. Math. Phys. 50, 062106 (2009).
+Deciding n-positivity for 1 < n < min(k, d) is hard in general;
+``n_positivity_search`` therefore returns *certified* refutations (an
+explicit witness) but only *heuristic* confirmations.
 """
 
 from __future__ import annotations
@@ -192,8 +193,7 @@ def choi_to_kraus(phi: MapRep) -> MapRep:
     KRAUS_CUTOFF * ||J|| are discarded.
     """
     k, d = phi.in_dim, phi.out_dim
-    j = choi_matrix(phi)
-    w, vecs = np.linalg.eigh((j + dag(j)) / 2.0)
+    w, vecs = np.linalg.eigh(_hermitian_choi(phi))
     if w[0] < -CHOI_PSD_TOL * np.linalg.norm(w):
         raise NotCompletelyPositiveError(
             f"Choi eigenvalue {w[0]:.3e} < -{CHOI_PSD_TOL:.0e} ||J||_F; map is not CP"
@@ -223,11 +223,10 @@ def apply(phi: MapRep, x) -> np.ndarray:
 
 
 def _kraus_images(wide: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    # [K_1 X ... K_L X] [K_1 ... K_L]*: two GEMMs through the d x Lk stack
-    # wide = [K_1 ... K_L], on one X or an (S, k, k) stack of them, or for
-    # each map of a (G, d, Lk) stack of them on one X
-    d, k = wide.shape[-2], xs.shape[-1]
-    kx = wide.reshape(*wide.shape[:-2], -1, k) @ xs
+    # apply's kernel, [K_1 X ... K_L X] W* with W = [K_1 ... K_L] the d x Lk
+    # matrix of the family: two GEMMs, on one X or an (S, k, k) stack of them
+    d, k = wide.shape[0], xs.shape[-1]
+    kx = wide.reshape(-1, k) @ xs
     return kx.reshape(*kx.shape[:-2], d, -1) @ dag(wide)
 
 
@@ -323,25 +322,20 @@ def unitalize(phi: MapRep) -> MapRep:
 
 def unitalize_kraus_stack(families: list) -> list[MapRep]:
     """The unital maps, in Kraus form, of Kraus families given as (L, d, k)
-    arrays of any ranks L that share d and k: K -> S^(-1/2) K with
-    S = Phi(I).  The families of one rank go through Phi(I) and the
-    products as one stack, and the inverse square roots of all of them as
-    one stack.  The Kraus case of ``unitalize``, and of
-    ``random_unital_cp``, is its one-family case."""
+    arrays of any ranks L that share d and k.  With W = [K_1 ... K_L] the
+    d x Lk matrix of a family, S = Phi(I) = W W* and the unital family is
+    S^(-1/2) W: two products per Kraus rank, on the stack of its families'
+    W, and the inverse square roots of all S as one stack.  The Kraus case
+    of ``unitalize``, and of ``random_unital_cp``, is its one-family case."""
     groups = _rank_groups([_kraus_family(ops) for ops in families])
     _, d, _, k = groups[0][1].shape
-    # Phi(I) through apply's products on each group's (G, d, Lk) stack of
-    # [K_1 ... K_L]
-    eye = np.eye(k, dtype=np.complex128)
-    images = [_kraus_images(buf.reshape(*buf.shape[:2], -1), eye) for _, buf in groups]
-    r = _inverse_sqrt(_in_input_order(groups, images))
+    wides = [buf.reshape(len(rows), d, -1) for rows, buf in groups]
+    r = _inverse_sqrt(_in_input_order(groups, [w @ dag(w) for w in wides]))
     out = [None] * len(r)
-    for rows, buf in groups:
-        # (G, 1, d, d) @ (G, L, d, k), laid out in from_kraus's (d, L, k) buffers
-        ops = r[rows][:, None] @ buf.transpose(0, 2, 1, 3)
-        wide = np.array(ops.transpose(0, 2, 1, 3), order="C")
-        for i, w in zip(rows, wide):
-            out[i] = MapRep(in_dim=k, out_dim=d, kraus=w.transpose(1, 0, 2))
+    for (rows, _), w in zip(groups, wides):
+        # each S^(-1/2) W is a C-ordered d x Lk matrix, from_kraus's (d, L, k)
+        for i, op in zip(rows, (r[rows] @ w).reshape(len(rows), d, -1, k)):
+            out[i] = MapRep(in_dim=k, out_dim=d, kraus=op.transpose(1, 0, 2))
     return out
 
 
@@ -489,22 +483,28 @@ def witness_vector(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def rayleigh_value(phi: MapRep, x) -> float:
-    """<x, J x> with J the (Hermitian part of the) Choi matrix of ``phi``."""
-    j = choi_matrix(phi)
-    jh = (j + dag(j)) / 2.0
+    """<x, J x> on the Hermitian view of the Choi matrix of ``phi``."""
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    return float(np.real(np.vdot(x, jh @ x)))
+    return float(np.real(np.vdot(x, _hermitian_choi(phi) @ x)))
+
+
+def _hermitian_choi(phi: MapRep) -> Matrix:
+    # (J + J*)/2, the one view of J that positivity decisions read
+    j = choi_matrix(phi)
+    if np.linalg.norm(j - dag(j)) > CHOI_PSD_TOL * np.linalg.norm(j):
+        raise ContractError("the Choi matrix is not Hermitian, so the map does not "
+                            "preserve adjoints and is not positive")
+    return (j + dag(j)) / 2.0
 
 
 def cp_test(phi: MapRep) -> NPositivityVerdict:
     """Exact complete-positivity test via the Choi spectrum.
 
-    ``certified_cp`` iff the minimal Choi eigenvalue is >= -CHOI_PSD_TOL *
-    ||J||_F; either way the minimal eigenvector (Schmidt-decomposed) is the
-    witness.
+    ``certified_cp`` iff the minimal eigenvalue of the Hermitian Choi
+    matrix is >= -CHOI_PSD_TOL * ||J||_F; either way the minimal
+    eigenvector (Schmidt-decomposed) is the witness.
     """
-    j = choi_matrix(phi)
-    w, vecs = np.linalg.eigh((j + dag(j)) / 2.0)
+    w, vecs = np.linalg.eigh(_hermitian_choi(phi))
     min_eig = float(w[0])
     cp = min_eig >= -CHOI_PSD_TOL * np.linalg.norm(w)  # ||w||_2 = ||J||_F
     status = CERTIFIED_CP if cp else CERTIFIED_NOT_N_POSITIVE
@@ -590,8 +590,7 @@ def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 
     k, d = phi.in_dim, phi.out_dim
     if n >= min(k, d):
         return replace(cp_test(phi), n=n)
-    j = choi_matrix(phi)
-    j4 = ((j + dag(j)) / 2.0).reshape(k, d, k, d)
+    j4 = _hermitian_choi(phi).reshape(k, d, k, d)
     # spawn numbers children on from the last: start i gets child i
     root = np.random.SeedSequence(seed)
     best_val, best_x = np.inf, None
@@ -609,7 +608,7 @@ def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 
     nrm = np.linalg.norm(x)
     if nrm > 0:
         b = b / nrm
-    refuted = best_val <= -WITNESS_TOL * np.linalg.norm(j)
+    refuted = best_val <= -WITNESS_TOL * np.linalg.norm(j4)
     status = CERTIFIED_NOT_N_POSITIVE if refuted else HEURISTICALLY_N_POSITIVE
     return NPositivityVerdict(n=n, status=status, min_value_found=float(best_val),
                               witness_a=a, witness_b=b, starts=starts)

@@ -230,6 +230,19 @@ def test_dilate(capsys, fixtures):
     assert rep["result"]["maxDilationResidual"] <= 1e-12
 
 
+def test_a_choi_matrix_that_is_not_hermitian_is_a_contract_error(capsys, tmp_path,
+                                                                  non_hermitian_map):
+    path = _write(tmp_path / "nh.json", gruss_lab.map_to_json(non_hermitian_map))
+    for argv in (["npositive", "--map", path, "--n", "2"],
+                 ["npositive", "--map", path, "--n", "1", "--starts", "4"],
+                 ["dilate", "--map", path, "--samples", "5"]):
+        assert route(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "contract" and "not Hermitian" in error["message"]
+
+
 def test_explore(capsys):
     code, rep = _run(capsys, ["explore", "two-positive", "--trials", "6", "--seed", "1"])
     assert code == 0

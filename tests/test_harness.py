@@ -22,6 +22,7 @@ from gruss_lab import (
     dag,
     delta,
     explore_two_positive,
+    from_choi,
     from_kraus,
     ginibre,
     gruss_defect,
@@ -254,6 +255,28 @@ def test_check_lemma2_hypothesis_violations():
         check_lemma2(composite, ginibre(3, seed=2))
 
 
+def test_check_lemma2_refuses_a_map_that_is_not_positive():
+    # X -> 1.5 tr(X) I - 2X on M_2 is unital; on a rank-1 x = a (x) b its
+    # Choi matrix 1.5 I - 2 omega omega* gives 1.5 - 2 |sum_i a_i b_i|^2 >= -0.5
+    omega = np.eye(2).reshape(-1)
+    phi = from_choi(1.5 * np.eye(4) - 2.0 * np.outer(omega, omega), 2, 2)
+    witness = r"map is not positive \(rank-1 witness value -5\.000e-01\)"
+    with pytest.raises(ContractError, match=witness):
+        check_lemma2(phi, np.diag([1.0, -1.0]))
+
+
+def test_the_checks_refuse_a_choi_matrix_that_is_not_hermitian(non_hermitian_map):
+    # unital, but not even positive: no check admits it as CP
+    a, b = np.diag([1.0, -1.0]), np.diag([2.0, 1.0])
+    calls = (lambda: check_lemma1(non_hermitian_map, a, b),
+             lambda: check_lemma1(non_hermitian_map, a, b, known_positivity_order=3),
+             lambda: check_lemma2(non_hermitian_map, a),
+             lambda: proof_chain(non_hermitian_map, a, b, 5))
+    for call in calls:
+        with pytest.raises(ContractError, match="not Hermitian"):
+            call()
+
+
 def test_check_lemma2_admits_any_a_on_a_certified_cp_map():
     # the claim record's rule: a CP map needs no normal A
     res = check_lemma2(random_unital_cp(3, 4, seed=1), ginibre(3, seed=2))
@@ -342,7 +365,7 @@ def test_the_positive_family_composes_with_the_transpose_bit_for_bit(dim):
     cases = [(rank, flip) for rank in range(1, dim * dim + 1) for flip in (False, True)]
     draws = [harness._Draw(dim, "positive", None, ginibre(dim, rank, (rank,)), flip, None, None)
              for rank, flip in cases]
-    fixed = harness._fixed_maps(harness._CLAIMS["lemma2"], "positive", (dim,))
+    fixed = harness._fixed_maps(("positive",), (dim,))
     t = transpose_map(dim)
     for (rank, flip), j4 in zip(cases, harness._choi_maps(draws, fixed)):
         cp = random_unital_cp(dim, rank, seed=rank)
@@ -376,10 +399,10 @@ def test_a_lemma2_trial_draws_no_b(monkeypatch):
     for family in ("cp", "positive"):
         for t in range(4):
             draws.clear()
-            drawn = harness._draw(harness._CLAIMS["lemma2"], family, (2, 3), 7, t)
+            drawn = harness._draw(harness._CLAIMS["lemma2"], (family,), (2, 3), 7, t)
             assert len(draws) == 1 and drawn.b is None
     draws.clear()
-    harness._draw(harness._CLAIMS["theorem"], "cp", (2, 3), 7, 0)
+    harness._draw(harness._CLAIMS["theorem"], ("cp",), (2, 3), 7, 0)
     assert len(draws) == 2
 
 
@@ -419,8 +442,9 @@ def test_a_block_builds_what_the_public_samplers_build(check, family, dims):
     # the engine's stacked maps and inputs equal, bit for bit, the one-trial
     # builds of random_unital_cp, mix, compose and random_ensemble
     claim = harness._CLAIMS[check]
-    fixed = harness._fixed_maps(claim, family, dims)
-    _, groups = harness._run_block(claim, family, dims, fixed, 7, range(12), None)
+    families = claim.families or (family,)
+    fixed = harness._fixed_maps(families, dims)
+    _, groups = harness._run_block(claim, families, dims, fixed, 7, range(12), None)
     for group in groups:
         for i, t in enumerate(group.rows):
             phi, inputs = _public_trial(check, family, dims, 7, t)
@@ -458,6 +482,16 @@ def test_suites_do_not_depend_on_the_block_size(monkeypatch, check, family, dims
         summaries.append(_summary_fields(s))
     assert summaries[0] == summaries[1] == summaries[2]
     assert summaries[0]["worst_instance"] is not None
+
+
+def test_the_corollary_suite_reports_the_family_it_draws():
+    # every trial draws the trace-type map, whichever family the suite names
+    summaries = [run_trials("corollary", family=family, dims=(4, 5), trials=8, seed=1)
+                 for family in harness.FAMILIES]
+    assert [s.family for s in summaries] == ["choi"] * len(harness.FAMILIES)
+    assert len({json.dumps(_summary_fields(s), sort_keys=True) for s in summaries}) == 1
+    assert summaries[0].worst_instance["map"]["kind"] == "choi"
+    assert explore_two_positive(4, seed=1).family == "two-positive"
 
 
 def test_corollary_rejects_small_k():
@@ -519,6 +553,8 @@ def test_proof_chain_hypotheses():
         proof_chain(phi, np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), 5)
     with pytest.raises(ContractError):
         proof_chain(phi, np.eye(2), np.eye(2), 2)
+    with pytest.raises(ContractError, match="proof_chain needs a CP map"):
+        proof_chain(transpose_map(2), np.eye(2), np.diag([1.0, 4.0]), 5)
 
 
 def test_run_trials_deterministic():

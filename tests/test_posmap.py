@@ -263,6 +263,33 @@ def test_cp_test_witness_on_cp_verdicts():
         assert abs(rayleigh_value(phi, x) - v.min_value_found) <= 1e-12
 
 
+def test_positivity_decisions_refuse_a_choi_matrix_that_is_not_hermitian(non_hermitian_map):
+    phi = non_hermitian_map
+    assert is_unital(phi)
+    image = apply(phi, _basis_matrix(2, 0, 0))
+    assert not np.allclose(image, dag(image))
+    decisions = (cp_test, choi_to_kraus, lambda p: rayleigh_value(p, np.eye(4)[0]),
+                 lambda p: n_positivity_search(p, 1), lambda p: n_positivity_search(p, 2))
+    for decide in decisions:
+        with pytest.raises(ContractError, match="not Hermitian"):
+            decide(phi)
+    # still a representable linear map: its Hermitian part alone is CP
+    half = choi_matrix(phi) + dag(choi_matrix(phi))
+    assert cp_test(from_choi(half / 2, 2, 2)).status == CERTIFIED_CP
+
+
+def test_a_choi_matrix_hermitian_up_to_rounding_is_decided():
+    # a composition's einsum leaves J Hermitian only to rounding, and a JSON
+    # round trip keeps those bits
+    phi = compose(random_unital_cp(3, 2, seed=1), random_unital_cp(3, 4, seed=2))
+    back = map_from_json(json.loads(json.dumps(map_to_json(phi))))
+    j = choi_matrix(back)
+    assert not np.array_equal(j, dag(j))
+    assert cp_test(back).status == CERTIFIED_CP
+    assert len(choi_to_kraus(back).kraus) <= 8
+    assert n_positivity_search(back, 2, starts=4, seed=1).status == HEURISTICALLY_N_POSITIVE
+
+
 def test_search_transpose():
     v = n_positivity_search(transpose_map(2), 2, starts=50, seed=0)
     assert v.status == CERTIFIED_NOT_N_POSITIVE
@@ -586,6 +613,19 @@ def test_unitalizing_a_stack_of_families_matches_one_family_at_a_time():
         assert [len(phi.kraus) for phi in maps] == list(_RAGGED_RANKS)
         for seed, (rank, phi) in enumerate(zip(_RAGGED_RANKS, maps)):
             assert np.array_equal(phi.kraus, random_unital_cp(dim, rank, seed=seed).kraus)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 16])
+def test_unitalized_operators_are_the_inverse_square_root_of_s_times_each(dim):
+    # S^(-1/2) K_l formed operator by operator, S = sum_l K_l K_l* = Phi(I)
+    families = [ginibre(dim, seed, (rank,)) for seed, rank in enumerate(_RAGGED_RANKS)]
+    for ops, phi in zip(families, unitalize_kraus_stack(families)):
+        w, q = np.linalg.eigh(sum(op @ dag(op) for op in ops))
+        inv_sqrt = q @ np.diag(1.0 / np.sqrt(w)) @ dag(q)
+        assert phi.kraus.shape == ops.shape
+        for op, got in zip(ops, phi.kraus):
+            assert operator_norm(got - inv_sqrt @ op) <= 1e-13 * operator_norm(op)
+        assert operator_norm(phi_of_identity(phi) - np.eye(dim)) <= 1e-12
 
 
 @pytest.mark.parametrize("dim", [2, 3, 8, 16])
