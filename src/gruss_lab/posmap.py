@@ -57,6 +57,9 @@ from .linalg import (
 #: a searched witness (n < min(k, d)) whose Rayleigh value is at or below
 #: -WITNESS_TOL * ||J||_F certifies "not n-positive"
 WITNESS_TOL = 1e-8
+#: a positivity-search start stops after the first sweep that lowers its
+#: value by at most SWEEP_TOL * ||J||_F
+SWEEP_TOL = 1e-12
 #: Choi eigenvalues down to -CHOI_PSD_TOL * ||J||_F still count as PSD;
 #: below it cp_test refutes and choi_to_kraus raises
 CHOI_PSD_TOL = 1e-9
@@ -537,17 +540,20 @@ def _alternating_minimum(seed: np.random.SeedSequence, d: int, n: int) -> Matrix
     return rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
 
 
-def _alternating_minima(j4: np.ndarray, b_frames: np.ndarray, max_iters: int
+def _alternating_minima(j4: np.ndarray, b_frames: np.ndarray, max_iters: int, tol: float
                         ) -> tuple[np.ndarray, np.ndarray]:
     # Alternate between the best a-side for fixed b-frames and the best b-side
-    # for fixed a-frames, each start from its own (d, n) b-frame of the stack
-    # and each stopping on its own once two sweeps agree within 1e-12.  The
-    # a-side is the b-side with the two tensor factors of J swapped.  Returns
-    # the final values (S,) and vectors as (S, k, d) arrays.
+    # for fixed a-frames, each start from its own (d, n) b-frame of the stack.
+    # The opening half-step on the drawn b-frame counts as sweep 0, and each
+    # start stops on its own after the first sweep that lowers its value by
+    # at most tol, or after max_iters sweeps.  Block-coordinate descent never
+    # raises the value, so a sweep that makes no progress leaves the start
+    # where a further sweep would find it.  The a-side is the b-side with the
+    # two tensor factors of J swapped.  Returns the final values (S,) and
+    # vectors as (S, k, d) arrays.
     n = b_frames.shape[2]
     j4_swapped = np.ascontiguousarray(j4.transpose(1, 0, 3, 2))
     q, x = _minimize_fixed_frame(j4, b_frames)
-    q_prev = np.full(q.shape, np.inf)
     active = np.arange(q.size)
     for _ in range(max_iters):
         if active.size == 0:
@@ -556,9 +562,8 @@ def _alternating_minima(j4: np.ndarray, b_frames: np.ndarray, max_iters: int
         qa, y = _minimize_fixed_frame(j4_swapped, u[:, :, :n])
         _, _, vh = np.linalg.svd(y.transpose(0, 2, 1))
         qa, xa = _minimize_fixed_frame(j4, vh[:, :n, :].transpose(0, 2, 1))
+        converged = np.abs(q[active] - qa) <= tol
         q[active], x[active] = qa, xa
-        converged = np.abs(q_prev[active] - qa) < 1e-12
-        q_prev[active] = qa
         active = active[~converged]
     return q, x
 
@@ -579,7 +584,10 @@ def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 
     ``SeedSequence(seed)``.
     The starts run as stacked kernels, ``SEARCH_BLOCK`` at a time, each
     block spawning only its own seed children, and each start stops on its
-    own; the first start reaching the lowest value wins.
+    own: the opening half-step on its drawn frame counts as sweep 0, and the
+    start stops after the first sweep that lowers its value by at most
+    ``SWEEP_TOL * ||J||_F`` (1e-12 * ||J||_F), or after ``max_iters`` sweeps
+    (200).  The first start reaching the lowest value wins.
     Results are deterministic in (seed, starts) and do not depend on the
     block size.  The verdict is certified only in the refutation direction.
     """
@@ -591,6 +599,7 @@ def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 
     if n >= min(k, d):
         return replace(cp_test(phi), n=n)
     j4 = _hermitian_choi(phi).reshape(k, d, k, d)
+    j_norm = np.linalg.norm(j4)
     # spawn numbers children on from the last: start i gets child i
     root = np.random.SeedSequence(seed)
     best_val, best_x = np.inf, None
@@ -598,7 +607,7 @@ def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 
         draws = np.stack([_alternating_minimum(child, d, n)
                           for child in root.spawn(min(SEARCH_BLOCK, starts - lo))])
         b_frames, _ = np.linalg.qr(draws)
-        vals, xs = _alternating_minima(j4, b_frames, max_iters)
+        vals, xs = _alternating_minima(j4, b_frames, max_iters, SWEEP_TOL * j_norm)
         first = int(np.argmin(vals))
         if vals[first] < best_val:
             best_val, best_x = float(vals[first]), xs[first].reshape(-1)
@@ -608,7 +617,7 @@ def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 
     nrm = np.linalg.norm(x)
     if nrm > 0:
         b = b / nrm
-    refuted = best_val <= -WITNESS_TOL * np.linalg.norm(j4)
+    refuted = best_val <= -WITNESS_TOL * j_norm
     status = CERTIFIED_NOT_N_POSITIVE if refuted else HEURISTICALLY_N_POSITIVE
     return NPositivityVerdict(n=n, status=status, min_value_found=float(best_val),
                               witness_a=a, witness_b=b, starts=starts)

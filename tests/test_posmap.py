@@ -399,6 +399,63 @@ def test_stacked_search_matches_kron_reference():
         assert abs(v.min_value_found - best) <= 1e-12
 
 
+#: the searches perfbench's certify-maps workload runs: transpose at n = 2
+#: with 100 starts, choiMap at n = k - 1 with 50
+_CERTIFY_SHAPES = ([pytest.param(transpose_map(k), 2, 100, id=f"transpose{k}-n2")
+                    for k in (3, 4, 5)]
+                   + [pytest.param(choi_map(k), k - 1, 50, id=f"choi{k}-n{k - 1}")
+                      for k in (3, 4, 5)])
+
+
+def _search_stacks(monkeypatch, phi, n, starts, seed):
+    # the stack size of each _minimize_fixed_frame call one search makes; a
+    # block of starts makes 1 + 2 * sweeps of them
+    stacks = []
+    real = posmap._minimize_fixed_frame
+
+    def counted(j4, frames):
+        stacks.append(frames.shape[0])
+        return real(j4, frames)
+
+    with monkeypatch.context() as m:
+        m.setattr(posmap, "_minimize_fixed_frame", counted)
+        n_positivity_search(phi, n, starts=starts, seed=seed)
+    return stacks
+
+
+def test_search_starts_stop_at_their_first_sweep_without_progress(monkeypatch):
+    # on the certify shapes every start converges in its first sweep, so
+    # each block makes its opening half-step and one sweep, and no more
+    for phi, n, starts in (shape.values for shape in _CERTIFY_SHAPES):
+        blocks = -(-starts // posmap.SEARCH_BLOCK)
+        for seed in (0, 1):
+            stacks = _search_stacks(monkeypatch, phi, n, starts, seed)
+            assert len(stacks) == 3 * blocks
+    # control: a start that has not converged keeps sweeping
+    stacks = _search_stacks(monkeypatch, _unital_mix(3, 4), 2, 32, 3)
+    assert len(stacks) > 3
+
+
+def test_search_sweeps_do_not_depend_on_the_scale(monkeypatch):
+    # the stopping tolerance is relative to ||J||_F, so c * Phi sweeps as Phi
+    for phi, n in [(transpose_map(3), 2), (choi_map(4), 3), (_unital_mix(3, 4), 2)]:
+        expected = _search_stacks(monkeypatch, phi, n, 20, 1)
+        for c in (1e-6, 1e6, 1e9):
+            stacks = _search_stacks(monkeypatch, _scaled(phi, c), n, 20, 1)
+            assert stacks == expected
+
+
+@pytest.mark.parametrize("phi, n, starts", _CERTIFY_SHAPES
+                         + [pytest.param(transpose_map(k), 1, 100, id=f"transpose{k}-n1")
+                            for k in (3, 4, 5)])
+def test_property_search_value_re_evaluates_at_its_witness(phi, n, starts):
+    tol = 1e-12 * np.linalg.norm(choi_matrix(phi))
+    for seed in range(5):
+        v = n_positivity_search(phi, n, starts=starts, seed=seed)
+        value = rayleigh_value(phi, witness_vector(v.witness_a, v.witness_b))
+        assert abs(value - v.min_value_found) <= tol
+
+
 def test_search_does_not_depend_on_block_size(monkeypatch):
     for phi, n in [(transpose_map(4), 2), (choi_map(4), 3), (_unital_mix(3, 8), 2)]:
         runs = []
