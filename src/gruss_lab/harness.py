@@ -54,6 +54,7 @@ from .posmap import (
     CERTIFIED_CP,
     CERTIFIED_NOT_N_POSITIVE,
     MAX_DIM,
+    UNITAL_TOL,
     MapRep,
     apply,
     apply_choi_stack,
@@ -287,7 +288,7 @@ def _images(inputs: np.ndarray, maps: list | np.ndarray, what: str) -> np.ndarra
     else:
         images = apply_choi_stack(maps, inputs)
     if not unital_mask(images[:, -1]).all():
-        raise ContractError(f"{what} requires a unital map (||Phi(I) - I|| > 1e-9)")
+        raise ContractError(f"{what} requires a unital map (||Phi(I) - I|| > {UNITAL_TOL:g})")
     return images[:, :-1]
 
 
@@ -370,6 +371,8 @@ def check_lemma2(phi: MapRep, a) -> dict:
     rank-1 witness search (seed 0, 8 starts, 60 iterations).
     """
     a = as_matrix(a, square=True)
+    if a.shape[0] != phi.in_dim:
+        raise DimensionError(f"check_lemma2 needs A in M_{phi.in_dim}; got {a.shape}")
     claim = _CLAIMS["lemma2"]
     if not _admit(claim, phi, a):
         probe = n_positivity_search(phi, 1, starts=8, max_iters=60, seed=0)
@@ -478,15 +481,15 @@ def proof_chain(phi: MapRep, a, b, m: int) -> dict:
 #
 # Every randomized suite runs one claim through one driver.  Trial t draws
 # its random numbers from its own (seed, t) generator, so any trial can be
-# drawn again on its own: the driver replays the worst trial to report it.
-# Trials run in blocks.  Within a block, the random numbers are drawn trial
-# by trial; the maps, the inputs, the checks on them, Phi and the norms are
-# built per dimension, as stacked kernels (Kraus-form maps, CP by
-# construction, are unitalized and turned into Choi matrices as one stack per
-# Kraus rank, and applied map by map).  Phi runs in ``_images``, as for the
-# public checks: one call maps each trial's inputs and I, and rejects a map
-# that is not unital.  delta is the per-trial step, the only one the thread
-# pool runs.
+# drawn again on its own.  Trials run in blocks, each trial drawn once: the
+# driver keeps the worst trial's row from its block to report it.  Within a
+# block, the random numbers are drawn trial by trial; the maps, the inputs,
+# the checks on them, Phi and the norms are built per dimension, as stacked
+# kernels (Kraus-form maps, CP by construction, are unitalized and turned
+# into Choi matrices as one stack per Kraus rank, and applied map by map).
+# Phi runs in ``_images``, as for the public checks: one call maps each
+# trial's inputs and I, and rejects a map that is not unital.  delta is the
+# per-trial step, the only one the thread pool runs.
 
 
 def _thread_count() -> int:
@@ -613,8 +616,9 @@ class _Group:
     def map(self, i: int) -> MapRep:
         if isinstance(self.maps, list):
             return self.maps[i]
+        # a copy: the driver keeps the worst trial's map, not the whole stack
         k = self.maps.shape[1]
-        return from_choi(self.maps[i].reshape(k * k, k * k), k, k)
+        return from_choi(self.maps[i].reshape(k * k, k * k).copy(), k, k)
 
 
 def _group(claim: _Claim, draws: list, rows: list, fixed: dict) -> _Group:
@@ -631,11 +635,11 @@ def _group(claim: _Claim, draws: list, rows: list, fixed: dict) -> _Group:
 
 
 def _run_block(claim: _Claim, families: tuple, dims: tuple, fixed: dict, seed: int, ts,
-               viol_tol: float | None, pooled: bool = True) -> tuple[dict, list]:
+               viol_tol: float | None) -> tuple[dict, list]:
     """Trials ``ts`` as one block: their evaluations (arrays in ``ts``
     order) and the block's groups, one per dimension.  The trials are drawn
     and built here; the per-trial step, delta of a trial's inputs, runs
-    through ``_map_over_trials`` in a pooled block, one step per trial."""
+    through ``_map_over_trials``, one step per trial."""
     ts = list(ts)
     by_dim = {}
     for n, t in enumerate(ts):
@@ -652,10 +656,7 @@ def _run_block(claim: _Claim, families: tuple, dims: tuple, fixed: dict, seed: i
             return ()
         return tuple(delta(x[i]).value for x in (group.a, group.b) if x is not None)
 
-    if pooled:
-        steps = _map_over_trials(trial, len(ts), _thread_count())
-    else:
-        steps = [trial(n) for n in range(len(ts))]
+    steps = _map_over_trials(trial, len(ts), _thread_count())
     out = {}
     for group in groups:
         deltas = tuple(np.array(values) for values in zip(*(steps[n] for n in group.rows)))
@@ -709,41 +710,50 @@ _BLOCK_ENTRIES = 2**20
 def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int,
                viol_tol: float | None = None) -> TrialSummary:
     # The one trial driver: trial t is the claim's check of draw t, run in
-    # blocks.  The worst trial (smallest margin; largest ratio for the
-    # explorer) is drawn and checked again, as a one-trial block, to build
-    # the report's worstInstance.
+    # blocks.  The driver keeps the worst trial's row (smallest margin;
+    # largest ratio for the explorer): its map, A and B, from which the
+    # claim's one-instance check builds the report's worstInstance.
     claim = _CLAIMS[check]
     families = claim.families or (family,)  # drawn in turn, trial by trial
     _validate_trial_config(claim, families, dims, trials, viol_tol)
     fixed = _fixed_maps(families, dims)
     block = max(1, min(TRIAL_BLOCK, _BLOCK_ENTRIES // max(dims) ** 4))
+    by_ratio = claim.worst == "ratio"
+    pick = np.argmax if by_ratio else np.argmin
 
     t0 = time.perf_counter()
-    parts = [_run_block(claim, families, dims, fixed, seed, range(lo, min(lo + block, trials)),
-                        viol_tol)[0]
-             for lo in range(0, trials, block)]
+    parts, kept = [], None
+    for lo in range(0, trials, block):
+        out, groups = _run_block(claim, families, dims, fixed, seed,
+                                 range(lo, min(lo + block, trials)), viol_tol)
+        parts.append(out)
+        n = int(pick(out[claim.worst]))
+        # a later block's worst replaces the kept row only when strictly
+        # worse: the tie rule of pick over all rows
+        if kept is None or pick([kept[0], out[claim.worst][n]]) == 1:
+            group = next(group for group in groups if n in group.rows)
+            i = group.rows.index(n)
+            kept = (out[claim.worst][n], lo + n, group.map(i), group.a[i].copy(),
+                    None if group.b is None else group.b[i].copy())
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
-    by_ratio = claim.worst == "ratio"
     violations = 0
     worst_margin = worst_instance = worst_formula = None
     worst_ratio = 0.0 if by_ratio else None
     if parts:
         rows = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
         violations = int(np.count_nonzero(rows["violated"]))
-        worst = int(np.argmax(rows["ratio"]) if by_ratio else np.argmin(rows["margin"]))
         worst_margin = float(np.min(rows["margin"]))
-        out, (group,) = _run_block(claim, families, dims, fixed, seed, [worst], viol_tol,
-                                   pooled=False)
+        value, worst, phi, a, b = kept
+        res, _ = _check_one(claim, phi, a, b, viol_tol)
         worst_instance = {"trialIndex": worst, "dim": dims[worst % len(dims)],
-                          "map": map_to_json(group.map(0)), "a": matrix_to_json(group.a[0]),
-                          "b": None if group.b is None else matrix_to_json(group.b[0])}
+                          "map": map_to_json(phi), "a": matrix_to_json(a),
+                          "b": None if b is None else matrix_to_json(b)}
         if by_ratio:
-            worst_instance.update({key: float(out[key][0])
-                                   for key in ("defect", "bound", "ratio")})
-            worst_ratio = float(rows["ratio"][worst])
+            worst_instance.update({key: res[key] for key in ("defect", "bound", "ratio")})
+            worst_ratio = float(value)
         else:
-            worst_instance["margin"] = float(out["margin"][0])
+            worst_instance["margin"] = res["margin"]
         if "formula_residual" in rows:
             worst_formula = float(np.max(rows["formula_residual"] / (1.0 + rows["lhs"])))
     # the one family drawn; a claim drawing several reports the suite's label

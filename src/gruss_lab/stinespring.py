@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ContractError
 from .linalg import Matrix, as_matrix, dag, ginibre, operator_norm, operator_norms
-from .posmap import MapRep, apply, choi_to_kraus, is_unital
+from .posmap import UNITAL_TOL, MapRep, apply, choi_to_kraus, is_unital
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +58,7 @@ def dilate(phi: MapRep) -> StinespringDilation:
     # a Kraus map is CP by construction; choi_to_kraus rejects a non-CP one
     kraus_rep = phi if phi.kraus is not None else choi_to_kraus(phi)
     if not is_unital(phi):
-        raise ContractError("dilate requires a unital map (||Phi(I) - I|| too large)")
+        raise ContractError(f"dilate requires a unital map (||Phi(I) - I|| > {UNITAL_TOL:g})")
     ops = kraus_rep.kraus
     r = len(ops)
     v = np.conj(ops).transpose(0, 2, 1).reshape(-1, phi.out_dim)  # block i of V is K_i*

@@ -265,6 +265,16 @@ def test_check_lemma2_refuses_a_map_that_is_not_positive():
         check_lemma2(phi, np.diag([1.0, -1.0]))
 
 
+def test_check_lemma2_checks_the_shape_of_a_before_admission(monkeypatch):
+    # an A of the wrong size is refused by name, before any positivity search
+    searches = []
+    monkeypatch.setattr(harness, "n_positivity_search",
+                        lambda *args, **kwargs: searches.append(args))
+    with pytest.raises(DimensionError, match=r"check_lemma2 needs A in M_2; got \(3, 3\)"):
+        check_lemma2(transpose_map(2), np.eye(3))
+    assert searches == []
+
+
 def test_the_checks_refuse_a_choi_matrix_that_is_not_hermitian(non_hermitian_map):
     # unital, but not even positive: no check admits it as CP
     a, b = np.diag([1.0, -1.0]), np.diag([2.0, 1.0])
@@ -482,6 +492,51 @@ def test_suites_do_not_depend_on_the_block_size(monkeypatch, check, family, dims
         summaries.append(_summary_fields(s))
     assert summaries[0] == summaries[1] == summaries[2]
     assert summaries[0]["worst_instance"] is not None
+
+
+@pytest.mark.parametrize("check, family, dims, trials", [
+    ("theorem", "cp", (8, 16), 20), ("lemma2", "positive", (2, 3), 70),
+    ("explore", "two-positive", (3,), 13)])
+def test_a_suite_draws_each_trial_once(monkeypatch, check, family, dims, trials):
+    # the worst trial is reported from its kept row, not drawn again
+    drawn = []
+    real_draw = harness._draw
+
+    def counted(claim, families, dims, seed, t):
+        drawn.append(t)
+        return real_draw(claim, families, dims, seed, t)
+
+    monkeypatch.setattr(harness, "_draw", counted)
+    if check == "explore":
+        explore_two_positive(trials, seed=2, k=dims[0])
+    else:
+        run_trials(check, family=family, dims=dims, trials=trials, seed=2)
+    assert sorted(drawn) == list(range(trials))
+
+
+@pytest.mark.parametrize("check, family, dims", [
+    ("theorem", "cp", (2, 3)), ("lemma2", "positive", (2, 3)),
+    ("explore", "two-positive", (3,))])
+def test_tied_trials_report_the_first(monkeypatch, check, family, dims):
+    # every trial ties on margin (and on ratio): whatever the block size, the
+    # first trial is the worst, as argmin/argmax over all rows picks it
+    claim = harness._CLAIMS[check]
+
+    def tied(images, a, b, deltas, viol_tol):
+        out = claim.evaluate(images, a, b, deltas, viol_tol)
+        out["margin"] = np.zeros(len(a))
+        if "ratio" in out:
+            out["ratio"] = np.full(len(a), 0.5)
+        return out
+
+    monkeypatch.setitem(harness._CLAIMS, check, dataclasses.replace(claim, evaluate=tied))
+    for block in (1, 5, 64):
+        monkeypatch.setattr(harness, "TRIAL_BLOCK", block)
+        if check == "explore":
+            s = explore_two_positive(13, seed=4, k=dims[0])
+        else:
+            s = run_trials(check, family=family, dims=dims, trials=13, seed=4)
+        assert s.worst_instance["trialIndex"] == 0
 
 
 def test_the_corollary_suite_reports_the_family_it_draws():
