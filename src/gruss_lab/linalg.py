@@ -1,8 +1,10 @@
 """Dense complex-matrix kernels shared by every other module: coercion and
 the adjoint, operator norms of one matrix or of a stack, seeded random
-ensembles, and the matrix JSON wire format.  The decompositions the lab
-needs (Choi spectra, the SVDs of the Delta solver, the Schmidt decomposition
-and the unitary average) call numpy where they are used.
+ensembles, and the matrix JSON wire format (written as the exact base64
+bytes of the complex128 buffer; read from that or from re/im number lists).
+The decompositions the lab needs (Choi spectra, the SVDs of the Delta
+solver, the Schmidt decomposition and the unitary average) call numpy where
+they are used.
 
 Matrices are plain ``numpy`` arrays of dtype ``complex128``.  All functions
 are pure: they never mutate their arguments, and random sampling takes the
@@ -13,6 +15,9 @@ not bit-for-bit across library versions.
 """
 
 from __future__ import annotations
+
+import binascii
+import itertools
 
 import numpy as np
 
@@ -142,38 +147,84 @@ def haar_unitary(dim: int, seed=0) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# JSON wire format: {"rows": r, "cols": c, "re": [[...]], "im": [[...]]}
+# JSON wire format.  A report writes each matrix as its exact bytes,
+#     {"rows": r, "cols": c, "data": "<base64>"},
+# the row-major little-endian complex128 buffer (16 bytes an entry, real part
+# first), so every double and its sign bit survive and the text is the same on
+# every run.  Inputs, which are often written by hand, may instead give
+#     {"rows": r, "cols": c, "re": [[...]], "im": [[...]]},
+# row-major lists of JSON numbers; that layout is read, never written.
 
 
 def matrix_to_json(a) -> dict:
-    """Serialize a matrix to the row-major re/im JSON layout."""
+    """Serialize a matrix to the base64 ``data`` JSON layout."""
     a = as_matrix(a)
+    raw = a.astype("<c16", copy=False).tobytes()
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "re": a.real.tolist(),
-        "im": a.imag.tolist(),
+        "data": binascii.b2a_base64(raw, newline=False).decode("ascii"),
     }
 
 
+def _decode_data(data, rows: int, cols: int) -> np.ndarray:
+    if not isinstance(data, str):
+        raise ContractError("matrix JSON data must be a base64 string")
+    try:
+        raw = binascii.a2b_base64(data)
+        # a2b_base64 skips characters outside the alphabet; only the text
+        # that re-encodes to itself is accepted
+        canonical = binascii.b2a_base64(raw, newline=False) == data.encode("ascii")
+    except ValueError:  # bad padding or a non-ASCII character
+        canonical = False
+    if not canonical:
+        raise ContractError("matrix JSON data is not padded base64 text")
+    if len(raw) != rows * cols * 16:
+        raise DimensionError(
+            f"matrix JSON shape mismatch: declared {rows}x{cols} "
+            f"({rows * cols * 16} bytes), data has {len(raw)} bytes"
+        )
+    return np.frombuffer(raw, dtype="<c16").reshape(rows, cols)
+
+
+def _list_part(part) -> np.ndarray:
+    # every entry of a (rows, cols) list must be a JSON number: numpy would
+    # read "1e3" as 1000.0 and true as 1.0.  A list entry is left to the
+    # shape check, and a part that is not a list of rows to numpy.
+    try:
+        kinds = set(map(type, itertools.chain.from_iterable(part)))
+    except TypeError:
+        kinds = set()
+    if any(t is bool or not issubclass(t, (int, float, list)) for t in kinds):
+        raise ContractError("matrix JSON re/im entries must be JSON numbers")
+    try:
+        return np.asarray(part, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ContractError(f"matrix JSON re/im are not numeric arrays: {exc}") from exc
+
+
 def matrix_from_json(obj) -> Matrix:
-    """Parse the matrix JSON layout, rejecting shape mismatches."""
+    """Parse either matrix JSON layout, rejecting shape mismatches."""
     if not isinstance(obj, dict):
         raise ContractError("matrix JSON must be an object")
-    missing = {"rows", "cols", "re", "im"} - set(obj)
+    layout = {"data"} if "data" in obj else {"re", "im"}
+    missing = ({"rows", "cols"} | layout) - set(obj)
     if missing:
         raise ContractError(f"matrix JSON is missing keys {sorted(missing)}")
+    if "data" in obj and ("re" in obj or "im" in obj):
+        raise ContractError("matrix JSON has both data and re/im")
     rows, cols = obj["rows"], obj["cols"]
     if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in (rows, cols)):
         raise ContractError("matrix JSON rows/cols must be positive integers")
-    try:
-        re = np.asarray(obj["re"], dtype=np.float64)
-        im = np.asarray(obj["im"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ContractError(f"matrix JSON re/im are not numeric arrays: {exc}") from exc
+    if "data" in obj:
+        return as_matrix(_decode_data(obj["data"], rows, cols))
+    re, im = _list_part(obj["re"]), _list_part(obj["im"])
     if re.shape != (rows, cols) or im.shape != (rows, cols):
         raise DimensionError(
             f"matrix JSON shape mismatch: declared {rows}x{cols}, "
             f"re {re.shape}, im {im.shape}"
         )
-    return as_matrix(re + 1j * im)
+    # the parts are set, not summed: re + 1j * im would turn -0.0 into +0.0
+    out = np.empty((rows, cols), dtype=np.complex128)
+    out.real, out.imag = re, im
+    return as_matrix(out)

@@ -1,8 +1,10 @@
 """End-to-end CLI coverage: every subcommand, exit codes, determinism."""
 
+import base64
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -294,6 +296,49 @@ def test_malformed_matrix_is_contract_error(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 1
     assert json.loads(err)["error"]["type"] == "dimension"
+
+
+def _data(*values):
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
+@pytest.mark.parametrize("obj, error", [
+    ({"rows": 1, "cols": 2, "re": [["1e3", 1.0]], "im": [[0, 0]]}, "contract"),
+    ({"rows": 1, "cols": 2, "re": [[1.0, True]], "im": [[0, False]]}, "contract"),
+    ({"rows": 1, "cols": 1, "data": "not base64!"}, "contract"),
+    ({"rows": 1, "cols": 1, "data": [1.0, 0.0]}, "contract"),
+    ({"rows": 1, "cols": 1, "data": _data(1.0, 0.0), "re": [[1.0]], "im": [[0.0]]},
+     "contract"),
+    ({"rows": 1, "cols": 1, "data": _data(float("nan"), 0.0)}, "contract"),
+    ({"rows": 1, "cols": 1, "data": _data(0.0, float("inf"))}, "contract"),
+    ({"rows": True, "cols": 1, "data": _data(1.0, 0.0)}, "contract"),
+    ({"rows": 2, "cols": 1, "data": _data(1.0, 0.0)}, "dimension"),
+], ids=["list-entry-text", "list-entry-bool", "data-not-base64", "data-not-a-string",
+        "data-and-re-im", "data-nan", "data-inf", "data-bool-rows", "data-length"])
+def test_a_malformed_matrix_is_one_error_line(capsys, tmp_path, obj, error):
+    path = _write(tmp_path / "bad.json", obj)
+    kraus = _write(tmp_path / "bad_map.json", {"kind": "kraus", "ops": [obj]})
+    for argv in (["delta", "--matrix", path], ["dilate", "--map", kraus]):
+        code = route(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == error
+
+
+def test_a_report_matrix_is_its_exact_bytes(capsys, fixtures):
+    # a verdict's witness is written in the data layout and reads back bit for bit
+    code, rep = _run(capsys, ["npositive", "--map", fixtures["transpose"], "--n", "2",
+                              "--starts", "5"])
+    assert code == 0
+    for name in ("a", "b"):
+        obj = rep["result"]["witness"][name]
+        assert set(obj) == {"rows", "cols", "data"}
+        raw = base64.b64decode(obj["data"], validate=True)
+        assert len(raw) == obj["rows"] * obj["cols"] * 16
+        assert matrix_to_json(matrix_from_json(obj)) == obj
 
 
 def test_kraus_operators_of_two_shapes_are_a_dimension_error(capsys, tmp_path):

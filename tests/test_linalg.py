@@ -1,6 +1,8 @@
 """Kernel-level checks: arithmetic semantics, decompositions, ensembles, JSON."""
 
+import base64
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -114,6 +116,88 @@ def test_matrix_json_roundtrip():
     text = json.dumps(obj)
     back = matrix_from_json(json.loads(text))
     assert np.array_equal(a, back)
+
+
+_TINY, _HUGE = 1e-320, np.finfo(np.float64).max
+
+
+@pytest.mark.parametrize("a", [
+    random_ensemble("ginibre", 3, seed=3),
+    np.array([[_TINY, -_TINY], [_TINY * 1j, -_TINY * 1j]]),
+    np.array([[0.0, -0.0], [complex(-0.0, 0.0), complex(0.0, -0.0)]]),
+    np.array([[complex(-0.0, -0.0), _HUGE], [-_HUGE * 1j, complex(_HUGE, -_HUGE)]]),
+    ginibre(5, seed=4)[:1],
+    ginibre(5, seed=5)[:, :1],
+], ids=["ginibre", "subnormal", "signed-zeros", "near-overflow", "row", "column"])
+def test_matrix_json_roundtrips_bit_for_bit(a):
+    # the one written layout carries every double bit for bit, sign bits too
+    obj = matrix_to_json(a)
+    assert set(obj) == {"rows", "cols", "data"}
+    back = matrix_from_json(json.loads(json.dumps(obj)))
+    assert back.dtype == np.complex128 and back.shape == a.shape
+    assert np.array_equal(a, back)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(a, part)), np.signbit(getattr(back, part)))
+
+
+def test_matrix_json_data_is_the_little_endian_buffer():
+    a = np.array([[1 + 2j, -0.0], [0.5j, -3.0]])
+    raw = struct.pack("<8d", 1.0, 2.0, -0.0, 0.0, 0.0, 0.5, -3.0, 0.0)
+    assert matrix_to_json(a) == {"rows": 2, "cols": 2,
+                                 "data": base64.b64encode(raw).decode("ascii")}
+    # a Fortran-ordered view is written row-major all the same
+    assert matrix_to_json(np.asfortranarray(a)) == matrix_to_json(a)
+
+
+def test_the_list_layout_keeps_signed_zeros():
+    back = matrix_from_json({"rows": 1, "cols": 3,
+                             "re": [[-0.0, 1.0, -0.0]], "im": [[0.0, -0.0, -1.0]]})
+    assert np.signbit(back.real).tolist() == [[True, False, True]]
+    assert np.signbit(back.imag).tolist() == [[False, True, True]]
+    # integers are JSON numbers too
+    assert np.array_equal(matrix_from_json({"rows": 1, "cols": 2, "re": [[1, 2.5]],
+                                            "im": [[0, -1]]}), [[1, 2.5 - 1j]])
+
+
+def _data(*values):
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
+#: malformed matrix objects, each with the error it must raise
+BAD_MATRICES = {
+    "list-entry-text": ({"rows": 1, "cols": 2, "re": [["1e3", 1.0]], "im": [[0, 0]]},
+                        ContractError),
+    "list-entry-bool": ({"rows": 1, "cols": 2, "re": [[1.0, True]], "im": [[0, False]]},
+                        ContractError),
+    "list-entry-null": ({"rows": 1, "cols": 1, "re": [[0.0]], "im": [[None]]}, ContractError),
+    "list-entry-huge-int": ({"rows": 1, "cols": 1, "re": [[10 ** 400]], "im": [[0]]},
+                            ContractError),
+    "data-not-base64": ({"rows": 1, "cols": 1, "data": "not base64!"}, ContractError),
+    "data-with-newline": ({"rows": 1, "cols": 1, "data": _data(1.0, 0.0) + "\n"},
+                          ContractError),
+    "data-unpadded": ({"rows": 1, "cols": 1, "data": _data(1.0, 0.0).rstrip("=")},
+                      ContractError),
+    "data-non-ascii": ({"rows": 1, "cols": 1, "data": "\u00e9" * 4}, ContractError),
+    "data-not-a-string": ({"rows": 1, "cols": 1, "data": [1.0, 0.0]}, ContractError),
+    "data-and-re-im": ({"rows": 1, "cols": 1, "data": _data(1.0, 0.0),
+                        "re": [[1.0]], "im": [[0.0]]}, ContractError),
+    "data-nan": ({"rows": 1, "cols": 1, "data": _data(float("nan"), 0.0)}, ContractError),
+    "data-inf": ({"rows": 1, "cols": 1, "data": _data(0.0, -float("inf"))}, ContractError),
+    "data-bool-rows": ({"rows": True, "cols": 1, "data": _data(1.0, 0.0)}, ContractError),
+    "data-bool-cols": ({"rows": 1, "cols": False, "data": _data(1.0, 0.0)}, ContractError),
+    "data-missing-rows": ({"cols": 1, "data": _data(1.0, 0.0)}, ContractError),
+    "data-too-short": ({"rows": 2, "cols": 1, "data": _data(1.0, 0.0)}, DimensionError),
+    "data-too-long": ({"rows": 1, "cols": 1, "data": _data(1.0, 0.0, 2.0, 0.0)},
+                      DimensionError),
+    "data-partial-entry": ({"rows": 1, "cols": 1, "data": _data(1.0)}, DimensionError),
+}
+
+
+@pytest.mark.parametrize("name", BAD_MATRICES)
+def test_malformed_matrix_json_is_refused(name):
+    obj, error = BAD_MATRICES[name]
+    with pytest.raises(error):
+        matrix_from_json(obj)
 
 
 def test_matrix_json_rejects_mismatch():
