@@ -1,10 +1,18 @@
 """Dilation construction: isometry, representation, defect identity."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gruss_lab
 from gruss_lab import (
     ContractError,
+    DimensionError,
     NotCompletelyPositiveError,
     apply,
     dag,
@@ -17,12 +25,22 @@ from gruss_lab import (
     homomorphism_check,
     identity_map,
     lemma2_defect_identity,
+    map_to_json,
     operator_norm,
     random_ensemble,
     random_unital_cp,
+    to_choi,
     transpose_map,
+    unitalize,
     unitary_conj,
 )
+
+
+def _unital_kraus(k, d, rank, seed):
+    # a unital CP map M_k -> M_d from ``rank`` Ginibre d x k Kraus operators
+    rng = np.random.default_rng(seed)
+    ops = rng.standard_normal((rank, d, k)) + 1j * rng.standard_normal((rank, d, k))
+    return unitalize(from_kraus(ops))
 
 
 def test_dilate_identity_map():
@@ -126,7 +144,8 @@ def test_homomorphism_check_matches_per_sample_recomputation():
     assert rep == {"samples": 0, "max_product_residual": 0.0,
                    "max_adjoint_residual": 0.0, "unital_exact": True}
 
-    # 37 samples: two full blocks and a partial one
+    # 37 samples: two full blocks and a partial one; each residual read off
+    # the k x k block that I_r (x) . repeats
     rep = homomorphism_check(dil, samples=37, seed=4)
     rng = np.random.default_rng(4)
     max_product = max_adjoint = 0.0
@@ -134,13 +153,12 @@ def test_homomorphism_check_matches_per_sample_recomputation():
         a = ginibre(3, rng)
         b = ginibre(3, rng)
         scale = 1.0 + operator_norm(a) * operator_norm(b)
-        max_product = max(max_product,
-                          operator_norm(dil.pi(a @ b) - dil.pi(a) @ dil.pi(b)) / scale)
-        max_adjoint = max(max_adjoint, operator_norm(dil.pi(dag(a)) - dag(dil.pi(a))))
+        max_product = max(max_product, operator_norm(a @ b - a @ b) / scale)
+        max_adjoint = max(max_adjoint, operator_norm(dag(a) - dag(a)))
     assert rep["samples"] == 37
     assert rep["max_product_residual"] == max_product
     assert rep["max_adjoint_residual"] == max_adjoint
-    assert 0.0 < max_product <= 1e-12
+    assert max_product == 0.0
 
     with pytest.raises(ContractError):
         homomorphism_check(dil, samples=-1)
@@ -186,3 +204,94 @@ def test_defect_bounded_by_squared_distance_at_disk_center():
         lam = d.minimizer
         lhs, _ = lemma2_defect_identity(dil, a, lam, lam)
         assert lhs <= d.value**2 + 1e-8
+
+
+def test_pi_is_the_kronecker_product_with_the_identity():
+    for phi in (random_unital_cp(3, 4, seed=6), _unital_kraus(2, 3, 2, seed=1)):
+        dil = dilate(phi)
+        a = ginibre(phi.in_dim, seed=8)
+        pi_a = dil.pi(a)
+        assert pi_a.shape == (dil.env_dim * phi.in_dim,) * 2
+        assert pi_a.tobytes() == np.kron(np.eye(dil.env_dim), a).tobytes()
+
+
+def test_dilated_apply_on_a_stack_matches_single_calls():
+    for phi in (random_unital_cp(3, 4, seed=6), _unital_kraus(2, 3, 2, seed=1),
+                _unital_kraus(3, 2, 2, seed=2)):
+        dil = dilate(phi)
+        k, d = phi.in_dim, phi.out_dim
+        stack = ginibre(k, seed=5, shape=(7,))
+        images = dil.dilated_apply(stack)
+        assert images.shape == (7, d, d)
+        for a, image in zip(stack, images):
+            assert image.tobytes() == dil.dilated_apply(a).tobytes()
+        with pytest.raises(DimensionError):
+            dil.dilated_apply(np.eye(k + 1))
+        with pytest.raises(DimensionError):
+            dil.dilated_apply(np.zeros((2, 2, k, k)))
+        with pytest.raises(ContractError):
+            dil.dilated_apply(np.full((k, k), np.nan))
+
+
+@pytest.mark.parametrize("k, d", [(2, 3), (3, 2)])
+def test_non_square_dilation(k, d):
+    # M_k -> M_d with k != d: the (r, k, d) layout of V's blocks is where a
+    # swapped axis would still pass every test on square maps
+    phi = _unital_kraus(k, d, 2, seed=10 * k + d)
+    for form in (phi, to_choi(phi)):
+        dil = dilate(form)
+        v = dil.isometry
+        assert (dil.env_dim, dil.in_dim, dil.out_dim) == (2, k, d)
+        assert v.shape == (2 * k, d)
+        assert operator_norm(dag(v) @ v - np.eye(d)) <= 1e-12
+        for s in range(5):
+            a = ginibre(k, seed=s)
+            assert operator_norm(apply(phi, a) - dil.dilated_apply(a)) <= \
+                1e-12 * (1 + operator_norm(a))
+        assert dilation_residual(phi, dil, samples=20, seed=1) <= 1e-12
+        assert homomorphism_check(dil, samples=20, seed=1) == {
+            "samples": 20, "max_product_residual": 0.0, "max_adjoint_residual": 0.0,
+            "unital_exact": True}
+
+        a = ginibre(k, seed=9)
+        lhs, rhs = lemma2_defect_identity(dil, a, 0.3 - 0.2j, -1.0 + 0.5j)
+        assert lhs > 1e-2
+        assert abs(lhs - rhs) <= 1e-12 * (1 + operator_norm(a) ** 2)
+
+    # a dilation of another map is caught
+    other = dilate(_unital_kraus(k, d, 2, seed=99))
+    assert dilation_residual(phi, other, samples=5) > 1e-3
+
+
+def test_dilate_memory_stays_flat_on_a_full_rank_map(tmp_path):
+    # dilate --samples 16 on a full-rank map on M_16 (Kraus rank 256), in a
+    # child interpreter that reports its own peak RSS; a dense (rk) x (rk)
+    # pi(A) per sample would take gigabytes
+    pytest.importorskip("resource")
+    src = str(Path(gruss_lab.__file__).resolve().parent.parent)
+    probe = ("import resource, sys; from gruss_lab.cli import route; "
+             "code = route(sys.argv[1:]); "
+             "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+             "print(peak / (2**20 if sys.platform == 'darwin' else 2**10), file=sys.stderr); "
+             "sys.exit(code)")
+
+    def run(phi, name):
+        path, report = tmp_path / f"{name}.json", tmp_path / f"{name}-report.json"
+        path.write_text(json.dumps(map_to_json(phi)))
+        proc = subprocess.run([sys.executable, "-c", probe, "dilate", "--map", str(path),
+                               "--samples", "16", "--output", str(report)],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(report.read_text())["result"], float(proc.stderr.split()[-1])
+
+    result, peak_mb = run(random_unital_cp(16, 256, seed=0), "full")
+    _, base_mb = run(identity_map(2), "identity")
+    hom = result["homomorphism"]
+    assert result["envDim"] == 256
+    assert result["isometryResidual"] <= 1e-10
+    assert result["maxDilationResidual"] <= 1e-9
+    assert hom["max_product_residual"] <= 1e-10
+    assert hom["max_adjoint_residual"] <= 1e-10
+    assert hom["unital_exact"]
+    assert peak_mb - base_mb <= 100.0, (peak_mb, base_mb)
