@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .linalg import (
+    BLOCK_ENTRIES,
     Matrix,
     as_matrix,
     dag,
@@ -700,11 +701,11 @@ def _known_order(family: str, dim: int) -> float:
     return 1
 
 
-#: trials run as one block this many at a time; bounds memory, not results
+#: trials run as one block at most this many at a time, and fewer where
+#: trials * dimension**4, the complex entries of a block's Choi matrices or
+#: full-rank Kraus families, would pass ``linalg.BLOCK_ENTRIES``; bounds
+#: memory, not results
 TRIAL_BLOCK = 64
-#: bound on trials * dimension**4, the complex entries (16 MB) of a block's
-#: Choi matrices or full-rank Kraus families: large dimensions take fewer
-_BLOCK_ENTRIES = 2**20
 
 
 def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int,
@@ -717,7 +718,7 @@ def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int,
     families = claim.families or (family,)  # drawn in turn, trial by trial
     _validate_trial_config(claim, families, dims, trials, viol_tol)
     fixed = _fixed_maps(families, dims)
-    block = max(1, min(TRIAL_BLOCK, _BLOCK_ENTRIES // max(dims) ** 4))
+    block = max(1, min(TRIAL_BLOCK, BLOCK_ENTRIES // max(dims) ** 4))
     by_ratio = claim.worst == "ratio"
     pick = np.argmax if by_ratio else np.argmin
 

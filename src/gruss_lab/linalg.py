@@ -1,7 +1,8 @@
 """Dense complex-matrix kernels shared by every other module: coercion and
 the adjoint, operator norms of one matrix or of a stack, seeded random
-ensembles, and the matrix JSON wire format (written as the exact base64
-bytes of the complex128 buffer; read from that or from re/im number lists).
+ensembles, the matrix JSON wire format (written as the exact base64
+bytes of the complex128 buffer; read from that or from re/im number lists),
+and the one memory bound, ``BLOCK_ENTRIES``, that sizes every stacked step.
 The decompositions the lab needs (Choi spectra, the SVDs of the Delta
 solver, the Schmidt decomposition and the unitary average) call numpy where
 they are used.
@@ -24,6 +25,12 @@ import numpy as np
 from .errors import ContractError, DimensionError, NumericError
 
 Matrix = np.ndarray
+
+#: bound on the complex entries (16 MB) of the largest array one stacked step
+#: forms, shared by the trial blocks, the dilation sample stacks and the
+#: positivity-search stacks: each takes as many items as fit, so large
+#: shapes take fewer.  It bounds memory, not results
+BLOCK_ENTRIES = 2**20
 
 
 def as_matrix(values, *, square: bool = False) -> Matrix:

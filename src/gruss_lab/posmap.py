@@ -43,6 +43,7 @@ from .errors import (
     UnitalizationError,
 )
 from .linalg import (
+    BLOCK_ENTRIES,
     Matrix,
     as_matrix,
     dag,
@@ -568,8 +569,10 @@ def _alternating_minima(j4: np.ndarray, b_frames: np.ndarray, max_iters: int, to
     return q, x
 
 
-#: starts run as one stack this many at a time; bounds memory, not results
-SEARCH_BLOCK = 32
+#: starts run as one stack at most this many at a time, and fewer where the
+#: stack's largest product, k * d * max(k, d) * n complex entries per start,
+#: would pass ``linalg.BLOCK_ENTRIES``; bounds memory, not results
+SEARCH_BLOCK = 1024
 
 
 def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 200,
@@ -582,14 +585,17 @@ def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 
     Otherwise the minimization runs ``starts`` alternating-eigenvector
     descents, each from a random frame drawn from its own child of
     ``SeedSequence(seed)``.
-    The starts run as stacked kernels, ``SEARCH_BLOCK`` at a time, each
-    block spawning only its own seed children, and each start stops on its
-    own: the opening half-step on its drawn frame counts as sweep 0, and the
-    start stops after the first sweep that lowers its value by at most
-    ``SWEEP_TOL * ||J||_F`` (1e-12 * ||J||_F), or after ``max_iters`` sweeps
-    (200).  The first start reaching the lowest value wins.
+    The starts run as stacked kernels, as many at a time as keep the
+    largest product of a stack, k * d * max(k, d) * n entries per start,
+    within ``linalg.BLOCK_ENTRIES`` and at most ``SEARCH_BLOCK`` (so up to
+    1024 starts of a map on M_5 at once, and 17 at k = d = 16, n = 15).
+    Each stack spawns only its own seed children, and each start stops on
+    its own: the opening half-step on its drawn frame counts as sweep 0,
+    and the start stops after the first sweep that lowers its value by at
+    most ``SWEEP_TOL * ||J||_F`` (1e-12 * ||J||_F), or after ``max_iters``
+    sweeps (200).  The first start reaching the lowest value wins.
     Results are deterministic in (seed, starts) and do not depend on the
-    block size.  The verdict is certified only in the refutation direction.
+    stack size.  The verdict is certified only in the refutation direction.
     """
     if n < 1:
         raise ContractError(f"positivity order must be >= 1, got {n}")
@@ -602,10 +608,11 @@ def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 
     j_norm = np.linalg.norm(j4)
     # spawn numbers children on from the last: start i gets child i
     root = np.random.SeedSequence(seed)
+    stack = max(1, min(SEARCH_BLOCK, BLOCK_ENTRIES // (k * d * max(k, d) * n)))
     best_val, best_x = np.inf, None
-    for lo in range(0, starts, SEARCH_BLOCK):
+    for lo in range(0, starts, stack):
         draws = np.stack([_alternating_minimum(child, d, n)
-                          for child in root.spawn(min(SEARCH_BLOCK, starts - lo))])
+                          for child in root.spawn(min(stack, starts - lo))])
         b_frames, _ = np.linalg.qr(draws)
         vals, xs = _alternating_minima(j4, b_frames, max_iters, SWEEP_TOL * j_norm)
         first = int(np.argmin(vals))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gruss_lab
+import gruss_lab.stinespring as stinespring
 from gruss_lab import (
     ContractError,
     DimensionError,
@@ -164,6 +165,46 @@ def test_homomorphism_check_matches_per_sample_recomputation():
         homomorphism_check(dil, samples=-1)
     with pytest.raises(ContractError):
         dilation_residual(dil.source, dil, samples=-2)
+
+
+def test_dilation_residual_does_not_depend_on_the_stack_size(monkeypatch):
+    # 100 samples 1, 7 or 16 at a time, or all at once, through an entries
+    # bound of r * k * d per sample; Kraus form and the Choi form's recovery
+    stacks, real = [], stinespring.apply
+
+    def recorded(phi, x):
+        stacks.append(len(x))
+        return real(phi, x)
+
+    monkeypatch.setattr(stinespring, "apply", recorded)
+    phi = random_unital_cp(3, 4, seed=6)
+    for form in (phi, to_choi(phi)):
+        dil = dilate(form)
+        per_sample = dil.env_dim * dil.in_dim * dil.out_dim
+        runs = []
+        for size in (1, 7, 16, 100):
+            stacks.clear()
+            monkeypatch.setattr(stinespring, "BLOCK_ENTRIES", size * per_sample)
+            runs.append(dilation_residual(form, dil, samples=100, seed=5))
+            assert stacks == [size] * (100 // size) + [100 % size] * (100 % size > 0)
+        assert 0.0 < runs[0] <= 1e-12
+        assert runs == [runs[0]] * 4
+
+
+def test_homomorphism_check_draws_nothing(monkeypatch):
+    dils = [dilate(identity_map(2)), dilate(random_unital_cp(3, 4, seed=6)),
+            dilate(to_choi(random_unital_cp(4, 3, seed=2)))]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("homomorphism_check drew a sample")
+
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    for dil in dils:
+        for seed in range(5):
+            for samples in (0, 5, 37):
+                assert homomorphism_check(dil, samples=samples, seed=seed) == {
+                    "samples": samples, "max_product_residual": 0.0,
+                    "max_adjoint_residual": 0.0, "unital_exact": True}
 
 
 def test_defect_identity_trivial_cases():
