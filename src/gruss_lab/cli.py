@@ -145,7 +145,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dilate", help="Stinespring dilation of a unital CP map")
     p.add_argument("--map", required=True)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=int, default=20,
+                   help="no A is drawn: the count is only echoed, in the "
+                        "result's homomorphism.samples (default 20)")
     add_common(p)
 
     p = sub.add_parser("explore", help="evidence gathering on open questions")
@@ -234,13 +236,13 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, dict, dict, int]:
                                 "maxUnitarityResidual": unitarity}, 0
 
     if cmd == "dilate":
-        config = {"map": args.map, "samples": args.samples, "seed": args.seed}
+        config = {"map": args.map, "samples": args.samples}
         phi = _load_map(args.map)
         dil = dilate(phi)
         eye = np.eye(phi.out_dim)
         iso_residual = operator_norm(dil.isometry.conj().T @ dil.isometry - eye)
-        max_dilation = dilation_residual(phi, dil, samples=args.samples, seed=args.seed)
-        hom = homomorphism_check(dil, samples=args.samples, seed=args.seed)
+        max_dilation = dilation_residual(phi, dil)
+        hom = homomorphism_check(dil, samples=args.samples)
         result = {
             "envDim": dil.env_dim,
             "isometryResidual": iso_residual,

@@ -27,9 +27,9 @@ from .errors import ContractError, DimensionError, NumericError
 Matrix = np.ndarray
 
 #: bound on the complex entries (16 MB) of the largest array one stacked step
-#: forms, shared by the trial blocks, the dilation sample stacks and the
-#: positivity-search stacks: each takes as many items as fit, so large
-#: shapes take fewer.  It bounds memory, not results
+#: forms, shared by the trial blocks and the positivity-search stacks: each
+#: takes as many items as fit, so large shapes take fewer.  It bounds
+#: memory, not results
 BLOCK_ENTRIES = 2**20
 
 

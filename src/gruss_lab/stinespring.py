@@ -9,16 +9,17 @@ and the unital *-homomorphism pi(A) = I_r (x) A satisfy
 This is the Kraus-rank dilation; the minimal dilation is not constructed
 because every identity verified here already holds for this one.  Only
 ``pi`` forms the (rk) x (rk) matrix I_r (x) A: the checks work with pi(A) V,
-whose block i is A K_i*, on stacks sized by ``linalg.BLOCK_ENTRIES``.
+whose block i is A K_i*.
 
 What each field of the ``dilate`` command measures:
 
 - ``isometryResidual``, ||V* V - I||: the unitality of the Kraus family.
-- ``maxDilationResidual`` (``dilation_residual``), Phi(A) against
-  V* pi(A) V on sampled A.  On a Kraus-form map both sides are the same
-  products K_i A K_i* summed in two orders, so it reads rounding only; on a
-  Choi-form map V comes from the Kraus recovery ``choi_to_kraus``, and it
-  tests that recovery against the Choi matrix.
+- ``maxDilationResidual`` (``dilation_residual``), ||J_Phi - W* W||_F with
+  W = V as r x kd: W* W is the Choi matrix of A -> V* pi(A) V, so the
+  identity is decided on all k^2 matrix units at once, without samples, in
+  O((kd)^2) memory, and ||Phi(A) - V* pi(A) V|| <= sqrt(k) ||A|| times it.
+  On a Choi-form map it tests the Kraus recovery ``choi_to_kraus``; on a
+  Kraus-form map it catches a layout error in V.
 - ``homomorphism`` (``homomorphism_check``): exact by construction, since
   pi(A) = I_r (x) A repeats one k x k block; nothing is sampled.
 """
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .linalg import BLOCK_ENTRIES, Matrix, as_matrix, dag, operator_norm, operator_norms
-from .posmap import UNITAL_TOL, MapRep, apply, choi_to_kraus, is_unital
+from .linalg import Matrix, as_matrix, dag, operator_norm
+from .posmap import UNITAL_TOL, MapRep, apply, choi_matrix, choi_to_kraus, is_unital
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,32 +95,22 @@ def _pi_v(dilation: StinespringDilation, a: np.ndarray) -> np.ndarray:
     return blocks.reshape(*a.shape[:-2], r * k, d)
 
 
-def dilation_residual(phi: MapRep, dilation: StinespringDilation, samples: int = 50,
-                      seed=0) -> float:
-    """Worst ||Phi(A) - V* pi(A) V|| / (1 + ||A||) over ``samples`` draws of A
-    with standard normal real and imaginary parts (0.0 for no samples).
+def dilation_residual(phi: MapRep, dilation: StinespringDilation) -> float:
+    """||J_Phi - W* W||_F for W = V reshaped to r x kd, whose row l is V's
+    block V_l = K_l* flattened: block (i, j) of W* W is sum_l V_l* E_ij V_l
+    = V* pi(E_ij) V, and that of J_Phi is Phi(E_ij).
 
-    On a Kraus-form map both sides are the same Kraus products in two orders,
-    so the value is rounding (at most a few 1e-16); on a Choi-form map it
-    tests the Kraus recovery behind V.  The draws come from
-    ``default_rng(seed)`` in sample order and are checked as stacks of as
-    many samples as keep pi(A) V, r * k * d entries per sample, within
-    ``linalg.BLOCK_ENTRIES`` (16 at a time at k = d = 16, r = 256; at
-    k <= 5 every sample at once), through the same products per sample as
-    ``apply`` and ``dilated_apply``, so the result is the one a
-    sample-by-sample loop gives, to the last bit.
+    So the value bounds ||Phi(E_ij) - V* pi(E_ij) V|| for every matrix unit,
+    and ||Phi(A) - V* pi(A) V|| <= sqrt(k) ||A|| * residual for every A,
+    since ||M a|| <= ||M||_F ||A||_F <= ||M||_F sqrt(k) ||A|| for the Choi
+    difference M.  W* W is one GEMM, and ``choi_matrix(phi)`` is subtracted
+    from it in place: at most two (kd) x (kd) arrays, O((kd)^2) memory, and
+    a Choi-form map's stored matrix is never written.
     """
-    _check_samples(samples)
-    r, k, d = dilation.env_dim, dilation.in_dim, dilation.out_dim
-    stack = max(1, BLOCK_ENTRIES // (r * k * d))
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for lo in range(0, samples, stack):
-        parts = rng.standard_normal((min(stack, samples - lo), 2, phi.in_dim, phi.in_dim))
-        a = parts[:, 0] + 1j * parts[:, 1]
-        resid = operator_norms(apply(phi, a) - dilation.dilated_apply(a))
-        worst = max(worst, float(np.max(resid / (1.0 + operator_norms(a)))))
-    return worst
+    w = dilation.isometry.reshape(dilation.env_dim, dilation.in_dim * dilation.out_dim)
+    diff = dag(w) @ w
+    diff -= choi_matrix(phi)
+    return float(np.linalg.norm(diff))
 
 
 def homomorphism_check(dilation: StinespringDilation, samples: int = 50, seed=0) -> dict:

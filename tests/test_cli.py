@@ -157,7 +157,7 @@ def test_seed_is_echoed_only_where_it_is_used(capsys, fixtures):
         "verify": (["verify", "theorem", "--dims", "2", "--trials", "2"], True),
         "explore": (["explore", "two-positive", "--trials", "2"], True),
         "npositive": (["npositive", "--map", fixtures["transpose"], "--n", "1"], True),
-        "dilate": (["dilate", "--map", fixtures["idmap"], "--samples", "2"], True),
+        "dilate": (["dilate", "--map", fixtures["idmap"], "--samples", "2"], False),
     }
     for command, (argv, draws) in runs.items():
         code, rep = _run(capsys, [*argv, "--seed", "3"])

@@ -1,18 +1,12 @@
 """Map representations, conversions, built-ins, positivity criteria."""
 
 import json
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import gruss_lab
 import gruss_lab.posmap as posmap
 from gruss_lab import (
     CERTIFIED_CP,
@@ -449,42 +443,14 @@ def test_search_runs_a_hundred_small_starts_as_one_stack(monkeypatch):
         assert _search_stacks(monkeypatch, phi, n, 100, 0) == [100] * 3
 
 
-def test_search_memory_stays_flat_at_k16(tmp_path):
+def test_search_memory_stays_flat_at_k16(run_with_peak):
     # npositive on choiMap at k = 16, n = 15 with 32 starts, in a child
     # interpreter that reports its own peak RSS: the entries bound runs the
     # starts 17 at a time, where 32 at once took about 120 MB over the baseline
-    pytest.importorskip("resource")
-    src = str(Path(gruss_lab.__file__).resolve().parent.parent)
-    # Linux keeps ru_maxrss across exec, so it would start at this process's
-    # RSS; VmHWM is the child's own high-water mark
-    probe = textwrap.dedent("""
-        import resource, sys
-        from gruss_lab.cli import route
-        code = route(sys.argv[1:])
-        try:
-            with open("/proc/self/status") as status:
-                peak = next(int(line.split()[1]) for line in status
-                            if line.startswith("VmHWM:")) / 2**10
-        except OSError:
-            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            peak /= 2**20 if sys.platform == "darwin" else 2**10
-        print(peak, file=sys.stderr)
-        sys.exit(code)
-    """)
-
-    def run(obj, n, name):
-        path, report = tmp_path / f"{name}.json", tmp_path / f"{name}-report.json"
-        path.write_text(json.dumps(obj))
-        proc = subprocess.run([sys.executable, "-c", probe, "npositive", "--map", str(path),
-                               "--n", str(n), "--starts", "32", "--seed", "1",
-                               "--output", str(report)],
-                              env={**os.environ, "PYTHONPATH": src},
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        return json.loads(report.read_text())["result"], float(proc.stderr.split()[-1])
-
-    result, peak_mb = run({"kind": "builtin", "name": "choiMap", "dim": 16}, 15, "choi16")
-    _, base_mb = run(map_to_json(identity_map(2)), 1, "identity")
+    options = ("--starts", "32", "--seed", "1")
+    result, peak_mb = run_with_peak("npositive", {"kind": "builtin", "name": "choiMap", "dim": 16},
+                                    "--n", "15", *options)
+    _, base_mb = run_with_peak("npositive", map_to_json(identity_map(2)), "--n", "1", *options)
     assert result["status"] == HEURISTICALLY_N_POSITIVE
     assert peak_mb - base_mb <= 100.0, (peak_mb, base_mb)
 

@@ -1,16 +1,12 @@
 """Dilation construction: isometry, representation, defect identity."""
 
+import dataclasses
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+import math
 
 import numpy as np
 import pytest
 
-import gruss_lab
-import gruss_lab.stinespring as stinespring
 from gruss_lab import (
     ContractError,
     DimensionError,
@@ -35,6 +31,7 @@ from gruss_lab import (
     unitalize,
     unitary_conj,
 )
+from gruss_lab.cli import route
 
 
 def _unital_kraus(k, d, rank, seed):
@@ -105,24 +102,24 @@ def test_pi_preserves_norm():
 
 def test_dilation_residual():
     phi = random_unital_cp(3, 4, seed=6)
-    dil = dilate(phi)
-    assert dilation_residual(phi, dil, samples=0) == 0.0
-    worst = dilation_residual(phi, dil, samples=20, seed=2)
-    assert 0.0 < worst <= 1e-12
-    assert dilation_residual(phi, dil, samples=20, seed=2) == worst
-
-    # the worst of the same draws, recomputed sample by sample
-    rng = np.random.default_rng(2)
-    expected = 0.0
-    for _ in range(20):
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        resid = operator_norm(apply(phi, a) - dil.dilated_apply(a))
-        expected = max(expected, resid / (1 + operator_norm(a)))
-    assert worst == expected
+    for form in (phi, to_choi(phi)):
+        assert dilation_residual(form, dilate(form)) <= 1e-12
 
     # a dilation of another map is caught
     other = dilate(random_unital_cp(3, 4, seed=7))
-    assert dilation_residual(phi, other, samples=5) > 1e-3
+    assert dilation_residual(phi, other) > 1e-3
+
+    # V' = V + eps E: the residual bounds the defect of V' on every A
+    dil = dilate(phi)
+    rng = np.random.default_rng(3)
+    e = rng.standard_normal(dil.isometry.shape) + 1j * rng.standard_normal(dil.isometry.shape)
+    moved = dataclasses.replace(dil, isometry=dil.isometry + 1e-6 * e)
+    resid = dilation_residual(phi, moved)
+    assert resid > 1e-9
+    for s in range(20):
+        a = ginibre(3, seed=s)
+        assert operator_norm(apply(phi, a) - moved.dilated_apply(a)) <= \
+            math.sqrt(3) * operator_norm(a) * resid + 1e-12
 
 
 def test_homomorphism_check():
@@ -163,32 +160,6 @@ def test_homomorphism_check_matches_per_sample_recomputation():
 
     with pytest.raises(ContractError):
         homomorphism_check(dil, samples=-1)
-    with pytest.raises(ContractError):
-        dilation_residual(dil.source, dil, samples=-2)
-
-
-def test_dilation_residual_does_not_depend_on_the_stack_size(monkeypatch):
-    # 100 samples 1, 7 or 16 at a time, or all at once, through an entries
-    # bound of r * k * d per sample; Kraus form and the Choi form's recovery
-    stacks, real = [], stinespring.apply
-
-    def recorded(phi, x):
-        stacks.append(len(x))
-        return real(phi, x)
-
-    monkeypatch.setattr(stinespring, "apply", recorded)
-    phi = random_unital_cp(3, 4, seed=6)
-    for form in (phi, to_choi(phi)):
-        dil = dilate(form)
-        per_sample = dil.env_dim * dil.in_dim * dil.out_dim
-        runs = []
-        for size in (1, 7, 16, 100):
-            stacks.clear()
-            monkeypatch.setattr(stinespring, "BLOCK_ENTRIES", size * per_sample)
-            runs.append(dilation_residual(form, dil, samples=100, seed=5))
-            assert stacks == [size] * (100 // size) + [100 % size] * (100 % size > 0)
-        assert 0.0 < runs[0] <= 1e-12
-        assert runs == [runs[0]] * 4
 
 
 def test_homomorphism_check_draws_nothing(monkeypatch):
@@ -205,6 +176,28 @@ def test_homomorphism_check_draws_nothing(monkeypatch):
                 assert homomorphism_check(dil, samples=samples, seed=seed) == {
                     "samples": samples, "max_product_residual": 0.0,
                     "max_adjoint_residual": 0.0, "unital_exact": True}
+
+
+def test_dilate_draws_nothing_and_ignores_the_seed(monkeypatch, tmp_path):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dilate drew a sample")
+
+    phi = random_unital_cp(3, 4, seed=6)
+    for name, form in (("kraus", phi), ("choi", to_choi(phi))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(map_to_json(form)))
+        reports = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"{name}-{seed}-report.json"
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "default_rng", forbidden)
+                assert route(["dilate", "--map", str(path), "--samples", "20",
+                              "--seed", seed, "--output", str(out)]) == 0
+            report = json.loads(out.read_text())
+            del report["wallTimeMs"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert "seed" not in reports[0]["config"]
 
 
 def test_defect_identity_trivial_cases():
@@ -289,7 +282,7 @@ def test_non_square_dilation(k, d):
             a = ginibre(k, seed=s)
             assert operator_norm(apply(phi, a) - dil.dilated_apply(a)) <= \
                 1e-12 * (1 + operator_norm(a))
-        assert dilation_residual(phi, dil, samples=20, seed=1) <= 1e-12
+        assert dilation_residual(phi, dil) <= 1e-12
         assert homomorphism_check(dil, samples=20, seed=1) == {
             "samples": 20, "max_product_residual": 0.0, "max_adjoint_residual": 0.0,
             "unital_exact": True}
@@ -301,33 +294,16 @@ def test_non_square_dilation(k, d):
 
     # a dilation of another map is caught
     other = dilate(_unital_kraus(k, d, 2, seed=99))
-    assert dilation_residual(phi, other, samples=5) > 1e-3
+    assert dilation_residual(phi, other) > 1e-3
 
 
-def test_dilate_memory_stays_flat_on_a_full_rank_map(tmp_path):
+def test_dilate_memory_stays_flat_on_a_full_rank_map(run_with_peak):
     # dilate --samples 16 on a full-rank map on M_16 (Kraus rank 256), in a
     # child interpreter that reports its own peak RSS; a dense (rk) x (rk)
-    # pi(A) per sample would take gigabytes
-    pytest.importorskip("resource")
-    src = str(Path(gruss_lab.__file__).resolve().parent.parent)
-    probe = ("import resource, sys; from gruss_lab.cli import route; "
-             "code = route(sys.argv[1:]); "
-             "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
-             "print(peak / (2**20 if sys.platform == 'darwin' else 2**10), file=sys.stderr); "
-             "sys.exit(code)")
-
-    def run(phi, name):
-        path, report = tmp_path / f"{name}.json", tmp_path / f"{name}-report.json"
-        path.write_text(json.dumps(map_to_json(phi)))
-        proc = subprocess.run([sys.executable, "-c", probe, "dilate", "--map", str(path),
-                               "--samples", "16", "--output", str(report)],
-                              env={**os.environ, "PYTHONPATH": src},
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        return json.loads(report.read_text())["result"], float(proc.stderr.split()[-1])
-
-    result, peak_mb = run(random_unital_cp(16, 256, seed=0), "full")
-    _, base_mb = run(identity_map(2), "identity")
+    # pi(A) would take gigabytes
+    result, peak_mb = run_with_peak("dilate", map_to_json(random_unital_cp(16, 256, seed=0)),
+                                    "--samples", "16")
+    _, base_mb = run_with_peak("dilate", map_to_json(identity_map(2)), "--samples", "16")
     hom = result["homomorphism"]
     assert result["envDim"] == 256
     assert result["isometryResidual"] <= 1e-10
