@@ -70,7 +70,7 @@ from .posmap import (
     unital_mask,
     unitalize_kraus_stack,
 )
-from .scalar_distance import DeltaResult, delta, is_normal, normal_mask
+from .scalar_distance import DeltaResult, delta, is_normal
 from .unitary_sum import decompose_unitary_sum, rescale_for_decomposition
 
 CHECKS = ("theorem", "lemma1", "lemma2", "corollary")
@@ -260,7 +260,8 @@ class _Claim:
     pair: bool = True
     #: whether it needs delta of its inputs (of A and B, or of A alone)
     uses_delta: bool = True
-    #: maps that are not CP need a normal A, drawn normal and checked
+    #: maps that are not CP need a normal A: the engine draws it normal,
+    #: check_lemma2 refuses one that is not
     normal_a: bool = False
     #: its worst trial: the smallest "margin" or the largest "ratio"
     worst: str = "margin"
@@ -483,9 +484,10 @@ def proof_chain(phi: MapRep, a, b, m: int) -> dict:
 # Every randomized suite runs one claim through one driver.  Trial t draws
 # its random numbers from its own (seed, t) generator, so any trial can be
 # drawn again on its own.  Trials run in blocks, each trial drawn once: the
-# driver keeps the worst trial's row from its block to report it.  Within a
-# block, the random numbers are drawn trial by trial; the maps, the inputs,
-# the checks on them, Phi and the norms are built per dimension, as stacked
+# driver folds each block's dimension groups into the summary as they come,
+# keeping the worst trial's row to report it.  Within a block, the random
+# numbers are drawn trial by trial; the maps, the inputs, the unitality
+# check, Phi and the norms are built per dimension, as stacked
 # kernels (Kraus-form maps, CP by construction, are unitalized and turned
 # into Choi matrices as one stack per Kraus rank, and applied map by map).
 # Phi runs in ``_images``, as for the public checks: one call maps each
@@ -604,8 +606,8 @@ def _choi_maps(draws: list, fixed: dict) -> np.ndarray:
 class _Group:
     """The trials of one block at one dimension, as stacks."""
 
-    #: their positions in the block
-    rows: list
+    #: their trial indices, ascending
+    trials: list
     a: np.ndarray
     b: np.ndarray | None
     #: the (T, S, d, d) images of the inputs
@@ -622,49 +624,39 @@ class _Group:
         return from_choi(self.maps[i].reshape(k * k, k * k).copy(), k, k)
 
 
-def _group(claim: _Claim, draws: list, rows: list, fixed: dict) -> _Group:
+def _group(claim: _Claim, draws: list, trials: list, fixed: dict) -> _Group:
     # the stacks of drawn trials at one dimension; its draws share a map
-    # form, Kraus (the cp family) or Choi
+    # form, Kraus (the cp family) or Choi.  A claim needing a normal A on
+    # maps that are not CP draws A normal (Hermitian or Q diag(z) Q*)
     a = _inputs([dr.a for dr in draws])
     b = _inputs([dr.b for dr in draws]) if claim.pair else None
-    what = f"check {claim.name!r}"
     cp = draws[0].family == "cp"
-    if claim.normal_a and not cp and not normal_mask(a).all():
-        raise ContractError(f"{what} needs a normal A on maps that are not CP")
     maps = unitalize_kraus_stack([dr.kraus for dr in draws]) if cp else _choi_maps(draws, fixed)
-    return _Group(rows, a, b, _images(claim.inputs(a, b), maps, what), maps)
+    return _Group(trials, a, b, _images(claim.inputs(a, b), maps, f"check {claim.name!r}"), maps)
 
 
 def _run_block(claim: _Claim, families: tuple, dims: tuple, fixed: dict, seed: int, ts,
-               viol_tol: float | None) -> tuple[dict, list]:
-    """Trials ``ts`` as one block: their evaluations (arrays in ``ts``
-    order) and the block's groups, one per dimension.  The trials are drawn
-    and built here; the per-trial step, delta of a trial's inputs, runs
-    through ``_map_over_trials``, one step per trial."""
-    ts = list(ts)
+               viol_tol: float | None) -> list:
+    """Trials ``ts`` as one block: a (group, evaluations) pair per dimension,
+    the evaluations arrays in the order of the group's trials.  The trials
+    are drawn and built here; the per-trial step, delta of a trial's inputs,
+    runs through one ``_map_over_trials`` call, one step per trial, group
+    by group."""
     by_dim = {}
-    for n, t in enumerate(ts):
-        by_dim.setdefault(dims[t % len(dims)], []).append(n)
-    draws = [_draw(claim, families, dims, seed, t) for t in ts]
-    groups = [_group(claim, [draws[n] for n in rows], rows, fixed)
-              for rows in by_dim.values()]
-    slots = {n: (group, i) for group in groups for i, n in enumerate(group.rows)}
-
-    def trial(n: int) -> tuple:
-        # delta of trial n's inputs, one call per matrix
-        group, i = slots[n]
-        if not claim.uses_delta:
-            return ()
-        return tuple(delta(x[i]).value for x in (group.a, group.b) if x is not None)
-
-    steps = _map_over_trials(trial, len(ts), _thread_count())
-    out = {}
+    for t in ts:
+        by_dim.setdefault(dims[t % len(dims)], []).append(t)
+    groups = [_group(claim, [_draw(claim, families, dims, seed, t) for t in trials], trials,
+                     fixed) for trials in by_dim.values()]
+    # each trial's delta inputs: A and B, A alone, or none
+    inputs = [[x[i] for x in (group.a, group.b) if x is not None and claim.uses_delta]
+              for group in groups for i in range(len(group.trials))]
+    steps = iter(_map_over_trials(lambda n: tuple(delta(x).value for x in inputs[n]),
+                                  len(inputs), _thread_count()))
+    out = []
     for group in groups:
-        deltas = tuple(np.array(values) for values in zip(*(steps[n] for n in group.rows)))
-        for key, value in claim.evaluate(group.images, group.a, group.b, deltas,
-                                         viol_tol).items():
-            out.setdefault(key, np.empty(len(ts), dtype=value.dtype))[group.rows] = value
-    return out, groups
+        deltas = tuple(np.array(values) for values in zip(*(next(steps) for _ in group.trials)))
+        out.append((group, claim.evaluate(group.images, group.a, group.b, deltas, viol_tol)))
+    return out
 
 
 def _validate_trial_config(claim: _Claim, families: tuple, dims: tuple, trials: int,
@@ -723,29 +715,33 @@ def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int,
     pick = np.argmax if by_ratio else np.argmin
 
     t0 = time.perf_counter()
-    parts, kept = [], None
+    violations, margin, formula, kept = 0, np.inf, None, None
     for lo in range(0, trials, block):
-        out, groups = _run_block(claim, families, dims, fixed, seed,
-                                 range(lo, min(lo + block, trials)), viol_tol)
-        parts.append(out)
-        n = int(pick(out[claim.worst]))
-        # a later block's worst replaces the kept row only when strictly
-        # worse: the tie rule of pick over all rows
-        if kept is None or pick([kept[0], out[claim.worst][n]]) == 1:
-            group = next(group for group in groups if n in group.rows)
-            i = group.rows.index(n)
-            kept = (out[claim.worst][n], lo + n, group.map(i), group.a[i].copy(),
-                    None if group.b is None else group.b[i].copy())
+        for group, out in _run_block(claim, families, dims, fixed, seed,
+                                     range(lo, min(lo + block, trials)), viol_tol):
+            violations += int(np.count_nonzero(out["violated"]))
+            margin = np.minimum(margin, np.min(out["margin"]))
+            if "formula_residual" in out:
+                residual = np.max(out["formula_residual"] / (1.0 + out["lhs"]))
+                formula = residual if formula is None else np.maximum(formula, residual)
+            i = int(pick(out[claim.worst]))
+            t, value = group.trials[i], out[claim.worst][i]
+            # groups come dimension by dimension, so a later group may hold
+            # lower trial indices.  pick sees the kept row and this one in
+            # trial order: this one replaces it when strictly worse, or when
+            # equal at a lower trial index, the tie rule of pick over all rows
+            later = kept is not None and t > kept[0]
+            if kept is None or pick([kept[1], value] if later else [value, kept[1]]) == int(later):
+                kept = (t, value, group.map(i), group.a[i].copy(),
+                        None if group.b is None else group.b[i].copy())
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
-    violations = 0
-    worst_margin = worst_instance = worst_formula = None
+    worst_margin = worst_instance = None
     worst_ratio = 0.0 if by_ratio else None
-    if parts:
-        rows = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
-        violations = int(np.count_nonzero(rows["violated"]))
-        worst_margin = float(np.min(rows["margin"]))
-        value, worst, phi, a, b = kept
+    worst_formula = None if formula is None else float(formula)
+    if kept is not None:
+        worst, value, phi, a, b = kept
+        worst_margin = float(margin)
         res, _ = _check_one(claim, phi, a, b, viol_tol)
         worst_instance = {"trialIndex": worst, "dim": dims[worst % len(dims)],
                           "map": map_to_json(phi), "a": matrix_to_json(a),
@@ -755,8 +751,6 @@ def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int,
             worst_ratio = float(value)
         else:
             worst_instance["margin"] = res["margin"]
-        if "formula_residual" in rows:
-            worst_formula = float(np.max(rows["formula_residual"] / (1.0 + rows["lhs"])))
     # the one family drawn; a claim drawing several reports the suite's label
     return TrialSummary(trials=trials, violations=violations,
                         worst_margin=worst_margin, worst_instance=worst_instance,
@@ -773,7 +767,7 @@ def run_trials(check: str, family: str = "cp", dims=(2, 3, 4), trials: int = 100
     aggregate is deterministic and independent of the execution order, of
     the block size (``TRIAL_BLOCK``) and of the thread count, which comes
     from GRUSS_LAB_THREADS (0 or 1 means sequential; capped at the core
-    count).  The worst instance is the trial of smallest margin.
+    count).  The worst instance is the first trial of smallest margin.
     ``viol_tol`` is for ``theorem`` only (see ``check_theorem``).
     """
     if check not in CHECKS:

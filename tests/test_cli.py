@@ -19,6 +19,7 @@ from gruss_lab import (
     dag,
     decompose_unitary_sum,
     ginibre,
+    haar_unitary,
     matrix_from_json,
     matrix_to_json,
     operator_norm,
@@ -441,6 +442,58 @@ def test_invalid_counts_and_seeds_are_contract_errors(capsys, fixtures, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["type"] == "contract"
+
+
+def _one_error_line(capsys, argv):
+    code = route(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "contract"
+
+
+@pytest.mark.parametrize("argv, obj", [
+    (["verify", "theorem", "--dims", "", "--trials", "2"], None),
+    (["verify", "theorem", "--dims", "1,2", "--trials", "2"], None),
+    (["explore", "two-positive", "--k", "1", "--trials", "2"], None),
+    (["npositive", "--map", "file", "--n", "2"], [{"kind": "builtin", "name": "transpose",
+                                                   "dim": 2}]),
+    (["npositive", "--map", "file", "--n", "2"],
+     {"kind": "choi", "inDim": 2, "matrix": matrix_to_json(np.eye(4))}),
+    (["npositive", "--map", "file", "--n", "2"], {"kind": "builtin", "name": "transpose"}),
+    (["npositive", "--map", "transpose", "--n", "0"], None),
+    (["decompose", "--matrix", "tenth", "--m", "2"], None),
+], ids=["dims-empty", "dims-one", "explore-k-one", "map-list", "choi-no-out-dim",
+        "builtin-no-dim", "npositive-n-zero", "decompose-strict-m-two"])
+def test_outside_input_is_refused_as_one_contract_error_line(capsys, fixtures, argv, obj):
+    if obj is not None:
+        fixtures["file"] = _write(fixtures["tmp_path"] / "map.json", obj)
+    _one_error_line(capsys, [fixtures.get(arg, arg) for arg in argv])
+
+
+def test_a_unitary_conj_map_reports_as_its_kraus_form(capsys, tmp_path, fixtures):
+    u = haar_unitary(2, seed=5)
+    conj = _write(tmp_path / "conj.json", {"kind": "unitaryConj", "u": matrix_to_json(u)})
+    kraus = _write(tmp_path / "kraus.json", {"kind": "kraus", "ops": [matrix_to_json(u)]})
+    reports = []
+    for path in (conj, kraus):
+        code, rep = _run(capsys, ["defect", "--map", path, "--a", fixtures["a"],
+                                  "--b", fixtures["b"]])
+        assert code == 0
+        reports.append({key: rep[key] for key in ("command", "result", "residuals")})
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "unitaryConj"},
+    {"kind": "unitaryConj", "u": matrix_to_json(np.array([[1.0, 1.0], [0.0, 1.0]]))},
+], ids=["u-missing", "u-not-unitary"])
+def test_a_unitary_conj_map_needs_a_unitary_u(capsys, tmp_path, fixtures, obj):
+    path = _write(tmp_path / "conj.json", obj)
+    _one_error_line(capsys, ["defect", "--map", path, "--a", fixtures["a"],
+                             "--b", fixtures["b"]])
 
 
 _DELTA_KEYS = {"value", "minimizer", "method", "certifiedGap"}

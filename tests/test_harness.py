@@ -29,6 +29,7 @@ from gruss_lab import (
     haar_unitary,
     harness,
     identity_map,
+    is_normal,
     map_from_json,
     map_to_json,
     matrix_from_json,
@@ -454,9 +455,8 @@ def test_a_block_builds_what_the_public_samplers_build(check, family, dims):
     claim = harness._CLAIMS[check]
     families = claim.families or (family,)
     fixed = harness._fixed_maps(families, dims)
-    _, groups = harness._run_block(claim, families, dims, fixed, 7, range(12), None)
-    for group in groups:
-        for i, t in enumerate(group.rows):
+    for group, _ in harness._run_block(claim, families, dims, fixed, 7, range(12), None):
+        for i, t in enumerate(group.trials):
             phi, inputs = _public_trial(check, family, dims, 7, t)
             assert map_to_json(group.map(i)) == map_to_json(phi)
             built = [group.a[i]] + ([] if group.b is None else [group.b[i]])
@@ -537,6 +537,42 @@ def test_tied_trials_report_the_first(monkeypatch, check, family, dims):
         else:
             s = run_trials(check, family=family, dims=dims, trials=13, seed=4)
         assert s.worst_instance["trialIndex"] == 0
+
+
+def test_a_later_group_with_a_lower_tied_trial_is_reported(monkeypatch):
+    # dims (2, 2, 3): a block's dim-3 group (trials 2, 5, ...) comes after
+    # its dim-2 group (trials 0, 1, 3, ...).  Every dim-3 trial and the last
+    # dim-2 trial of each block tie on the smallest margin, so argmin over all
+    # rows picks trial 2, from the later group
+    claim = harness._CLAIMS["theorem"]
+
+    def tied(images, a, b, deltas, viol_tol):
+        out = claim.evaluate(images, a, b, deltas, viol_tol)
+        out["margin"] = np.full(len(a), -1.0) if a.shape[-1] == 3 else np.zeros(len(a))
+        out["margin"][-1] = -1.0
+        return out
+
+    monkeypatch.setitem(harness._CLAIMS, "theorem", dataclasses.replace(claim, evaluate=tied))
+    for block in (5, 64):
+        monkeypatch.setattr(harness, "TRIAL_BLOCK", block)
+        s = run_trials("theorem", family="cp", dims=(2, 2, 3), trials=13, seed=4)
+        assert s.worst_instance["trialIndex"] == 2
+        assert s.worst_margin == -1.0
+
+
+@pytest.mark.parametrize("family", ["choi", "mixed", "positive"])
+def test_the_engine_draws_a_normal_a_for_lemma2_on_maps_that_are_not_cp(family):
+    # the guarantee check_lemma2 asks of outside input: the engine's A is
+    # Hermitian or Q diag(z) Q* by construction, after the norm cap too
+    claim = harness._CLAIMS["lemma2"]
+    families = claim.families or (family,)
+    for dim in range(2, 9):
+        fixed = harness._fixed_maps(families, (dim,))
+        for seed in range(20):
+            trials = list(range(10))
+            draws = [harness._draw(claim, families, (dim,), seed, t) for t in trials]
+            group = harness._group(claim, draws, trials, fixed)
+            assert all(is_normal(a) for a in group.a)
 
 
 def test_the_corollary_suite_reports_the_family_it_draws():
