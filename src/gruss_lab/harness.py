@@ -619,9 +619,9 @@ class _Group:
     def map(self, i: int) -> MapRep:
         if isinstance(self.maps, list):
             return self.maps[i]
-        # a copy: the driver keeps the worst trial's map, not the whole stack
+        # from_choi copies: the driver keeps the worst trial's map, not the stack
         k = self.maps.shape[1]
-        return from_choi(self.maps[i].reshape(k * k, k * k).copy(), k, k)
+        return from_choi(self.maps[i].reshape(k * k, k * k), k, k)
 
 
 def _group(claim: _Claim, draws: list, trials: list, fixed: dict) -> _Group:

@@ -624,7 +624,7 @@ def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 
     nrm = np.linalg.norm(x)
     if nrm > 0:
         b = b / nrm
-    refuted = best_val <= -WITNESS_TOL * j_norm
+    refuted = best_val < -WITNESS_TOL * j_norm  # J = 0 is never refuted
     status = CERTIFIED_NOT_N_POSITIVE if refuted else HEURISTICALLY_N_POSITIVE
     return NPositivityVerdict(n=n, status=status, min_value_found=float(best_val),
                               witness_a=a, witness_b=b, starts=starts)

@@ -98,26 +98,20 @@ def _exact_scale(x) -> float:
 
 
 def is_normal(c) -> bool:
-    """Whether ||UU* - U*U|| <= NORMALITY_TOL for U = C/||C||; scaling first
-    keeps ||C||^2 from overflowing or underflowing into the answer, and the
-    exact prescale (``_exact_scale``) keeps a subnormal C's norm accurate."""
+    """Whether one matrix C is normal: ||UU* - U*U|| <= NORMALITY_TOL for
+    U = C/||C||, with C = 0 and an empty C normal and a non-square C not.
+    C is taken at its exact prescale (``_exact_scale``), which keeps ||C||^2
+    from overflowing or underflowing into the answer and a subnormal C's
+    norm accurate."""
     c = np.asarray(c, dtype=np.complex128)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         return False
-    return c.size == 0 or bool(normal_mask(c[None])[0])
-
-
-def normal_mask(cs) -> np.ndarray:
-    """``is_normal`` of each matrix of a (T, d, d) stack, d >= 1, each at
-    its own exact prescale: ``_exact_scale``'s power of two, from one
-    ``np.frexp`` of each matrix's largest |entry|."""
-    cs = np.asarray(cs, dtype=np.complex128)
-    e = np.frexp(np.abs(cs).max(axis=(1, 2)))[1]
-    scale = np.where(np.abs(e) < 300, 1.0, np.ldexp(1.0, -np.maximum(e, -1000)))
-    cs = cs * scale[:, None, None]
-    nrm = operator_norms(cs)
-    u = cs / np.where(nrm > 0, nrm, 1.0)[:, None, None]  # C = 0 is normal
-    return operator_norms(u @ dag(u) - dag(u) @ u) <= NORMALITY_TOL
+    if c.size == 0:
+        return True
+    c = c * _exact_scale(c)
+    nrm = operator_norm(c)
+    u = c / nrm if nrm > 0 else c  # C = 0 is normal
+    return operator_norm(u @ dag(u) - dag(u) @ u) <= NORMALITY_TOL
 
 
 def delta_normal(c) -> DeltaResult:

@@ -55,7 +55,7 @@ class StinespringDilation:
         """The representation pi(A) = I_r (x) A, as a dense (rk) x (rk) matrix."""
         a = as_matrix(a, square=True)
         if a.shape[0] != self.in_dim:
-            raise ContractError(f"pi expects a {self.in_dim}x{self.in_dim} matrix")
+            raise DimensionError(f"pi expects a {self.in_dim}x{self.in_dim} matrix")
         return np.kron(np.eye(self.env_dim), a)
 
     def dilated_apply(self, a) -> np.ndarray:
@@ -79,11 +79,6 @@ def dilate(phi: MapRep) -> StinespringDilation:
     ops = kraus_rep.kraus
     v = np.conj(ops).transpose(0, 2, 1).reshape(-1, phi.out_dim)  # block i of V is K_i*
     return StinespringDilation(env_dim=len(ops), isometry=v, source=kraus_rep)
-
-
-def _check_samples(samples: int) -> None:
-    if samples < 0:
-        raise ContractError(f"samples must be >= 0, got {samples}")
 
 
 def _pi_v(dilation: StinespringDilation, a: np.ndarray) -> np.ndarray:
@@ -125,7 +120,8 @@ def homomorphism_check(dilation: StinespringDilation, samples: int = 50, seed=0)
     map; nothing is drawn, and ``seed`` is not read.  The nonzero values
     that dense (rk) x (rk) products give are rounding in zero blocks.
     """
-    _check_samples(samples)
+    if samples < 0:
+        raise ContractError(f"samples must be >= 0, got {samples}")
     return {
         "samples": samples,
         "max_product_residual": 0.0,

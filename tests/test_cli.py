@@ -18,8 +18,10 @@ from gruss_lab import (
     cli,
     dag,
     decompose_unitary_sum,
+    from_kraus,
     ginibre,
     haar_unitary,
+    map_to_json,
     matrix_from_json,
     matrix_to_json,
     operator_norm,
@@ -187,6 +189,17 @@ def test_npositive_transpose(capsys, fixtures):
                               "--n", "1", "--starts", "20"])
     assert rep["result"]["status"] == "heuristically_n_positive"
     assert rep["result"]["minValueFound"] >= -1e-9
+
+
+def test_npositive_never_refutes_the_zero_map(capsys, tmp_path):
+    # J = 0: heuristic below min(k, d) = 3, the exact CP decision from there
+    zero = _write(tmp_path / "zero.json", map_to_json(from_kraus([np.zeros((3, 3))])))
+    for n, status in ((1, "heuristically_n_positive"), (2, "heuristically_n_positive"),
+                      (3, "certified_cp")):
+        code, rep = _run(capsys, ["npositive", "--map", zero, "--n", str(n), "--starts", "5"])
+        assert code == 0
+        assert rep["result"]["status"] == status
+        assert rep["result"]["minValueFound"] == 0.0
 
 
 def test_decompose(capsys, fixtures):
@@ -465,8 +478,13 @@ def _one_error_line(capsys, argv):
     (["npositive", "--map", "file", "--n", "2"], {"kind": "builtin", "name": "transpose"}),
     (["npositive", "--map", "transpose", "--n", "0"], None),
     (["decompose", "--matrix", "tenth", "--m", "2"], None),
+    (["npositive", "--map", "file", "--n", "1"], {"kind": "builtin", "name": "transpose",
+                                                   "dim": 1}),
+    (["npositive", "--map", "file", "--n", "1"], {"kind": "builtin", "name": "choiMap",
+                                                   "dim": 1}),
 ], ids=["dims-empty", "dims-one", "explore-k-one", "map-list", "choi-no-out-dim",
-        "builtin-no-dim", "npositive-n-zero", "decompose-strict-m-two"])
+        "builtin-no-dim", "npositive-n-zero", "decompose-strict-m-two",
+        "builtin-transpose-dim-one", "builtin-choi-map-dim-one"])
 def test_outside_input_is_refused_as_one_contract_error_line(capsys, fixtures, argv, obj):
     if obj is not None:
         fixtures["file"] = _write(fixtures["tmp_path"] / "map.json", obj)

@@ -563,6 +563,18 @@ def test_positivity_verdicts_do_not_depend_on_the_scale():
                     choi_to_kraus(scaled)
 
 
+def test_a_zero_choi_matrix_is_never_refuted():
+    # both thresholds are 0 at J = 0, and a value of 0 does not refute:
+    # the zero map, and a map whose Choi matrix underflows to 0
+    for phi in (from_kraus([np.zeros((3, 3))]), from_kraus([1e-170 * np.eye(3)])):
+        assert not choi_matrix(phi).any()
+        for n in (1, 2):
+            verdict = n_positivity_search(phi, n, starts=5, seed=1)
+            assert (verdict.status, verdict.min_value_found) == (HEURISTICALLY_N_POSITIVE, 0.0)
+        assert n_positivity_search(phi, 3).status == CERTIFIED_CP
+        assert cp_test(phi).status == CERTIFIED_CP
+
+
 def test_search_rejects_fewer_than_one_start():
     for starts in (0, -3):
         with pytest.raises(ContractError):

@@ -23,7 +23,7 @@ from gruss_lab import (
     smallest_enclosing_disk,
     transpose_map,
 )
-from gruss_lab.scalar_distance import BRACKET_TOL, normal_mask
+from gruss_lab.scalar_distance import BRACKET_TOL
 
 
 # brute-force oracle: the minimal disk is determined by <= 3 of the points,
@@ -444,8 +444,8 @@ def test_small_scales_repeat_the_solve_at_scale_one(e):
 
 def test_the_normality_mask_is_is_normal_matrix_by_matrix():
     # normal and non-normal matrices of small integer entries (exact at every
-    # scale), each at 2**-400, 1 and 2**400 in one stack, and subnormal ones
-    # in another: each matrix takes its own prescale
+    # scale), each at 2**-400, 1 and 2**400, and subnormal ones: is_normal
+    # takes each matrix at its own prescale
     normal = np.array([[1.0, 2.0j, 0.0], [2.0j, 1.0, 0.0], [0.0, 0.0, 3.0]])  # I + 2iX (+) 3
     shear = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     base = [normal, shear, np.zeros((3, 3)), np.eye(3)]
@@ -454,9 +454,8 @@ def test_the_normality_mask_is_is_normal_matrix_by_matrix():
     for cs in (scaled, subnormal):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mask = normal_mask(cs)
-        assert mask.tolist() == [is_normal(c) for c in cs]
-        assert mask.tolist() == [True, False, True, True] * (len(cs) // 4)
+            mask = [is_normal(c) for c in cs]
+        assert mask == [True, False, True, True] * (len(cs) // 4)
 
 
 def test_nearly_normal_input_gets_an_honest_bracket():

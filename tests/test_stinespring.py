@@ -100,6 +100,15 @@ def test_pi_preserves_norm():
         assert operator_norm(dil.pi(a)) == pytest.approx(operator_norm(a), abs=1e-10)
 
 
+def test_pi_refuses_a_square_matrix_of_the_wrong_size_as_a_dimension_error():
+    dil = dilate(random_unital_cp(3, 2, seed=13))
+    for a in (np.eye(2), np.eye(4)):
+        with pytest.raises(DimensionError, match="pi expects a 3x3 matrix"):
+            dil.pi(a)
+    with pytest.raises(DimensionError):
+        dil.pi(np.zeros((3, 2)))
+
+
 def test_dilation_residual():
     phi = random_unital_cp(3, 4, seed=6)
     for form in (phi, to_choi(phi)):
