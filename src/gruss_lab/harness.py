@@ -227,12 +227,8 @@ def _corollary(images, a, b, deltas, viol_tol):
     eye = np.eye(k, dtype=np.complex128)
     c = k * k - k - 1
     ab = a @ b
-    # the traces and their products trial by trial, in numpy's scalar
-    # arithmetic, which rounds as a one-matrix check always has
-    tr_a, tr_b, tr_ab, tr_tr = np.array(
-        [(np.trace(x), np.trace(y), c * np.trace(xy), (k - 1) * np.trace(x) * np.trace(y))
-         for x, y, xy in zip(a, b, ab)]).T[..., None, None]
-    bracket = tr_ab * eye - k * ab - tr_tr * eye + tr_b * a + tr_a * b
+    tr_a, tr_b, tr_ab = np.trace(np.stack([a, b, ab]), axis1=-2, axis2=-1)[..., None, None]
+    bracket = c * tr_ab * eye - k * ab - (k - 1) * tr_a * tr_b * eye + tr_b * a + tr_a * b
     lhs = operator_norms(bracket)
     rhs = (c * c / (k - 1.0)) * da * db
     formula_residual = operator_norms((k - 1.0) / (c * c) * bracket - _defect_matrices(images))

@@ -64,16 +64,6 @@ def operator_norms(stack) -> np.ndarray:
     return s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
 
 
-def diagonal_stack(v) -> np.ndarray:
-    """The diagonal matrix of each vector of a (..., n) stack, built as
-    ``np.diag`` builds one."""
-    v = np.asarray(v)
-    n = v.shape[-1]
-    out = np.zeros(v.shape + (n,), dtype=v.dtype)
-    out[..., range(n), range(n)] = v
-    return out
-
-
 # ---------------------------------------------------------------------------
 # seeded random ensembles
 
@@ -124,8 +114,9 @@ def ensemble_stack(samples) -> np.ndarray:
     """The (T, n, n) stack of the matrices that ``random_ensemble`` builds
     from T samples of ``ensemble_sample`` (of any kinds, one n): G for
     ginibre, (G + G*)/2 for hermitian, the Haar unitary Q of G's QR for
-    haar_unitary, and Q diag(z) Q* for normal.  Each kind is built as one
-    stack, and each matrix gets the bits it gets alone."""
+    haar_unitary, and Q diag(z) Q* for normal, formed as Q with its columns
+    scaled by z, times Q*.  Each kind is built as one stack, and each
+    matrix gets the bits it gets alone."""
     kinds = np.array([kind for kind, _, _ in samples])
     x = np.stack([g for _, g, _ in samples])
     herm = np.flatnonzero(kinds == "hermitian")
@@ -138,7 +129,7 @@ def ensemble_stack(samples) -> np.ndarray:
     if normal.size:
         q = _haar_from_ginibre(x[normal])
         z = np.stack([samples[i][2] for i in normal])
-        x[normal] = q @ diagonal_stack(z) @ dag(q)
+        x[normal] = (q * z[:, None, :]) @ dag(q)
     return x
 
 

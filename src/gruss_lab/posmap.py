@@ -47,7 +47,6 @@ from .linalg import (
     Matrix,
     as_matrix,
     dag,
-    diagonal_stack,
     ginibre,
     matrix_from_json,
     matrix_to_json,
@@ -315,13 +314,15 @@ def unitalize(phi: MapRep) -> MapRep:
     """Congruence-rescale so the map sends I to I: X -> S^(-1/2) Phi(X) S^(-1/2).
 
     Requires S = Phi(I) to be Hermitian positive definite; preserves complete
-    positivity (on Kraus maps it acts by K_i -> S^(-1/2) K_i).
+    positivity (on Kraus maps it acts by K_i -> S^(-1/2) K_i, on a Choi
+    matrix by Phi(E_ij) -> S^(-1/2) Phi(E_ij) S^(-1/2) on each d x d block).
     """
     if phi.kraus is not None:
         return unitalize_kraus_stack([phi.kraus])[0]
-    inv_sqrt = _inverse_sqrt(phi_of_identity(phi))
-    r = np.kron(np.eye(phi.in_dim, dtype=np.complex128), inv_sqrt)
-    return from_choi(r @ phi.choi @ dag(r), phi.in_dim, phi.out_dim)
+    k, d = phi.in_dim, phi.out_dim
+    r = _inverse_sqrt(phi_of_identity(phi))
+    blocks = phi.choi.reshape(k, d, k, d).transpose(0, 2, 1, 3)  # [i, j] is Phi(E_ij)
+    return from_choi((r @ blocks @ dag(r)).transpose(0, 2, 1, 3).reshape(k * d, k * d), k, d)
 
 
 def unitalize_kraus_stack(families: list) -> list[MapRep]:
@@ -377,7 +378,9 @@ def _in_input_order(groups: list, parts: list) -> np.ndarray:
 def _inverse_sqrt(s: np.ndarray) -> np.ndarray:
     # S^(-1/2) of Phi(I) = S, or of each matrix of a stack of them; S must be
     # Hermitian positive definite.  The guards scale by ||(S + S*)/2||, the
-    # largest |eigenvalue|, and bound ||S - S*|| by its Frobenius norm
+    # largest |eigenvalue|, and bound ||S - S*|| by its Frobenius norm.  With
+    # (S + S*)/2 = Q diag(w) Q*, the result is Q's columns scaled by
+    # w^(-1/2), times Q*
     w, q = np.linalg.eigh((s + dag(s)) / 2.0)
     if not np.isfinite(w).all():  # eigh returns NaN on an overflowed S
         raise NumericError("Phi(I) is not finite; cannot unitalize")
@@ -388,7 +391,7 @@ def _inverse_sqrt(s: np.ndarray) -> np.ndarray:
     if np.any(singular):
         raise UnitalizationError(f"Phi(I) is numerically singular (min eigenvalue "
                                  f"{np.min(w[..., 0]):.3e}); cannot unitalize")
-    return q @ diagonal_stack(1.0 / np.sqrt(w)) @ dag(q)
+    return (q * (1.0 / np.sqrt(w))[..., None, :]) @ dag(q)
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +403,8 @@ def transpose_map(k: int) -> MapRep:
     the swap operator)."""
     if k < 2:
         raise ContractError("transpose map needs k >= 2")
-    swap = np.zeros((k * k, k * k), dtype=np.complex128)
-    for i in range(k):
-        for a in range(k):
-            swap[i * k + a, a * k + i] = 1.0
+    # the identity with column i * k + a moved to a * k + i
+    swap = np.eye(k * k, dtype=np.complex128)[:, np.arange(k * k).reshape(k, k).T.ravel()]
     return from_choi(swap, k, k)
 
 

@@ -100,15 +100,16 @@ def _exact_scale(x) -> float:
 def is_normal(c) -> bool:
     """Whether one matrix C is normal: ||UU* - U*U|| <= NORMALITY_TOL for
     U = C/||C||, with C = 0 and an empty C normal and a non-square C not.
-    C is taken at its exact prescale (``_exact_scale``), which keeps ||C||^2
-    from overflowing or underflowing into the answer and a subnormal C's
-    norm accurate."""
+    A square C with a NaN or infinite entry is refused as ``as_matrix``
+    refuses it.  C is taken at its exact prescale (``_exact_scale``), which
+    keeps ||C||^2 from overflowing or underflowing into the answer and a
+    subnormal C's norm accurate."""
     c = np.asarray(c, dtype=np.complex128)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         return False
     if c.size == 0:
         return True
-    c = c * _exact_scale(c)
+    c = as_matrix(c) * _exact_scale(c)
     nrm = operator_norm(c)
     u = c / nrm if nrm > 0 else c  # C = 0 is normal
     return operator_norm(u @ dag(u) - dag(u) @ u) <= NORMALITY_TOL

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NumericError
-from .linalg import Matrix, as_matrix, diagonal_stack, operator_norm
+from .linalg import Matrix, as_matrix, operator_norm
 
 #: largest number of unitaries a decomposition builds; at 1024 the
 #: unitaries of a 32 x 32 matrix take 16 MB
@@ -101,7 +101,7 @@ def decompose_unitary_sum(a, m: int, mode: str = "strict") -> UnitarySumDecompos
 
     # row t of the phase table averages to s_t; unitary j is U diag(column j) V*
     phases = scalar_unimodular_sum(np.minimum(s, 1.0), m, mode=mode)
-    unitaries = u @ diagonal_stack(phases.T) @ vh
+    unitaries = (u * phases.T[:, None, :]) @ vh
     err = operator_norm(sum(unitaries) / m - a)
     return UnitarySumDecomposition(m=m, unitaries=unitaries, reconstruction_error=err)
 

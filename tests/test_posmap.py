@@ -25,6 +25,7 @@ from gruss_lab import (
     compose,
     cp_test,
     dag,
+    dilate,
     from_choi,
     from_kraus,
     ginibre,
@@ -92,6 +93,16 @@ def test_kraus_choi_kraus_roundtrip():
 def test_choi_to_kraus_rejects_non_cp():
     with pytest.raises(NotCompletelyPositiveError):
         choi_to_kraus(transpose_map(2))
+
+
+@pytest.mark.parametrize("k, d", [(2, 2), (2, 3)])
+def test_the_zero_choi_matrix_is_one_zero_kraus_operator(k, d):
+    zero = from_choi(np.zeros((k * d, k * d)), k, d)
+    ops = choi_to_kraus(zero).kraus
+    assert ops.shape == (1, d, k) and not ops.any()
+    with pytest.raises(ContractError, match="requires a unital map") as info:
+        dilate(zero)
+    assert type(info.value) is ContractError
 
 
 def test_apply_examples():
@@ -228,6 +239,18 @@ def test_unitalize():
 
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
         unitalize(from_kraus([np.full((2, 2), 1e200)]))  # Phi(I) overflows
+
+
+@pytest.mark.parametrize("k, d, rank", [(2, 3, 2), (3, 2, 4), (4, 4, 5), (5, 3, 7)])
+def test_unitalizing_the_choi_form_matches_the_kraus_form(k, d, rank):
+    # Phi(I) of a Ginibre family is far from I, so each d x d block of J
+    # takes S^(-1/2) on both sides
+    phi = from_kraus(ginibre(max(k, d), seed=k * d + rank, shape=(rank,))[:, :d, :k])
+    assert not is_unital(phi)
+    want = choi_matrix(unitalize(phi))
+    got = unitalize(to_choi(phi))
+    assert got.form == "choi" and is_unital(got)
+    assert np.linalg.norm(choi_matrix(got) - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_cp_test_verdicts():

@@ -1,5 +1,5 @@
 """Refusals of outside input across the library: each raises its own error
-class (``is_normal`` answers False instead of raising)."""
+class (``is_normal`` answers False on a non-square input instead of raising)."""
 
 import numpy as np
 import pytest
@@ -41,10 +41,13 @@ from gruss_lab.linalg import ensemble_sample
     (lambda: scalar_unimodular_sum(0.5, 3, "loose"), ContractError),
     (lambda: matrix_from_json({"rows": 1, "cols": 1, "re": 1.0, "im": 0.0}), DimensionError),
     (lambda: is_normal(np.ones((2, 3))), False),
+    (lambda: is_normal(np.full((2, 2), np.nan)), ContractError),
+    (lambda: is_normal([[np.inf, 0], [0, 1]]), ContractError),
 ], ids=["run-trials-family", "from-choi-size", "compose-inner-dims", "mix-empty",
         "mix-unequal-counts", "mix-mixed-dims", "amplify-zero", "transpose-dim-one",
         "choi-map-dim-one", "kraus-rank-zero", "ensemble-dim-zero", "relaxed-m-one",
-        "decompose-mode", "unimodular-mode", "matrix-json-scalar-parts", "is-normal-2x3"])
+        "decompose-mode", "unimodular-mode", "matrix-json-scalar-parts", "is-normal-2x3",
+        "is-normal-nan", "is-normal-inf"])
 def test_outside_input_is_refused_with_its_error_class(call, outcome):
     if outcome is False:
         assert call() is False

@@ -23,7 +23,7 @@ from gruss_lab import (
     smallest_enclosing_disk,
     transpose_map,
 )
-from gruss_lab.scalar_distance import BRACKET_TOL
+from gruss_lab.scalar_distance import _MAX_ITERATIONS, BRACKET_TOL
 
 
 # brute-force oracle: the minimal disk is determined by <= 3 of the points,
@@ -332,6 +332,20 @@ def test_a_new_state_that_closes_the_bracket_ends_the_solve(monkeypatch):
         # the extreme eigenvectors of a Hermitian C close it at the model point
         assert (_counts(monkeypatch, "hermitian", dim, range(20)) == 2).all()
         assert _counts(monkeypatch, "ginibre", dim, range(500, 540)).mean() <= 6
+
+
+def test_a_model_point_that_rounding_keeps_ends_the_solve(monkeypatch):
+    # a 3 x 3 Jordan block under 1e-8 noise: at the model point the new
+    # state no longer raises the model, so the solve stops there, early and
+    # with a gap above BRACKET_TOL * value, which no bracket exit leaves
+    c = np.diag(np.ones(2), 1) + 1e-8 * ginibre(3, seed=0)
+    counts, (res,) = _svds_per_call(monkeypatch, [c])
+    assert counts[0] <= 5 < _MAX_ITERATIONS
+    assert BRACKET_TOL * res.value < res.certified_gap <= 1e-8 * res.value
+    # the bracket still holds the minimum over a fine grid around the minimizer
+    h = np.linspace(-3e-9, 3e-9, 41)
+    grid = min(operator_norm(c - (res.minimizer + x + 1j * y) * np.eye(3)) for x in h for y in h)
+    assert res.value - res.certified_gap <= grid <= res.value
 
 
 @pytest.mark.parametrize("dim", [3, 4, 8, 16])

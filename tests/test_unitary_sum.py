@@ -73,7 +73,9 @@ def test_scalar_sum_of_an_array_is_the_per_value_sums():
 
 
 def test_decompose_returns_the_unitaries_as_one_stack():
-    # unitary j is U diag(z_j) V*, z_j the j-th phases of the singular values
+    # unitary j is U diag(z_j) V*, z_j the j-th phases of the singular values;
+    # z_j is taken as a row, as the stack takes it: at n = 1 a 1-D z_j makes a
+    # broadcast one-element product, which numpy may round in another loop
     for n, m, mode in ((1, 3, "strict"), (3, 4, "strict"), (4, 7, "strict"), (3, 2, "relaxed")):
         a = ginibre(n, seed=n + m)
         limit = 1.0 if mode == "relaxed" else 1.0 - 2.0 / m
@@ -83,7 +85,7 @@ def test_decompose_returns_the_unitaries_as_one_stack():
         u, s, vh = np.linalg.svd(a)
         phases = np.stack([scalar_unimodular_sum(s_t, m, mode=mode) for s_t in s])
         for j in range(m):
-            assert np.array_equal(dec.unitaries[j], u @ np.diag(phases[:, j]) @ vh)
+            assert np.array_equal(dec.unitaries[j], (u * phases[None, :, j]) @ vh)
 
 
 def test_decompose_zero_matrix():
