@@ -88,7 +88,7 @@ class DeltaResult:
 def _exact_scale(x) -> float:
     """Power of two that brings the largest |entry| of ``x`` near 1 when
     it lies outside about 2**-300 .. 2**300, else 1: the model multiplies
-    three factors of that size (``_all_active``), and their product must
+    three factors of that size (``_add_atom``), and their product must
     stay inside the float range.  Scaling by a power of two is exact, and
     delta is positively homogeneous, so a route may solve the scaled problem
     and divide its results by the scale.  A subnormal entry is scaled by at
@@ -151,58 +151,53 @@ def delta_normal(c) -> DeltaResult:
 # with every atom active decide.
 
 
-def _mixture(atoms, weights) -> tuple[float, complex]:
-    """(lower bound on delta^2, lam) of the mixture with these weights."""
-    lam = sum(p * z for p, (z, _) in zip(weights, atoms))
-    g = sum(p * (abs(z - lam) ** 2 + s) for p, (z, s) in zip(weights, atoms))
-    return g, lam
-
-
-def _all_active(atoms) -> tuple[float, complex] | None:
-    """Mixture of 2 or 3 atoms at the point where all are active, or None
-    when that point has a negative weight (another support decides) or the
-    atoms are degenerate."""
-    (za, sa), (zb, sb) = atoms[:2]
-    e1 = zb - za
-    l1 = e1.real * e1.real + e1.imag * e1.imag
-    if len(atoms) == 2:
-        if l1 == 0.0:
-            return None
-        t = (l1 + sb - sa) / (2.0 * l1)
-        if not 0.0 <= t <= 1.0:
-            return None
-        return _mixture(atoms, (1.0 - t, t))
-    zc, sc = atoms[2]
-    e2 = zc - za
-    det = e1.real * e2.imag - e1.imag * e2.real
-    if det == 0.0:
-        return None
-    # lam = za + x with Re(conj(e_i) x) = (|e_i|^2 + s_i - sa) / 2
-    r1 = (l1 + sb - sa) / 2.0
-    r2 = (e2.real * e2.real + e2.imag * e2.imag + sc - sa) / 2.0
-    x = complex(r1 * e2.imag - r2 * e1.imag, e1.real * r2 - e2.real * r1) / det
-    # barycentric weights of lam in the triangle
-    pb = (x.real * e2.imag - x.imag * e2.real) / det
-    pc = (e1.real * x.imag - e1.imag * x.real) / det
-    if pb < 0.0 or pc < 0.0 or pb + pc > 1.0:
-        return None
-    return _mixture(atoms, (1.0 - pb - pc, pb, pc))
-
-
 def _add_atom(support: list, atom) -> tuple[float, complex, list]:
     """Optimum of the model over ``support`` plus ``atom``, with its support.
 
     ``atom`` is violated at the current optimum, so it belongs to the new
-    support; the best all-active mixture among the subsets holding it is the
-    new optimum.
+    support: the new optimum is the atom alone or the best mixture, over the
+    subsets of 2 or 3 atoms holding it, at the point lam where all of them
+    are active.  A subset is passed over when that point has a negative
+    weight (another support decides) or its atoms are degenerate: coincident,
+    or collinear for 3.
     """
-    best = (atom[1], atom[0], [atom])  # the atom alone is always a support
-    for others in itertools.chain(itertools.combinations(support, 1),
-                                  itertools.combinations(support, 2)):
-        atoms = [atom, *others]
-        res = _all_active(atoms)
-        if res is not None and res[0] > best[0]:
-            best = (res[0], res[1], atoms)
+    za, sa = atom
+    best = (sa, za, [atom])
+    # lam = za + x has atom a and b = (zb, sb) active where
+    # Re(conj(e) x) = q / 2, with e = zb - za and q = |e|^2 + sb - sa
+    edges = []
+    for b in support:
+        zb, sb = b
+        e = zb - za
+        l = e.real * e.real + e.imag * e.imag
+        q = l + sb - sa
+        edges.append((b, e, q))
+        if l == 0.0:
+            continue
+        t = q / (2.0 * l)  # x = t e on the edge
+        if 0.0 <= t <= 1.0:
+            lam = (1.0 - t) * za + t * zb
+            g = (1.0 - t) * (abs(za - lam) ** 2 + sa) + t * (abs(zb - lam) ** 2 + sb)
+            if g > best[0]:
+                best = (g, lam, [atom, b])
+    for (b, e1, q1), (c, e2, q2) in itertools.combinations(edges, 2):
+        det = e1.real * e2.imag - e1.imag * e2.real
+        if det == 0.0:
+            continue
+        r1, r2 = q1 / 2.0, q2 / 2.0
+        x = complex(r1 * e2.imag - r2 * e1.imag, e1.real * r2 - e2.real * r1) / det
+        # barycentric weights of lam in the triangle
+        pb = (x.real * e2.imag - x.imag * e2.real) / det
+        pc = (e1.real * x.imag - e1.imag * x.real) / det
+        if pb < 0.0 or pc < 0.0 or pb + pc > 1.0:
+            continue
+        pa = 1.0 - pb - pc
+        (zb, sb), (zc, sc) = b, c
+        lam = pa * za + pb * zb + pc * zc
+        g = (pa * (abs(za - lam) ** 2 + sa) + pb * (abs(zb - lam) ** 2 + sb)
+             + pc * (abs(zc - lam) ** 2 + sc))
+        if g > best[0]:
+            best = (g, lam, [atom, b, c])
     return best
 
 
@@ -236,18 +231,19 @@ def smallest_enclosing_disk(points) -> SpectralDisk:
                         support=tuple(mu + z / scale for z, _ in support))
 
 
-def _newton_point(u, sv: list, vh, lam: complex, zv: complex, s: float,
+def _newton_point(p, sv: list, lam: complex, zv: complex, s: float,
                   g: float) -> complex | None:
     """Newton point of f(lam) = sigma_1(C0 - lam I)^2 from the full SVD
-    M = C0 - lam I = sum_j sigma_j u_j v_j*, with the singular values ``sv``
-    as Python floats, or None when the quadratic model predicts a value at
-    or below the lower bound g (f* >= g, so the model is then wrong, as it
-    always is on normal C).
+    M = C0 - lam I = sum_j sigma_j u_j v_j*, given as P = V* U (entries
+    P_jk = <v_j, u_k>) and the singular values ``sv`` as Python floats, or
+    None when the quadratic model predicts a value at or below the lower
+    bound g (f* >= g, so the model is then wrong, as it always is on normal
+    C).
 
     With f smooth at a simple sigma_1, the gradient over (Re, Im) lam is
     -2 (z - lam) = -2 zv, and the Hessian is
     2 I + 2 sum_{j>=2} Re(conj(c_j(e)) c_j(e')) / (sigma_1^2 - sigma_j^2)
-    with c_j(e) = conj(e) sigma_1 <v_j, u_1> + e sigma_j <u_j, v_1> for
+    with c_j(e) = conj(e) sigma_1 P_j1 + e sigma_j conj(P_1j) for
     e, e' in {1, i}.  Its largest eigenvalue is at most
     2 + 4 (sigma_1^2 + sigma_2^2) s / (sigma_1^2 (sigma_1^2 - sigma_2^2)),
     s the new atom's variance, which rules most calls out before the sum.
@@ -265,10 +261,9 @@ def _newton_point(u, sv: list, vh, lam: complex, zv: complex, s: float,
         return None  # predicted = f - 2 w^T H^-1 w <= f - 2 |w|^2 / lambda_max(H)
     # H = 2 [[hxx, hxy], [hxy, hyy]], so the step -H^-1 grad is H^-1 (2 zv)
     hxx = hyy = hxy = 0.0
-    for vu, uv, sj in zip((vh[1:] @ u[:, 0]).tolist(),  # <v_j, u_1>
-                          (vh[0] @ u[:, 1:]).tolist(), sv[1:]):  # conj(<u_j, v_1>)
-        p, q = s1 * vu, sj * uv.conjugate()
-        c1, ci = p + q, 1j * (q - p)
+    for vu, uv, sj in zip(p[1:, 0].tolist(), p[0, 1:].tolist(), sv[1:]):
+        a, b = s1 * vu, sj * uv.conjugate()
+        c1, ci = a + b, 1j * (b - a)
         gap = f - sj * sj
         hxx += (c1.real * c1.real + c1.imag * c1.imag) / gap
         hyy += (ci.real * ci.real + ci.imag * ci.imag) / gap
@@ -285,10 +280,13 @@ def delta_general(c) -> DeltaResult:
     """Distance to the scalars for an arbitrary square matrix.
 
     Column generation over states, starting at lambda = tr(C)/dim.  Each
-    step takes one SVD of C - lambda I: its top singular value is an upper
-    bound, and its top right singular vector v becomes the atom
-    z = <v, Cv>, s = ||Cv||^2 - |z|^2.  The first SVD contributes all of
-    its states: after the top one, every other right singular vector whose
+    step takes one SVD M = C - lambda I = U diag(sigma) V*: its top
+    singular value is an upper bound, and its top right singular vector v_1
+    becomes the atom z = <v_1, C v_1>, s = ||C v_1||^2 - |z|^2.  As
+    M v_j = sigma_j u_j, one product P = V* U holds every state's atom,
+    z_j - lambda = sigma_j P_jj and s_j = sigma_j^2 (1 - |P_jj|^2), and the
+    Newton terms, so no step multiplies by C.  The first SVD contributes all
+    of its states: after the top one, every other right singular vector whose
     atom lies above the lower bound at the current model point joins the
     model too, so on a normal C, whose singular vectors there are
     eigenvectors, the model after one SVD is the spectral disk.  The model
@@ -351,21 +349,15 @@ def delta_general(c) -> DeltaResult:
         if upper - math.sqrt(max(g, 0.0)) <= tol:
             break
         # the states: every right singular vector at the first step, the top
-        # one after it (in vector form, cheaper for one state);
-        # s = ||r||^2 = ||Mv||^2 - |z|^2 without the cancellation
-        if step == 0:
-            v = vh.conj().T
-            w = m @ v
-            zs = np.einsum("ij,ij->j", v.conj(), w)
-            r = w - v * zs
-            ss = np.einsum("ij,ij->j", r.conj(), r).real.tolist()
-            zs = zs.tolist()
-        else:
-            v = vh[0].conj()
-            w = m @ v
-            zv = complex(np.vdot(v, w))
-            r = w - zv * v
-            zs, ss = [zv], [float(np.vdot(r, r).real)]
+        # one after it.  M v_j = sigma_j u_j, so with P = V* U their atoms
+        # are z_j = <v_j, M v_j> = sigma_j P_jj and
+        # s_j = ||M v_j||^2 - |z_j|^2 = sigma_j^2 (1 - |P_jj|^2); where v_j is
+        # nearly an eigenvector that cancels to an error of ~eps sigma_j^2,
+        # which moves the lower bound sqrt(g) by ~eps relative to delta
+        p = vh @ u
+        pjj = p.diagonal()[:dim if step == 0 else 1].tolist()
+        zs = [sig * q for sig, q in zip(sv, pjj)]
+        ss = [sig * sig * (1.0 - (q.real * q.real + q.imag * q.imag)) for sig, q in zip(sv, pjj)]
         zv, s = zs[0], ss[0]
         raised = False
         for j, (z, sj) in enumerate(zip(zs, ss)):
@@ -382,7 +374,7 @@ def delta_general(c) -> DeltaResult:
             break  # the new state no longer raises the model: rounding level
         newton = None
         if lowered and sv[0] > sv[1]:
-            newton = _newton_point(u, sv, vh, lam, zv, s, g)
+            newton = _newton_point(p, sv, lam, zv, s, g)
         lam = model if newton is None else newton
     gap = max(upper - math.sqrt(max(g, 0.0)), 0.0)
     if scale != 1.0:  # back to the units of C; at 1, dividing could flip a zero's sign
