@@ -484,8 +484,10 @@ def proof_chain(phi: MapRep, a, b, m: int) -> dict:
 # keeping the worst trial's row to report it.  Within a block, the random
 # numbers are drawn trial by trial; the maps, the inputs, the unitality
 # check, Phi and the norms are built per dimension, as stacked
-# kernels (Kraus-form maps, CP by construction, are unitalized and turned
-# into Choi matrices as one stack per Kraus rank, and applied map by map).
+# kernels.  Random Kraus families, CP by construction, are unitalized as one
+# stack per Kraus rank; the cp family's Kraus-form maps are applied map by
+# map, and only the CP parts of the mixed and positive maps become Choi
+# matrices.
 # Phi runs in ``_images``, as for the public checks: one call maps each
 # trial's inputs and I, and rejects a map that is not unital.  delta is the
 # per-trial step, the only one the thread pool runs.

@@ -89,10 +89,12 @@ def _exact_scale(x) -> float:
     """Power of two that brings the largest |entry| of ``x`` near 1 when
     it lies outside about 2**-300 .. 2**300, else 1: the model multiplies
     three factors of that size (``_add_atom``), and their product must
-    stay inside the float range.  Scaling by a power of two is exact, and
-    delta is positively homogeneous, so a route may solve the scaled problem
-    and divide its results by the scale.  A subnormal entry is scaled by at
-    most 2**1000, which keeps the scale finite."""
+    stay inside the float range.  The Newton point's terms (``_newton_point``),
+    squares and ratios of squares, then stay in range too.  Scaling by a
+    power of two is exact, and delta is positively homogeneous, so a route
+    may solve the scaled problem and divide its results by the scale.  A
+    subnormal entry is scaled by at most 2**1000, which keeps the scale
+    finite."""
     e = math.frexp(float(np.abs(x).max()))[1]
     return 1.0 if abs(e) < 300 else 2.0 ** -max(e, -1000)
 
@@ -245,19 +247,15 @@ def _newton_point(p, sv: list, lam: complex, zv: complex, s: float,
     2 I + 2 sum_{j>=2} Re(conj(c_j(e)) c_j(e')) / (sigma_1^2 - sigma_j^2)
     with c_j(e) = conj(e) sigma_1 P_j1 + e sigma_j conj(P_1j) for
     e, e' in {1, i}.  Its largest eigenvalue is at most
-    2 + 4 (sigma_1^2 + sigma_2^2) s / (sigma_1^2 (sigma_1^2 - sigma_2^2)),
-    s the new atom's variance, which rules most calls out before the sum.
-    That bound multiplies squares of f's size, so it is evaluated with f, f2,
-    s, w and g over the power of two nearest f: exact, so the decision is the
-    unscaled one wherever that stays finite, and the products never overflow.
-    The sum runs over the d - 1 lower singular values in Python scalars.
+    2 (1 + 2 ((f + f2) / f) (s / (f - f2))), f2 = sigma_2^2 and s the new
+    atom's variance, which rules most calls out before the sum: written as
+    ratios, the bound multiplies no two terms of f's size.  The sum runs over
+    the d - 1 lower singular values in Python scalars.
     """
     s1 = sv[0]
     f, f2 = s1 * s1, sv[1] * sv[1]
     w2 = zv.real * zv.real + zv.imag * zv.imag
-    r = 2.0 ** -math.frexp(f)[1]
-    fr, f2r = f * r, f2 * r
-    if fr - 2.0 * (w2 * r) / (2.0 + 4.0 * (fr + f2r) * (s * r) / (fr * (fr - f2r))) <= g * r:
+    if f - w2 / (1.0 + 2.0 * ((f + f2) / f) * (s / (f - f2))) <= g:
         return None  # predicted = f - 2 w^T H^-1 w <= f - 2 |w|^2 / lambda_max(H)
     # H = 2 [[hxx, hxy], [hxy, hyy]], so the step -H^-1 grad is H^-1 (2 zv)
     hxx = hyy = hxy = 0.0

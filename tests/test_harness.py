@@ -107,6 +107,51 @@ def test_property_defect_shift_invariance(family, k, seed, lam, mu):
     assert abs(shifted - base) <= 1e-9 * (1 + base)
 
 
+def _assert_covariant(report, base, factor=1.0):
+    # the instance's defect, bound and margin are the base instance's times
+    # factor, to 1e-9 relative
+    got = np.array([report.defect, report.bound, report.margin])
+    want = factor * np.array([base.defect, base.bound, base.margin])
+    assert np.abs(got - want).max() <= 1e-9 * factor * (1.0 + base.bound + base.defect)
+
+
+@given(family=st.sampled_from(sorted(_SHIFT_FAMILIES)), k=st.integers(2, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_property_defect_unitary_covariance(family, k, seed):
+    # Psi = Ad_V o Phi o Ad_U* maps U A U* to V Phi(A) V*, so the instance
+    # (Psi, U A U*, U B U*) has Phi's defect, and delta is unitarily invariant
+    phi = _SHIFT_FAMILIES[family][1](k, seed)
+    a = ginibre(k, seed=seed + 1)
+    b = ginibre(k, seed=seed + 2)
+    u = haar_unitary(k, seed=seed + 3)
+    v = haar_unitary(k, seed=seed + 4)
+    psi = compose(unitary_conj(v), compose(phi, unitary_conj(dag(u))))
+    _assert_covariant(check_theorem(psi, u @ a @ dag(u), u @ b @ dag(u)),
+                      check_theorem(phi, a, b))
+
+
+@given(family=st.sampled_from(sorted(_SHIFT_FAMILIES)), k=st.integers(2, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_property_defect_adjoint_symmetry(family, k, seed):
+    # Phi preserves adjoints, so the defect matrix of (B*, A*) is the
+    # adjoint of that of (A, B), and delta(X*) = delta(X)
+    phi = _SHIFT_FAMILIES[family][1](k, seed)
+    a = ginibre(k, seed=seed + 1)
+    b = ginibre(k, seed=seed + 2)
+    _assert_covariant(check_theorem(phi, dag(b), dag(a)), check_theorem(phi, a, b))
+
+
+@given(family=st.sampled_from(sorted(_SHIFT_FAMILIES)), k=st.integers(2, 4),
+       seed=st.integers(0, 2**32 - 1), ja=st.integers(-40, 40), jb=st.integers(-40, 40))
+def test_property_defect_homogeneity(family, k, seed, ja, jb):
+    # the defect is bilinear in (A, B) and delta positively homogeneous
+    phi = _SHIFT_FAMILIES[family][1](k, seed)
+    a = ginibre(k, seed=seed + 1)
+    b = ginibre(k, seed=seed + 2)
+    _assert_covariant(check_theorem(phi, a * 2.0**ja, b * 2.0**jb), check_theorem(phi, a, b),
+                      2.0 ** (ja + jb))
+
+
 def test_check_theorem_on_cp_instances():
     for trial in range(20):
         phi = random_unital_cp(3, 1 + trial % 9, seed=trial)
@@ -739,6 +784,57 @@ def test_worst_instance_replays_from_the_report(check, family, dims):
         assert replayed["ratio"] == s.worst_ratio
     else:
         assert replayed["margin"] == s.worst_margin
+
+
+def _admitted_suites():
+    # every check x family the suites admit at dims (2, 3) and (4, 5), and
+    # the explorer at k = 3 and 4; a claim that draws its own families runs
+    # once per dims
+    suites = []
+    for check in harness.CHECKS:
+        claim = harness._CLAIMS[check]
+        for dims in ((2, 3), (4, 5)):
+            for family in claim.families or harness.FAMILIES:
+                if all(harness._known_order(family, d) >= claim.order for d in dims):
+                    suites.append((check, family, dims))
+    return suites + [("explore", "two-positive", (k,)) for k in (3, 4)]
+
+
+@pytest.mark.parametrize("check, family, dims", _admitted_suites(),
+                         ids=lambda x: ".".join(map(str, x)) if isinstance(x, tuple) else x)
+def test_the_worst_instance_is_the_worst_row_of_the_evaluation(monkeypatch, check, family,
+                                                              dims):
+    # every evaluated field of the report's worstInstance equals, bit for
+    # bit, the worst row of the blocks' own evaluation (the first trial of
+    # smallest margin, or of largest ratio), sequentially and on the pool
+    claim = harness._CLAIMS[check]
+    real_run_block = harness._run_block
+    rows = []
+
+    def recorded(*args):
+        out = real_run_block(*args)
+        for group, evaluation in out:
+            for i, t in enumerate(group.trials):
+                rows.append((t, {key: value[i] for key, value in evaluation.items()}))
+        return out
+
+    monkeypatch.setattr(harness, "_run_block", recorded)
+    for threads in ("0", "2"):
+        monkeypatch.setenv("GRUSS_LAB_THREADS", threads)
+        for seed in range(3):
+            rows.clear()
+            if check == "explore":
+                s = explore_two_positive(40, seed=seed, k=dims[0])
+            else:
+                s = run_trials(check, family=family, dims=dims, trials=40, seed=seed)
+            rows.sort(key=lambda row: row[0])
+            values = np.array([row[claim.worst] for _, row in rows])
+            t, row = rows[int(np.argmax(values) if claim.worst == "ratio" else np.argmin(values))]
+            fields = {key: value for key, value in s.worst_instance.items()
+                      if key not in ("trialIndex", "dim", "map", "a", "b")}
+            assert fields and s.worst_instance["trialIndex"] == t
+            assert {key: float(value).hex() for key, value in fields.items()} == {
+                key: float(row[key]).hex() for key in fields}
 
 
 def test_thread_count_is_capped_at_the_core_count(monkeypatch):

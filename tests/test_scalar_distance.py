@@ -23,6 +23,7 @@ from gruss_lab import (
     is_normal,
     operator_norm,
     random_ensemble,
+    run_trials,
     smallest_enclosing_disk,
     transpose_map,
 )
@@ -451,12 +452,23 @@ def test_newton_from_the_first_svd_shortens_non_normal_solves(monkeypatch, dim):
     assert _counts(monkeypatch, "ginibre", dim, range(300)).mean() <= 4.6
 
 
-def test_explorer_delta_svd_budget(monkeypatch):
-    # the work of delta_general on the explore-k3 job shape (explore
-    # two-positive --k 3 --trials 36) at seeds 1-10: two solves a trial and
-    # two for each run's worst-trial check, and a total of SVDs that the
-    # solver's stop and step rules fix; a change that moves the total on
-    # purpose pins the new one and says why
+# the trial workloads' job shapes, run at seeds 1-10, with the delta_general
+# calls and solver SVDs they take: two solves a trial (one for lemma2's A
+# alone) and as many for each run's worst-trial check
+_JOB_SHAPES = {
+    "explore-k3": (lambda seed: explore_two_positive(36, seed=seed, k=3), (740, 1973)),
+    "lemma2-positive": (lambda seed: run_trials("lemma2", family="positive", dims=(2, 3),
+                                                trials=180, seed=seed), (1810, 2711)),
+    "theorem-cp-large": (lambda seed: run_trials("theorem", family="cp", dims=(8, 16),
+                                                 trials=6, seed=seed), (140, 408)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_JOB_SHAPES))
+def test_explorer_delta_svd_budget(monkeypatch, shape):
+    # the work of delta_general on each job shape: a total of SVDs that the
+    # solver's stop and step rules and its Newton pre-bound fix; a change
+    # that moves a total on purpose pins the new one and says why
     svd, solve = np.linalg.svd, scalar_distance.delta_general
     svds, solves = [], []
 
@@ -471,9 +483,10 @@ def test_explorer_delta_svd_budget(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(scalar_distance, "delta_general", counted_solve)
+    run, expected = _JOB_SHAPES[shape]
     for seed in range(1, 11):
-        explore_two_positive(36, seed=seed, k=3)
-    assert (len(solves), len(svds)) == (740, 1973)
+        run(seed)
+    assert (len(solves), len(svds)) == expected
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
@@ -531,8 +544,9 @@ def test_delta_general_brackets_do_not_depend_on_the_scale_of_c(c):
 @pytest.mark.parametrize("e", [260, 300, 400])
 def test_newton_guard_stays_finite_at_large_scales(e):
     # ||C|| ~ 2**260 is left unscaled (the spread is below 2**300), so the
-    # Newton guard's products of squared norms would overflow; scaled by a
-    # power of two they stay finite and decide exactly as at scale 1
+    # Newton guard meets squared norms near 2**520; written as ratios, its
+    # terms never multiply two of them, and the solve repeats the one at
+    # scale 1 exactly
     c = ginibre(3, seed=4)
     base = delta_general(c)
     with warnings.catch_warnings():
