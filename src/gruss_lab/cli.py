@@ -95,9 +95,16 @@ def _emit(report: dict, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse prints usage and exits 2 on a usage error, but 2 is reserved
+    # for "mathematical violation found": raise, and let route write it
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 @functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gruss-lab",
         description="Numerical checks of multiplicativity-defect bounds for positive matrix maps.",
     )
@@ -256,6 +263,7 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, dict, dict, int]:
 
 
 _ERROR_TYPES = {
+    argparse.ArgumentError: "usage",
     DimensionError: "dimension",
     NumericError: "numeric",
     FloatingPointError: "numeric",
@@ -275,19 +283,9 @@ def _error_type(exc: Exception) -> str:
 
 def route(argv=None) -> int:
     """Parse argv, run the subcommand, emit the report; returns the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors, but exit code 2 is reserved for
-        # "mathematical violation found"; remap usage problems to 1
-        if exc.code == 0:
-            return 0
-        sys.stderr.write(json.dumps({"error": {"type": "usage",
-                                               "message": "invalid arguments"}}) + "\n")
-        return 1
-    t0 = time.perf_counter()
-    try:
+        args = _build_parser().parse_args(argv)
+        t0 = time.perf_counter()
         # an overflow or a NaN in a kernel stops the command as a numeric
         # error, rather than printing a warning and going on with inf or NaN
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -300,6 +298,8 @@ def route(argv=None) -> int:
             "wallTimeMs": (time.perf_counter() - t0) * 1000.0,
         }
         _emit(report, args.output)
+    except SystemExit:  # only --help exits, after printing its text
+        return 0
     except Exception as exc:  # any failure, even an unforeseen one, is one JSON line
         err = {"error": {"type": _error_type(exc), "message": str(exc)}}
         sys.stderr.write(json.dumps(err) + "\n")

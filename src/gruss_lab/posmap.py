@@ -58,8 +58,9 @@ from .linalg import (
 #: -WITNESS_TOL * ||J||_F certifies "not n-positive"
 WITNESS_TOL = 1e-8
 #: a positivity-search start stops after the first sweep that lowers its
-#: value by at most SWEEP_TOL * ||J||_F
+#: value by at most SWEEP_TOL * ||J||_F, or after MAX_SWEEPS sweeps
 SWEEP_TOL = 1e-12
+MAX_SWEEPS = 200
 #: Choi eigenvalues down to -CHOI_PSD_TOL * ||J||_F still count as PSD;
 #: below it cp_test refutes and choi_to_kraus raises
 CHOI_PSD_TOL = 1e-9
@@ -542,13 +543,13 @@ def _alternating_minimum(seed: np.random.SeedSequence, d: int, n: int) -> Matrix
     return rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
 
 
-def _alternating_minima(j4: np.ndarray, b_frames: np.ndarray, max_iters: int, tol: float
+def _alternating_minima(j4: np.ndarray, b_frames: np.ndarray, tol: float
                         ) -> tuple[np.ndarray, np.ndarray]:
     # Alternate between the best a-side for fixed b-frames and the best b-side
     # for fixed a-frames, each start from its own (d, n) b-frame of the stack.
     # The opening half-step on the drawn b-frame counts as sweep 0, and each
     # start stops on its own after the first sweep that lowers its value by
-    # at most tol, or after max_iters sweeps.  Block-coordinate descent never
+    # at most tol, or after MAX_SWEEPS sweeps.  Block-coordinate descent never
     # raises the value, so a sweep that makes no progress leaves the start
     # where a further sweep would find it.  The a-side is the b-side with the
     # two tensor factors of J swapped.  Returns the final values (S,) and
@@ -557,7 +558,7 @@ def _alternating_minima(j4: np.ndarray, b_frames: np.ndarray, max_iters: int, to
     j4_swapped = np.ascontiguousarray(j4.transpose(1, 0, 3, 2))
     q, x = _minimize_fixed_frame(j4, b_frames)
     active = np.arange(q.size)
-    for _ in range(max_iters):
+    for _ in range(MAX_SWEEPS):
         if active.size == 0:
             break
         u, _, _ = np.linalg.svd(x[active])
@@ -576,8 +577,8 @@ def _alternating_minima(j4: np.ndarray, b_frames: np.ndarray, max_iters: int, to
 SEARCH_BLOCK = 1024
 
 
-def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 200,
-                        seed=0) -> NPositivityVerdict:
+def n_positivity_search(phi: MapRep, n: int, starts: int = 50, seed=0
+                        ) -> NPositivityVerdict:
     """Minimize <x, J x> over unit vectors of Schmidt rank <= n.
 
     For n >= min(k, d) the Schmidt constraint is vacuous, n-positivity
@@ -593,7 +594,7 @@ def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 
     Each stack spawns only its own seed children, and each start stops on
     its own: the opening half-step on its drawn frame counts as sweep 0,
     and the start stops after the first sweep that lowers its value by at
-    most ``SWEEP_TOL * ||J||_F`` (1e-12 * ||J||_F), or after ``max_iters``
+    most ``SWEEP_TOL * ||J||_F`` (1e-12 * ||J||_F), or after ``MAX_SWEEPS``
     sweeps (200).  The first start reaching the lowest value wins.
     Results are deterministic in (seed, starts) and do not depend on the
     stack size.  The verdict is certified only in the refutation direction.
@@ -615,7 +616,7 @@ def n_positivity_search(phi: MapRep, n: int, starts: int = 50, max_iters: int = 
         draws = np.stack([_alternating_minimum(child, d, n)
                           for child in root.spawn(min(stack, starts - lo))])
         b_frames, _ = np.linalg.qr(draws)
-        vals, xs = _alternating_minima(j4, b_frames, max_iters, SWEEP_TOL * j_norm)
+        vals, xs = _alternating_minima(j4, b_frames, SWEEP_TOL * j_norm)
         first = int(np.argmin(vals))
         if vals[first] < best_val:
             best_val, best_x = float(vals[first]), xs[first].reshape(-1)

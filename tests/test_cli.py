@@ -288,6 +288,49 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["delta", "--matrix", "id2", "--frobnicate", "1"],
+     "unrecognized arguments: --frobnicate 1"),
+    (["delta"], "the following arguments are required: --matrix"),
+    # argparse's quoting of the choice list differs between Python versions
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from "),
+    (["verify", "theorem", "--trials", "many"], "argument --trials: invalid int value: 'many'"),
+    # argparse reads a bare -1e-3 as an option; --viol-tol=-1e-3 is the value
+    (["verify", "theorem", "--viol-tol", "-1e-3"], "argument --viol-tol: expected one argument"),
+], ids=["unknown-flag", "missing-option", "invalid-command", "non-integer", "negative-tol"])
+def test_a_usage_error_is_one_json_line_with_argparse_reason(capsys, fixtures, argv, reason):
+    # argparse's own usage text would be a second writer to stderr
+    code = route([fixtures.get(arg, arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "usage"
+    assert error["message"].startswith(reason)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_writes_only_its_text_and_exits_zero(capsys, argv):
+    assert route(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: gruss-lab")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "theorem", "--dims", "2,3", "--trials", "4", "--seed", "3"],
+    ["explore", "two-positive", "--trials", "4", "--seed", "3"],
+], ids=["verify", "explore"])
+def test_a_suite_result_holds_no_clock(capsys, argv):
+    # the report's top-level wallTimeMs is its only clock, so a suite's
+    # result repeats in full, with no key removed
+    (code1, first), (code2, second) = (_run(capsys, argv) for _ in range(2))
+    assert code1 == code2 == 0
+    assert first["result"] == second["result"]
+
+
 def test_verify_violation_exit_code(capsys):
     # a negative tolerance flags every trial, exercising the exit-2 path
     code, rep = _run(capsys, ["verify", "theorem", "--dims", "2", "--trials", "3",
@@ -516,7 +559,7 @@ def test_a_unitary_conj_map_needs_a_unitary_u(capsys, tmp_path, fixtures, obj):
 
 _DELTA_KEYS = {"value", "minimizer", "method", "certifiedGap"}
 _SUMMARY_KEYS = {"check", "family", "trials", "violations", "worstMargin", "worstInstance",
-                 "seed", "wallTimeMs"}
+                 "seed"}
 _VERDICT_KEYS = {"n", "status", "minValueFound", "witness", "starts"}
 
 
@@ -610,6 +653,7 @@ def test_a_usage_error_leaves_the_cached_parser_intact(capsys, fixtures):
     first = _run(capsys, valid[0])
     assert route(["verify", "theorem", "--frobnicate"]) == 1
     err = capsys.readouterr().err.strip().splitlines()[-1]
-    assert json.loads(err) == {"error": {"type": "usage", "message": "invalid arguments"}}
+    assert json.loads(err) == {"error": {"type": "usage",
+                                     "message": "unrecognized arguments: --frobnicate"}}
     assert (first[0], _strip_walltime(first[1])) == fresh[0]
     assert reports() == fresh

@@ -510,12 +510,6 @@ def test_a_block_builds_what_the_public_samplers_build(check, family, dims):
                 assert np.array_equal(x, y)
 
 
-def _summary_fields(s):
-    fields = dataclasses.asdict(s)
-    del fields["wall_time_ms"]
-    return fields
-
-
 _SUITES = [(check, family, (2, 3)) for check in ("theorem", "lemma1", "lemma2")
            for family in ("cp",)]
 _SUITES += [(check, family, (4, 5)) for check in ("theorem", "lemma1")
@@ -534,7 +528,7 @@ def test_suites_do_not_depend_on_the_block_size(monkeypatch, check, family, dims
             s = explore_two_positive(13, seed=4, k=dims[0])
         else:
             s = run_trials(check, family=family, dims=dims, trials=13, seed=4)
-        summaries.append(_summary_fields(s))
+        summaries.append(dataclasses.asdict(s))
     assert summaries[0] == summaries[1] == summaries[2]
     assert summaries[0]["worst_instance"] is not None
 
@@ -625,7 +619,7 @@ def test_the_corollary_suite_reports_the_family_it_draws():
     summaries = [run_trials("corollary", family=family, dims=(4, 5), trials=8, seed=1)
                  for family in harness.FAMILIES]
     assert [s.family for s in summaries] == ["choi"] * len(harness.FAMILIES)
-    assert len({json.dumps(_summary_fields(s), sort_keys=True) for s in summaries}) == 1
+    assert len({json.dumps(dataclasses.asdict(s), sort_keys=True) for s in summaries}) == 1
     assert summaries[0].worst_instance["map"]["kind"] == "choi"
     assert explore_two_positive(4, seed=1).family == "two-positive"
 

@@ -555,6 +555,61 @@ def test_newton_guard_stays_finite_at_large_scales(e):
     assert (res.value, res.certified_gap) == (base.value * 2.0**e, base.certified_gap * 2.0**e)
 
 
+class _Unread:
+    # a P that raises when read: the calls the pre-bound settles never read P
+    def __getitem__(self, key):
+        raise LookupError("P was read")
+
+
+def _settled_by_the_pre_bound(monkeypatch, c) -> list:
+    # for each _newton_point call of one solve, whether the pre-bound alone
+    # settles it, found by replaying the call with a P it cannot read
+    newton, calls = scalar_distance._newton_point, []
+
+    def recorded(p, *rest):
+        calls.append(rest)
+        return newton(p, *rest)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(scalar_distance, "_newton_point", recorded)
+        delta_general(c)
+    settled = []
+    for rest in calls:
+        try:
+            newton(_Unread(), *rest)
+        except LookupError:
+            settled.append(False)
+        else:
+            settled.append(True)
+    return settled
+
+
+def test_the_newton_pre_bound_decides_the_same_calls_at_every_scale(monkeypatch):
+    # Python floats overflow to inf without a warning, and the Hessian sum
+    # still finds the step, so only the calls the pre-bound settles show
+    # where its terms leave the float range.  2**260 and 2**-260 are solved
+    # unscaled (the spread is inside 2**-300 .. 2**300), where a bound that
+    # multiplies two terms of f's size reads inf / inf = NaN.  The bound
+    # settles calls on Hermitian, normal and nearly Hermitian C and none on
+    # Ginibre C; of those it settles, only the nearly Hermitian ones have a
+    # new atom's variance s above ~1e-4 f, so that (f + f2) s overflows at 2**260
+    decided = []
+    for kind in ("ginibre", "hermitian", "normal", "nearly hermitian"):
+        for dim in (3, 8, 16):
+            for seed in range(20):
+                if kind == "nearly hermitian":
+                    c = (random_ensemble("hermitian", dim, seed=seed)
+                         + 1e-2 * ginibre(dim, seed=seed + 1000))
+                else:
+                    c = random_ensemble(kind, dim, seed=seed)
+                base = _settled_by_the_pre_bound(monkeypatch, c)
+                for e in (260, -260):
+                    assert _settled_by_the_pre_bound(monkeypatch, c * 2.0**e) == base, \
+                        (kind, dim, seed, e)
+                decided += base
+    assert 0 < sum(decided) < len(decided)
+
+
 @pytest.mark.parametrize("dim", [8, 16])
 @pytest.mark.parametrize("e", [-450, -400, -340, 341, 400, 450])
 def test_model_products_stay_in_range_before_the_rescale(dim, e):
