@@ -300,6 +300,12 @@ def _check_one(claim: _Claim, phi: MapRep, a: Matrix, b: Matrix | None,
     return {key: value[0].item() for key, value in out.items()}, found
 
 
+def _answer(res: dict) -> dict:
+    # a public check's answer: its claim's evaluation less the engine's
+    # margin and verdict, so a field added to evaluate reaches the check
+    return {key: value for key, value in res.items() if key not in ("margin", "violated")}
+
+
 def gruss_defect(phi: MapRep, a, b) -> float:
     """|| Phi(AB) - Phi(A) Phi(B) ||."""
     a, b = _pair(phi.in_dim, a, b)
@@ -353,9 +359,7 @@ def check_lemma1(phi: MapRep, a, b, known_positivity_order: int | None = None) -
     a, b = _pair(phi.in_dim, a, b)
     claim = _CLAIMS["lemma1"]
     _admit(claim, phi, a, known_positivity_order)
-    res, _ = _check_one(claim, phi, a, b)
-    return {key: res[key] for key in
-            ("lhs_squared", "rhs_product", "block_min_eig", "cauchy_ok", "block_ok")}
+    return _answer(_check_one(claim, phi, a, b)[0])
 
 
 def check_lemma2(phi: MapRep, a) -> dict:
@@ -376,8 +380,7 @@ def check_lemma2(phi: MapRep, a) -> dict:
             raise ContractError(
                 f"map is not positive (rank-1 witness value {probe.min_value_found:.3e})"
             )
-    res, _ = _check_one(claim, phi, a, None)
-    return {key: res[key] for key in ("lhs", "delta", "bound", "ok")}
+    return _answer(_check_one(claim, phi, a, None)[0])
 
 
 def reproduce_counterexample() -> CounterexampleReport:
@@ -385,19 +388,13 @@ def reproduce_counterexample() -> CounterexampleReport:
 
     A = [[1, 2], [2, 4]] and B = diag(1, 4) give defect exactly 6 while
     delta(A) * delta(B) = 2.5 * 1.5 = 3.75, so the product bound fails for
-    this merely positive (not 2-positive) unital map.  Deterministic: no
-    randomness anywhere on this path.
+    this merely positive (not 2-positive) unital map.  Read from
+    ``check_theorem``, as every verdict of the lab; no randomness anywhere
+    on this path.
     """
-    a = as_matrix([[1.0, 2.0], [2.0, 4.0]])
-    b = as_matrix([[1.0, 0.0], [0.0, 4.0]])
-    phi = transpose_map(2)
-    defect = gruss_defect(phi, a, b)
-    da = delta(a, "disk").value
-    db = delta(b, "disk").value
-    bound = da * db
-    return CounterexampleReport(defect=float(defect), bound=float(bound),
-                                delta_a=float(da), delta_b=float(db),
-                                inequality_fails=bool(defect > bound))
+    rep = check_theorem(transpose_map(2), [[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0], [0.0, 4.0]])
+    return CounterexampleReport(defect=rep.defect, bound=rep.bound, delta_a=rep.delta_a.value,
+                                delta_b=rep.delta_b.value, inequality_fails=rep.violated)
 
 
 def check_corollary(k: int, a, b) -> dict:
@@ -417,8 +414,7 @@ def check_corollary(k: int, a, b) -> dict:
         raise ContractError(f"check_corollary needs k <= MAX_DIM = {MAX_DIM}, got {k}")
     a, b = _pair(k, a, b)
     phi = normalized_choi_map(k)
-    res, _ = _check_one(claim, phi, a, b)
-    return {key: res[key] for key in ("lhs", "rhs", "formula_residual", "ok", "formula_ok")}
+    return _answer(_check_one(claim, phi, a, b)[0])
 
 
 def proof_chain(phi: MapRep, a, b, m: int) -> dict:
@@ -699,16 +695,16 @@ TRIAL_BLOCK = 64
 def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int,
                viol_tol: float | None = None) -> TrialSummary:
     # The one trial driver: trial t is the claim's check of draw t, run in
-    # blocks.  The driver keeps the worst trial's row (smallest margin;
-    # largest ratio for the explorer): its map, A and B, from which the
-    # claim's one-instance check builds the report's worstInstance.
+    # blocks.  The driver keeps the worst trial's row, the least (key, t)
+    # with key the margin, or minus the ratio for the explorer: its map, A
+    # and B, from which the claim's one-instance check builds the report's
+    # worstInstance.
     claim = _CLAIMS[check]
     families = claim.families or (family,)  # drawn in turn, trial by trial
     _validate_trial_config(claim, families, dims, trials, viol_tol)
     fixed = _fixed_maps(families, dims)
     block = max(1, min(TRIAL_BLOCK, BLOCK_ENTRIES // max(dims) ** 4))
-    by_ratio = claim.worst == "ratio"
-    pick = np.argmax if by_ratio else np.argmin
+    sign = -1.0 if claim.worst == "ratio" else 1.0
 
     violations, margin, formula, kept = 0, np.inf, None, None
     for lo in range(0, trials, block):
@@ -719,30 +715,25 @@ def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int,
             if "formula_residual" in out:
                 residual = np.max(out["formula_residual"] / (1.0 + out["lhs"]))
                 formula = residual if formula is None else np.maximum(formula, residual)
-            i = int(pick(out[claim.worst]))
-            t, value = group.trials[i], out[claim.worst][i]
-            # groups come dimension by dimension, so a later group may hold
-            # lower trial indices.  pick sees the kept row and this one in
-            # trial order: this one replaces it when strictly worse, or when
-            # equal at a lower trial index, the tie rule of pick over all rows
-            later = kept is not None and t > kept[0]
-            if kept is None or pick([kept[1], value] if later else [value, kept[1]]) == int(later):
-                kept = (t, value, group.map(i), group.a[i].copy(),
+            keys = sign * out[claim.worst]
+            i = int(np.argmin(keys))
+            if kept is None or (keys[i], group.trials[i]) < kept[:2]:
+                kept = (keys[i], group.trials[i], group.map(i), group.a[i].copy(),
                         None if group.b is None else group.b[i].copy())
 
     worst_margin = worst_instance = None
-    worst_ratio = 0.0 if by_ratio else None
+    worst_ratio = 0.0 if sign < 0 else None
     worst_formula = None if formula is None else float(formula)
     if kept is not None:
-        worst, value, phi, a, b = kept
+        key, worst, phi, a, b = kept
         worst_margin = float(margin)
         res, _ = _check_one(claim, phi, a, b, viol_tol)
         worst_instance = {"trialIndex": worst, "dim": dims[worst % len(dims)],
                           "map": map_to_json(phi), "a": matrix_to_json(a),
                           "b": None if b is None else matrix_to_json(b)}
-        if by_ratio:
-            worst_instance.update({key: res[key] for key in ("defect", "bound", "ratio")})
-            worst_ratio = float(value)
+        if sign < 0:
+            worst_instance.update({name: res[name] for name in ("defect", "bound", "ratio")})
+            worst_ratio = float(-key)
         else:
             worst_instance["margin"] = res["margin"]
     # the one family drawn; a claim drawing several reports the suite's label

@@ -35,8 +35,10 @@ CORPUS = HERE / "answers.json"
 
 
 def leaves(report: dict) -> dict:
-    """The scalar leaves of a report's result and residuals, by dotted path;
-    lists, matrices ({"rows", "cols", ...}) and wall times are left out."""
+    """The scalar leaves of a report's result and residuals, by dotted path,
+    less lists and matrices ({"rows", "cols", ...}).  The report's clock,
+    its top-level wallTimeMs, is in neither, so a clock inside a result
+    fails the replay."""
     out = {}
 
     def walk(prefix, value):
@@ -44,8 +46,7 @@ def leaves(report: dict) -> dict:
             if "rows" in value and "cols" in value:
                 return
             for key, item in value.items():
-                if key != "wallTimeMs":
-                    walk(f"{prefix}.{key}", item)
+                walk(f"{prefix}.{key}", item)
         elif not isinstance(value, list):
             out[prefix] = value
 

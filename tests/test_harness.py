@@ -292,6 +292,21 @@ def test_check_lemma2_examples():
     assert res["ok"]
 
 
+def test_a_field_the_claim_adds_reaches_its_public_check(monkeypatch):
+    # a public check answers with its claim's evaluation, less the engine's
+    # margin and verdict: a new field needs no second edit to reach it
+    claim = harness._CLAIMS["lemma2"]
+
+    def with_gap(images, a, b, deltas, viol_tol):
+        out = claim.evaluate(images, a, b, deltas, viol_tol)
+        return {**out, "gap": out["bound"] - out["lhs"]}
+
+    monkeypatch.setitem(harness._CLAIMS, "lemma2", dataclasses.replace(claim, evaluate=with_gap))
+    res = check_lemma2(random_unital_cp(2, 2, seed=4), ginibre(2, seed=1))
+    assert list(res) == ["lhs", "delta", "bound", "ok", "gap"]
+    assert res["gap"] == res["bound"] - res["lhs"]
+
+
 def test_check_lemma2_hypothesis_violations():
     # a map that is not certified CP needs a normal A
     with pytest.raises(ContractError, match="normal A"):
