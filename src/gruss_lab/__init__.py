@@ -78,13 +78,9 @@ from .posmap import (
 )
 from .scalar_distance import (
     DeltaResult,
-    SpectralDisk,
     delta,
     delta_general,
-    delta_grid_oracle,
-    delta_normal,
     is_normal,
-    smallest_enclosing_disk,
 )
 from .stinespring import (
     StinespringDilation,

@@ -116,7 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delta", help="distance of a matrix from the scalars")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--method", choices=["auto", "disk", "convex", "grid"], default="auto")
     add_common(p)
 
     p = sub.add_parser("defect", help="defect/bound report for a (map, A, B) instance")
@@ -173,9 +172,9 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, dict, dict, int]:
         raise ContractError(f"--seed must be >= 0, got {args.seed}")
 
     if cmd == "delta":
-        config = {"matrix": args.matrix, "method": args.method}
+        config = {"matrix": args.matrix}
         c = _load_matrix(args.matrix)
-        res = delta(c, args.method)
+        res = delta(c)
         achieved = operator_norm(c - res.minimizer * np.eye(c.shape[0]))
         return config, _result_json(res), {"achievedMinusClaimed": achieved - res.value}, 0
 

@@ -12,21 +12,16 @@ in operator norm.  By the duality
 Linear Algebra Appl. 287 (1999)) any finite set of states gives a lower
 bound: the optimum of a weighted smallest-enclosing-disk model.
 
-* ``delta_general`` -- any C, and what ``delta`` runs.  Column generation:
-  each step evaluates ||C - lambda I||, an upper bound, and adds its top
-  right singular vector to the model, until the two bounds meet; the first
-  SVD contributes all of its states, which on a normal C make the model the
-  spectral disk at once.  The next lambda is the model's minimizer, or,
-  from the first SVD on, where sigma_1(C - lambda I)^2 is smooth and its
-  quadratic model stays above the lower bound, the Newton point that the
-  same SVD gives.
-* ``delta_normal`` -- spectral reference route for normal C: the same model
-  over unit eigenvectors, i.e. the smallest disk enclosing the spectrum.
-* ``delta_grid_oracle`` -- exact minimum over a square grid (Lipschitz
-  pruning skips points that cannot win), kept independent of the model so
-  it can cross-check both routes.
+``delta_general`` computes it for any C, and ``delta`` runs it.  Column
+generation: each step evaluates ||C - lambda I||, an upper bound, and adds
+its top right singular vector to the model, until the two bounds meet; the
+first SVD contributes all of its states, which on a normal C make the model
+the spectral disk at once.  The next lambda is the model's minimizer, or,
+from the first SVD on, where sigma_1(C - lambda I)^2 is smooth and its
+quadratic model stays above the lower bound, the Newton point that the same
+SVD gives.
 
-Every route reports a two-sided bracket: ``value`` is an evaluated norm
+The result is a two-sided bracket: ``value`` is an evaluated norm
 ||C - minimizer*I|| and ``value - certified_gap`` a lower bound on delta(C).
 """
 
@@ -38,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NumericError
-from .linalg import as_matrix, dag, operator_norm, operator_norms
+from .errors import NumericError
+from .linalg import as_matrix, dag, operator_norm
 
 #: bound on ||UU* - U*U|| for U = C/||C|| below which C is treated as normal
 NORMALITY_TOL = 1e-9
@@ -52,37 +47,24 @@ _MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
-class SpectralDisk:
-    """Smallest disk enclosing a finite set of points in the complex plane."""
-
-    center: complex
-    radius: float
-    support: tuple[complex, ...]
-
-
-@dataclass(frozen=True)
 class DeltaResult:
     """Achieved distance to the scalars, with the minimizing scalar.
 
     ``value`` is always an evaluated norm ||C - minimizer*I||, never just a
     claim, so it bounds delta(C) from above; ``value - certified_gap`` bounds
-    it from below (up to rounding).  The lower bound is the best mixture of
-    the states in the model: the top singular vectors the convex route
-    collected, or the unit eigenvectors behind the disk's support (its
-    distance from the center to the nearest support eigenvalue); for the
-    oracle it is the grid minimum less the grid spacing (f is 1-Lipschitz).
-    The convex route's gap is at most BRACKET_TOL * value, unless rounding
-    stops the solver first.
+    it from below (up to rounding): the best mixture of the states in the
+    solver's model, the top singular vectors it collected.  Where C is
+    solved at a scale (``_exact_scale``) and dividing a bound by it rounds,
+    as it does for a subnormal result, the bracket is rounded outward: the
+    value up and the lower bound down, by one unit in the last place.  The
+    gap is at most BRACKET_TOL * value, unless rounding stops the solver
+    first.
     """
 
     value: float
     minimizer: complex
-    method: str  # "disk" | "convex" | "grid"
+    method: str  # "convex", the solver that computed it
     certified_gap: float
-
-
-# ---------------------------------------------------------------------------
-# the delta routes
 
 
 def _exact_scale(x) -> float:
@@ -115,32 +97,6 @@ def is_normal(c) -> bool:
     nrm = operator_norm(c)
     u = c / nrm if nrm > 0 else c  # C = 0 is normal
     return operator_norm(u @ dag(u) - dag(u) @ u) <= NORMALITY_TOL
-
-
-def delta_normal(c) -> DeltaResult:
-    """Distance to the scalars for a normal matrix, via the spectral disk.
-
-    The value is ||C - center*I|| at the center of the smallest disk holding
-    the spectrum.  A mixture of unit-eigenvector states is a state, so the
-    smallest distance from the center to the disk's support eigenvalues is a
-    lower bound on delta(C) for any C; the gap is what separates the two,
-    0 up to rounding for an exactly normal C.
-    """
-    c = as_matrix(c, square=True)
-    if not is_normal(c):
-        raise ContractError(
-            "delta_normal requires a normal matrix (||CC*-C*C|| too large); "
-            "use delta_general instead"
-        )
-    try:
-        eigs = np.linalg.eigvals(c)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigenvalues did not converge: {exc}") from exc
-    disk = smallest_enclosing_disk(eigs)
-    value = operator_norm(c - disk.center * np.eye(c.shape[0]))
-    lower = min(abs(p - disk.center) for p in disk.support)
-    return DeltaResult(value=value, minimizer=disk.center, method="disk",
-                       certified_gap=max(value - lower, 0.0))
 
 
 # An atom (z, s) stands for a state rho with z = tr(C rho) and
@@ -201,36 +157,6 @@ def _add_atom(support: list, atom) -> tuple[float, complex, list]:
         if g > best[0]:
             best = (g, lam, [atom, b, c])
     return best
-
-
-def smallest_enclosing_disk(points) -> SpectralDisk:
-    """Smallest disk enclosing finitely many complex points.
-
-    The model above with one atom (p, 0) per point, so max_i |p_i - lam|^2
-    is the squared radius of the disk centered at lam: from the centroid,
-    the point farthest from the current center joins the model until none
-    lies outside.  The support is the 1-3 points on the boundary; the radius
-    is evaluated over every point.
-    """
-    pts = np.asarray(points, dtype=np.complex128).ravel()
-    if pts.size == 0:
-        raise ContractError("smallest_enclosing_disk needs at least one point")
-    mu = complex(pts.mean())  # work relative to the centroid, like delta_general
-    rel = pts - mu
-    scale = _exact_scale(rel)  # the model squares distances
-    rel = rel * scale
-    support, g, lam = [], -math.inf, 0j
-    while True:
-        far = complex(rel[np.argmax(np.abs(rel - lam))])
-        if abs(far - lam) ** 2 <= g:
-            break
-        g_new, lam, support = _add_atom(support, (far, 0.0))
-        if g_new <= g:
-            break  # rounding level: the farthest point sits on the boundary
-        g = g_new
-    center = mu + lam / scale
-    return SpectralDisk(center=center, radius=float(np.abs(pts - center).max()),
-                        support=tuple(mu + z / scale for z, _ in support))
 
 
 def _newton_point(p, sv: list, lam: complex, zv: complex, s: float,
@@ -302,7 +228,8 @@ def delta_general(c) -> DeltaResult:
 
     A spread of C - tr(C)/dim whose cube would leave the float range is
     solved at an exact power-of-two scale (``_exact_scale``), with every
-    bound below taken on the scaled problem.
+    bound below taken on the scaled problem; where dividing a bound by the
+    scale rounds, the bracket it gives is rounded outward.
 
     The solver stops when upper - lower <= tol, tested after each SVD and
     again as soon as new atoms raise the lower bound, so the atoms that
@@ -374,73 +301,21 @@ def delta_general(c) -> DeltaResult:
         if lowered and sv[0] > sv[1]:
             newton = _newton_point(p, sv, lam, zv, s, g)
         lam = model if newton is None else newton
-    gap = max(upper - math.sqrt(max(g, 0.0)), 0.0)
+    lower = math.sqrt(max(g, 0.0))
     if scale != 1.0:  # back to the units of C; at 1, dividing could flip a zero's sign
-        upper, gap, best = upper / scale, gap / scale, best / scale
+        # a power-of-two division rounds only to a subnormal result; round
+        # the bracket outward there
+        value, low = upper / scale, lower / scale
+        if value * scale < upper:
+            value = math.nextafter(value, math.inf)
+        if low * scale > lower:
+            low = math.nextafter(low, -math.inf)
+        upper, lower, best = value, low, best / scale
+    gap = max(upper - lower, 0.0)
     return DeltaResult(value=upper, minimizer=mu + best, method="convex",
                        certified_gap=gap)
 
 
-#: the grid oracle first evaluates every GRID_STRIDE-th index on each axis
-GRID_STRIDE = 10
-
-
-def delta_grid_oracle(c, half_width: float, resolution: int) -> DeltaResult:
-    """Minimum of ||C - lambda I|| over a square grid, exact on the grid.
-
-    The grid is centered at trace(C)/dim with the given half width;
-    certified_gap equals the grid spacing (f is 1-Lipschitz in lambda).
-    Lipschitz pruning (B. O. Shubert, SIAM J. Numer. Anal. 9 (1972)):
-    a coarse subset, every ``GRID_STRIDE``-th index plus the last, is
-    evaluated first; a point p whose nearest coarse point q has
-    f(q) - |p - q| above the coarse minimum (plus a rounding slack) cannot
-    be the minimum and is skipped.  Every other point is evaluated, and the
-    first of the smallest values in grid order wins, as in an exhaustive
-    search.  As |lambda* - trace(C)/dim| <= delta(C) <= value, the square
-    provably holds the minimizer lambda* only if value <= half_width; else,
-    or for a half width that is not finite and positive, ``ContractError``.
-    """
-    c = as_matrix(c, square=True)
-    if resolution < 2:
-        raise ContractError(f"grid resolution must be >= 2, got {resolution}")
-    if not (math.isfinite(half_width) and half_width > 0):
-        raise ContractError(f"grid half width must be finite and positive, got {half_width}")
-    eye = np.eye(c.shape[0])
-    center = complex(np.trace(c)) / c.shape[0]
-    xs = np.linspace(-half_width, half_width, resolution)
-    grid = center + xs[:, None] + 1j * xs[None, :]
-    idx = np.arange(resolution)
-    coarse = np.unique(np.append(idx[::GRID_STRIDE], resolution - 1))
-    near = np.abs(idx[:, None] - coarse[None, :]).argmin(axis=1)  # per axis, into coarse
-    f_coarse = operator_norms(c - grid[np.ix_(coarse, coarse)][..., None, None] * eye)
-    lower = (f_coarse[np.ix_(near, near)]
-             - np.abs(grid - grid[np.ix_(coarse[near], coarse[near])]))
-    slack = 1e-9 * (1.0 + operator_norm(c))
-    candidates = np.flatnonzero(lower <= f_coarse.min() + slack)
-    points = grid.ravel()[candidates]
-    vals = operator_norms(c - points[:, None, None] * eye)
-    best = int(np.argmin(vals))
-    if vals[best] > half_width:
-        raise ContractError(f"grid minimum {vals[best]:.6g} > half width {half_width:.6g}")
-    spacing = float(xs[1] - xs[0])
-    return DeltaResult(value=float(vals[best]), minimizer=complex(points[best]),
-                       method="grid", certified_gap=spacing)
-
-
-def delta(c, method: str = "auto") -> DeltaResult:
-    """Dispatch among the delta routes.
-
-    ``auto`` and ``convex`` run ``delta_general`` on every square C, normal
-    or not; ``disk`` is the spectral reference route (normal C only) and
-    ``grid`` the exhaustive oracle (on a square that holds its check).
-    Each route coerces C itself.
-    """
-    if method in ("auto", "convex"):
-        return delta_general(c)
-    if method == "disk":
-        return delta_normal(c)
-    if method == "grid":
-        c = as_matrix(c, square=True)
-        centered = c - np.trace(c) / c.shape[0] * np.eye(c.shape[0])
-        return delta_grid_oracle(c, max(operator_norm(c) + 1.0, operator_norm(centered)), 201)
-    raise ContractError(f"unknown delta method {method!r}")
+def delta(c) -> DeltaResult:
+    """Distance of the square matrix C to the scalars: ``delta_general``."""
+    return delta_general(c)

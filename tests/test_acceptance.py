@@ -21,8 +21,6 @@ from gruss_lab import (
     decompose_unitary_sum,
     delta,
     delta_general,
-    delta_grid_oracle,
-    delta_normal,
     dilate,
     ginibre,
     homomorphism_check,
@@ -38,6 +36,7 @@ from gruss_lab import (
     witness_vector,
 )
 from gruss_lab.cli import route
+from oracles import delta_grid_oracle, delta_normal
 
 
 def _report(num: int, ok: bool, detail: str) -> bool:

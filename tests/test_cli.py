@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +98,7 @@ def test_delta_identity(capsys, fixtures):
     assert rep["command"] == "delta"
     assert rep["result"]["value"] == 0.0
     assert rep["result"]["minimizer"] == {"re": 1.0, "im": 0.0}
-    assert rep["config"]["method"] == "auto"
+    assert rep["config"] == {"matrix": fixtures["id2"]}
     assert _all_numbers_finite(rep)
 
 
@@ -294,7 +295,10 @@ def test_help_exits_zero(capsys):
     (["verify", "theorem", "--trials", "many"], "argument --trials: invalid int value: 'many'"),
     # argparse reads a bare -1e-3 as an option; --viol-tol=-1e-3 is the value
     (["verify", "theorem", "--viol-tol", "-1e-3"], "argument --viol-tol: expected one argument"),
-], ids=["unknown-flag", "missing-option", "invalid-command", "non-integer", "negative-tol"])
+    # delta has one route and no --method
+    (["delta", "--matrix", "id2", "--method", "disk"], "unrecognized arguments: --method disk"),
+], ids=["unknown-flag", "missing-option", "invalid-command", "non-integer", "negative-tol",
+        "removed-method"])
 def test_a_usage_error_is_one_json_line_with_argparse_reason(capsys, fixtures, argv, reason):
     # argparse's own usage text would be a second writer to stderr
     code = route([fixtures.get(arg, arg) for arg in argv])
@@ -561,9 +565,7 @@ _VERDICT_KEYS = {"n", "status", "minValueFound", "witness", "starts"}
 
 
 @pytest.mark.parametrize("argv, keys", [
-    (["delta", "--matrix", "a", "--method", "auto"], _DELTA_KEYS),
-    (["delta", "--matrix", "a", "--method", "disk"], _DELTA_KEYS),
-    (["delta", "--matrix", "a", "--method", "grid"], _DELTA_KEYS),
+    (["delta", "--matrix", "a"], _DELTA_KEYS),
     (["defect", "--map", "transpose", "--a", "a", "--b", "b"],
      {"defect", "deltaA", "deltaB", "bound", "margin", "violated"}),
     (["counterexample"], {"defect", "bound", "deltaA", "deltaB", "inequalityFails"}),
@@ -578,7 +580,7 @@ _VERDICT_KEYS = {"n", "status", "minValueFound", "witness", "starts"}
      _SUMMARY_KEYS | {"worstFormulaResidual"}),
     (["explore", "two-positive", "--trials", "0"], _SUMMARY_KEYS | {"worstRatio"}),
     (["explore", "two-positive", "--trials", "2"], _SUMMARY_KEYS | {"worstRatio"}),
-], ids=["delta-auto", "delta-disk", "delta-grid", "defect", "counterexample",
+], ids=["delta-auto", "defect", "counterexample",
         "npositive-search", "npositive-exact", "decompose", "dilate", "verify-theorem",
         "verify-corollary", "explore-no-trials", "explore"])
 def test_each_command_reports_exactly_its_result_keys(capsys, fixtures, argv, keys):
@@ -624,14 +626,18 @@ def test_cli_import_leaves_scipy_unloaded():
         assert proc.stdout.strip() == "[]", module
 
 
-def test_disk_route_on_a_subnormal_matrix(capsys, fixtures):
-    # ||C|| of a subnormal C is inexact, and dividing by it used to overflow
-    code = route(["delta", "--matrix", fixtures["subnormal"], "--method", "disk"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert captured.err == ""
-    res = json.loads(captured.out)["result"]
-    assert 0.0 <= res["value"] - res["certifiedGap"] <= 5e-321 <= res["value"]
+def test_delta_brackets_subnormal_results(capsys, tmp_path, fixtures):
+    # the solve runs at a power-of-two scale, and dividing its bounds by it
+    # rounds where the result is subnormal; the bracket is rounded outward,
+    # so it holds delta = a / 2 and the value is at least the norm it claims
+    smallest = _write(tmp_path / "smallest.json", matrix_to_json(np.diag([5e-324, 0.0])))
+    for path, half in ((fixtures["subnormal"], Fraction(5e-321)),
+                       (smallest, Fraction(5e-324) / 2)):
+        code, rep = _run(capsys, ["delta", "--matrix", path])
+        assert code == 0
+        res = rep["result"]
+        assert Fraction(res["value"]) - Fraction(res["certifiedGap"]) <= half <= res["value"]
+        assert rep["residuals"]["achievedMinusClaimed"] <= 0.0
 
 
 def test_a_usage_error_leaves_the_cached_parser_intact(capsys, fixtures):

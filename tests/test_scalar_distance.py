@@ -1,9 +1,10 @@
-"""Distance-to-scalars: disk route, convex route, grid oracle, cross-checks."""
+"""Distance-to-scalars: the convex route, its disk and grid references, cross-checks."""
 
 import itertools
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +16,6 @@ from gruss_lab import (
     check_lemma2,
     delta,
     delta_general,
-    delta_grid_oracle,
-    delta_normal,
     explore_two_positive,
     ginibre,
     haar_unitary,
@@ -24,11 +23,11 @@ from gruss_lab import (
     operator_norm,
     random_ensemble,
     run_trials,
-    smallest_enclosing_disk,
     transpose_map,
 )
 from gruss_lab import scalar_distance
 from gruss_lab.scalar_distance import _MAX_ITERATIONS, BRACKET_TOL, _add_atom
+from oracles import delta_grid_oracle, delta_normal, smallest_enclosing_disk
 
 
 # brute-force oracle: the minimal disk is determined by <= 3 of the points,
@@ -239,8 +238,10 @@ def test_grid_oracle_rejects_what_it_cannot_certify():
         with pytest.raises(ContractError):
             delta_grid_oracle(c, half_width, 5)
 
-    # ||C - trace(C)/dim I|| = 15 > ||C|| + 1: the dispatcher widens its square
-    res = delta(np.diag([10.0, -10.0, -10.0, -10.0]), "grid")
+    # ||C - trace(C)/dim I|| = 15 > ||C|| + 1: a square that wide holds it
+    c = np.diag([10.0, -10.0, -10.0, -10.0])
+    centered = c - np.trace(c) / c.shape[0] * np.eye(c.shape[0])
+    res = delta_grid_oracle(c, max(operator_norm(c) + 1.0, operator_norm(centered)), 201)
     assert res.value - res.certified_gap <= 10.0 <= res.value
 
 
@@ -318,16 +319,13 @@ def test_normal_vs_general():
 
 def test_dispatcher():
     c_normal = np.diag([1.0, 4.0])
-    assert delta(c_normal, "auto").method == "convex"
+    assert delta(c_normal).method == "convex"
     assert is_normal(c_normal)
 
     c_general = np.array([[0, 1], [0, 0.0]])
-    assert delta(c_general, "auto").method == "convex"
-    assert delta(c_general, "grid").method == "grid"
-    with pytest.raises(ContractError):
-        delta(c_general, "disk")
-    with pytest.raises(ContractError):
-        delta(c_general, "nope")
+    assert delta(c_general).method == "convex"
+    with pytest.raises(TypeError):
+        delta(c_general, "disk")  # one route: delta takes no method
 
 
 def test_zero_matrix():
@@ -513,7 +511,7 @@ def test_normality_does_not_depend_on_the_scale_of_c():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert is_normal(big)
-        res = delta(big, "disk")
+        res = delta_normal(big)
     assert res.minimizer == pytest.approx(5e199, rel=1e-12)
     assert res.value == pytest.approx(5e199, rel=1e-12)
     assert res.certified_gap <= 1e-12 * res.value
@@ -521,7 +519,7 @@ def test_normality_does_not_depend_on_the_scale_of_c():
     assert is_normal(np.zeros((0, 0)))
     assert not is_normal(tiny)
     with pytest.raises(ContractError):
-        delta(tiny, "disk")
+        delta_normal(tiny)
     with pytest.raises(ContractError):
         check_lemma2(transpose_map(2), tiny)
 
@@ -624,6 +622,33 @@ def test_model_products_stay_in_range_before_the_rescale(dim, e):
             res = delta_general(c * 2.0**e)
         assert (res.value, res.certified_gap) == (base.value * 2.0**e,
                                                    base.certified_gap * 2.0**e)
+
+
+def test_disk_route_on_a_subnormal_matrix():
+    # ||C|| of a subnormal C is inexact, and dividing by it used to overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = delta_normal(np.diag([1e-320, 0.0]))
+    assert 0.0 <= res.value - res.certified_gap <= 5e-321 <= res.value
+
+
+def test_subnormal_brackets_hold_delta_exactly():
+    # delta(diag(a, b)) = |a - b| / 2 exactly; a subnormal result makes the
+    # division by the solve's scale round, and the bracket must round outward
+    tiny = 5e-324
+    missed = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(1, 200):
+            for j in range(5):
+                res = delta(np.diag([k * tiny, j * tiny]))
+                exact = abs(Fraction(k * tiny) - Fraction(j * tiny)) / 2
+                lower = Fraction(res.value) - Fraction(res.certified_gap)
+                if not lower <= exact <= Fraction(res.value):
+                    missed.append((k, j))
+    assert missed == []
+    res = delta(np.diag([tiny, 0.0]))
+    assert (res.value, res.certified_gap) == (tiny, tiny)
 
 
 def test_brackets_are_tight_relative_to_the_value_at_small_scales():

@@ -13,7 +13,6 @@ from gruss_lab import (
     NotCompletelyPositiveError,
     apply,
     dag,
-    delta_normal,
     dilate,
     dilation_residual,
     from_kraus,
@@ -32,6 +31,7 @@ from gruss_lab import (
     unitary_conj,
 )
 from gruss_lab.cli import route
+from oracles import delta_normal
 
 
 def _unital_kraus(k, d, rank, seed):
