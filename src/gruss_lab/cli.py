@@ -129,9 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", default="2,3,4", help="comma-separated dimensions")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--family", choices=FAMILIES, default="cp")
-    p.add_argument("--viol-tol", type=float, default=None,
-                   help="override the theorem check's violation tolerance "
-                        "(default 1e-8*(1+bound); not NaN)")
     add_common(p)
 
     p = sub.add_parser("counterexample", help="reproduce the fixed transpose-map instance")
@@ -194,9 +191,9 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, dict, dict, int]:
                 raise ContractError(
                     f"--dims must be comma-separated integers, got {args.dims!r}") from None
             config = {"check": args.check, "dims": list(dims), "trials": args.trials,
-                      "family": args.family, "seed": args.seed, "violTol": args.viol_tol}
+                      "family": args.family, "seed": args.seed}
             summary = run_trials(args.check, family=args.family, dims=dims,
-                                 trials=args.trials, seed=args.seed, viol_tol=args.viol_tol)
+                                 trials=args.trials, seed=args.seed)
         else:
             config = {"topic": args.topic, "trials": args.trials, "k": args.k, "seed": args.seed}
             summary = explore_two_positive(args.trials, seed=args.seed, k=args.k)

@@ -130,12 +130,6 @@ def _pair(dim: int, a, b) -> tuple[Matrix, Matrix]:
     return a, b
 
 
-def _require_viol_tol(viol_tol: float | None) -> None:
-    # margin < -nan is always false: a NaN tolerance would hide every violation
-    if viol_tol is not None and math.isnan(viol_tol):
-        raise ContractError("viol_tol must be a number, got nan")
-
-
 # ---------------------------------------------------------------------------
 # claims
 #
@@ -168,17 +162,17 @@ def _defects(images):
     return operator_norms(_defect_matrices(images))
 
 
-def _theorem(images, a, b, deltas, viol_tol):
+def _theorem(images, a, b, deltas):
     da, db = deltas
     defect = _defects(images)
     bound = da * db
     margin = bound - defect
-    tol = 1e-8 * (1.0 + bound) if viol_tol is None else viol_tol
-    return {"defect": defect, "bound": bound, "margin": margin, "violated": margin < -tol}
+    return {"defect": defect, "bound": bound, "margin": margin,
+            "violated": margin < -1e-8 * (1.0 + bound)}
 
 
-def _explore(images, a, b, deltas, viol_tol):
-    out = _theorem(images, a, b, deltas, viol_tol)
+def _explore(images, a, b, deltas):
+    out = _theorem(images, a, b, deltas)
     defect, bound = out["defect"], out["bound"]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(bound > 1e-12, defect / bound,
@@ -188,7 +182,7 @@ def _explore(images, a, b, deltas, viol_tol):
     return out
 
 
-def _lemma1(images, a, b, deltas, viol_tol):
+def _lemma1(images, a, b, deltas):
     # the covariance block [[V_A, D], [D*, V_B]] of the pair (A*, B): every
     # admitted map has positive order, so Phi(A*) = Phi(A)*
     p_ab, p_a, p_b, p_aa, p_bb = np.moveaxis(images, 1, 0)
@@ -209,7 +203,7 @@ def _lemma1(images, a, b, deltas, viol_tol):
             "violated": ~(cauchy_ok & block_ok)}
 
 
-def _lemma2(images, a, b, deltas, viol_tol):
+def _lemma2(images, a, b, deltas):
     (dval,) = deltas
     p_aa, p_a = images[:, 0], images[:, 1]
     lhs = operator_norms(p_aa - dag(p_a) @ p_a)
@@ -219,7 +213,7 @@ def _lemma2(images, a, b, deltas, viol_tol):
             "violated": ~ok}
 
 
-def _corollary(images, a, b, deltas, viol_tol):
+def _corollary(images, a, b, deltas):
     da, db = deltas
     k = a.shape[-1]
     eye = np.eye(k, dtype=np.complex128)
@@ -245,7 +239,7 @@ class _Claim:
     order: int
     #: the (A, B) -> (T, S, k, k) stack of inputs it maps
     inputs: Callable
-    #: (images, A, B, delta values, viol_tol) -> dict of (T,) arrays, with
+    #: (images, A, B, delta values) -> dict of (T,) arrays, with
     #: at least "margin" and "violated"
     evaluate: Callable
     #: the families trial t draws from, in turn (None: the suite's family)
@@ -288,15 +282,14 @@ def _images(inputs: np.ndarray, maps: list | np.ndarray, what: str) -> np.ndarra
     return images[:, :-1]
 
 
-def _check_one(claim: _Claim, phi: MapRep, a: Matrix, b: Matrix | None,
-               viol_tol: float | None = None) -> tuple[dict, list]:
+def _check_one(claim: _Claim, phi: MapRep, a: Matrix, b: Matrix | None) -> tuple[dict, list]:
     # the claim on one instance, evaluated as a one-trial stack: its values
     # as Python scalars, and delta of its inputs if it uses delta, solved
     # once its one images call has admitted the map
     stacks = (a[None], None if b is None else b[None])
     images = _images(claim.inputs(*stacks), [phi], f"check_{claim.name}")
     found = [delta(x) for x in (a, b) if x is not None] if claim.uses_delta else []
-    out = claim.evaluate(images, *stacks, tuple(np.array([r.value]) for r in found), viol_tol)
+    out = claim.evaluate(images, *stacks, tuple(np.array([r.value]) for r in found))
     return {key: value[0].item() for key, value in out.items()}, found
 
 
@@ -312,17 +305,16 @@ def gruss_defect(phi: MapRep, a, b) -> float:
     return float(_defects(apply(phi, _product_inputs(a[None], b[None])[0])[None])[0])
 
 
-def check_theorem(phi: MapRep, a, b, viol_tol: float | None = None) -> GrussReport:
+def check_theorem(phi: MapRep, a, b) -> GrussReport:
     """Evaluate the product bound defect <= delta(A) delta(B) on one instance.
 
     The caller is responsible for the positivity order of the map (the bound
     is only claimed for unital n-positive maps with n >= 3); unitality is
-    enforced here.  ``viol_tol`` (default 1e-8 (1 + bound)) may be infinite
-    or negative, not NaN.
+    enforced here.  The instance violates the bound where its margin is
+    below -1e-8 (1 + bound).
     """
-    _require_viol_tol(viol_tol)
     a, b = _pair(phi.in_dim, a, b)
-    res, (da, db) = _check_one(_CLAIMS["theorem"], phi, a, b, viol_tol)
+    res, (da, db) = _check_one(_CLAIMS["theorem"], phi, a, b)
     return GrussReport(defect=res["defect"], delta_a=da, delta_b=db, bound=res["bound"],
                        margin=res["margin"], violated=res["violated"], phi=phi, a=a, b=b)
 
@@ -627,8 +619,7 @@ def _group(claim: _Claim, draws: list, trials: list, fixed: dict) -> _Group:
     return _Group(trials, a, b, _images(claim.inputs(a, b), maps, f"check {claim.name!r}"), maps)
 
 
-def _run_block(claim: _Claim, families: tuple, dims: tuple, fixed: dict, seed: int, ts,
-               viol_tol: float | None) -> list:
+def _run_block(claim: _Claim, families: tuple, dims: tuple, fixed: dict, seed: int, ts) -> list:
     """Trials ``ts`` as one block: a (group, evaluations) pair per dimension,
     the evaluations arrays in the order of the group's trials.  The trials
     are drawn and built here; the per-trial step, delta of a trial's inputs,
@@ -647,20 +638,16 @@ def _run_block(claim: _Claim, families: tuple, dims: tuple, fixed: dict, seed: i
     out = []
     for group in groups:
         deltas = tuple(np.array(values) for values in zip(*(next(steps) for _ in group.trials)))
-        out.append((group, claim.evaluate(group.images, group.a, group.b, deltas, viol_tol)))
+        out.append((group, claim.evaluate(group.images, group.a, group.b, deltas)))
     return out
 
 
-def _validate_trial_config(claim: _Claim, families: tuple, dims: tuple, trials: int,
-                           viol_tol: float | None) -> None:
+def _validate_trial_config(claim: _Claim, families: tuple, dims: tuple, trials: int) -> None:
     if not dims or any(d < 2 for d in dims):
         raise ContractError(f"dims must all be >= 2, got {list(dims)}")
     if any(d > MAX_DIM for d in dims):
         raise ContractError(f"dims must all be <= MAX_DIM = {MAX_DIM}, got {list(dims)}")
     _require_order(f"check {claim.name!r}", claim, families, dims)
-    if viol_tol is not None and claim.name != "theorem":
-        raise ContractError(f"viol_tol applies to check 'theorem' only, not {claim.name!r}")
-    _require_viol_tol(viol_tol)
     if trials < 0:
         raise ContractError(f"trials must be >= 0, got {trials}")
 
@@ -692,8 +679,7 @@ def _known_order(family: str, dim: int) -> float:
 TRIAL_BLOCK = 64
 
 
-def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int,
-               viol_tol: float | None = None) -> TrialSummary:
+def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int) -> TrialSummary:
     # The one trial driver: trial t is the claim's check of draw t, run in
     # blocks.  The driver keeps the worst trial's row, the least (key, t)
     # with key the margin, or minus the ratio for the explorer: its map, A
@@ -701,7 +687,7 @@ def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int,
     # worstInstance.
     claim = _CLAIMS[check]
     families = claim.families or (family,)  # drawn in turn, trial by trial
-    _validate_trial_config(claim, families, dims, trials, viol_tol)
+    _validate_trial_config(claim, families, dims, trials)
     fixed = _fixed_maps(families, dims)
     block = max(1, min(TRIAL_BLOCK, BLOCK_ENTRIES // max(dims) ** 4))
     sign = -1.0 if claim.worst == "ratio" else 1.0
@@ -709,7 +695,7 @@ def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int,
     violations, margin, formula, kept = 0, np.inf, None, None
     for lo in range(0, trials, block):
         for group, out in _run_block(claim, families, dims, fixed, seed,
-                                     range(lo, min(lo + block, trials)), viol_tol):
+                                     range(lo, min(lo + block, trials))):
             violations += int(np.count_nonzero(out["violated"]))
             margin = np.minimum(margin, np.min(out["margin"]))
             if "formula_residual" in out:
@@ -727,7 +713,7 @@ def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int,
     if kept is not None:
         key, worst, phi, a, b = kept
         worst_margin = float(margin)
-        res, _ = _check_one(claim, phi, a, b, viol_tol)
+        res, _ = _check_one(claim, phi, a, b)
         worst_instance = {"trialIndex": worst, "dim": dims[worst % len(dims)],
                           "map": map_to_json(phi), "a": matrix_to_json(a),
                           "b": None if b is None else matrix_to_json(b)}
@@ -745,7 +731,7 @@ def _run_suite(check: str, family: str, dims: tuple, trials: int, seed: int,
 
 
 def run_trials(check: str, family: str = "cp", dims=(2, 3, 4), trials: int = 100,
-               seed: int = 0, viol_tol: float | None = None) -> TrialSummary:
+               seed: int = 0) -> TrialSummary:
     """Run seeded randomized trials of one check and aggregate violations.
 
     Each trial derives its own generator from (seed, trial index), so the
@@ -753,13 +739,14 @@ def run_trials(check: str, family: str = "cp", dims=(2, 3, 4), trials: int = 100
     the block size (``TRIAL_BLOCK``) and of the thread count, which comes
     from GRUSS_LAB_THREADS (0 or 1 means sequential; capped at the core
     count).  The worst instance is the first trial of smallest margin.
-    ``viol_tol`` is for ``theorem`` only (see ``check_theorem``).
+    Each claim fixes its own violation rule (``theorem``'s is in
+    ``check_theorem``).
     """
     if check not in CHECKS:
         raise ContractError(f"unknown check {check!r}; expected one of {CHECKS}")
     if family not in FAMILIES:
         raise ContractError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    return _run_suite(check, family, tuple(int(d) for d in dims), trials, seed, viol_tol)
+    return _run_suite(check, family, tuple(int(d) for d in dims), trials, seed)
 
 
 def explore_two_positive(trials: int, seed: int = 0, k: int = 3) -> TrialSummary:

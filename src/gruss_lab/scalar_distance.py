@@ -63,7 +63,6 @@ class DeltaResult:
 
     value: float
     minimizer: complex
-    method: str  # "convex", the solver that computed it
     certified_gap: float
 
 
@@ -312,8 +311,7 @@ def delta_general(c) -> DeltaResult:
             low = math.nextafter(low, -math.inf)
         upper, lower, best = value, low, best / scale
     gap = max(upper - lower, 0.0)
-    return DeltaResult(value=upper, minimizer=mu + best, method="convex",
-                       certified_gap=gap)
+    return DeltaResult(value=upper, minimizer=mu + best, certified_gap=gap)
 
 
 def delta(c) -> DeltaResult:

@@ -12,7 +12,7 @@ check it from outside:
   pruning skips points that cannot win), independent of the model.
 
 Each returns a ``DeltaResult`` whose [value - certified_gap, value] holds
-delta(C); ``method`` is "disk" or "grid".
+delta(C).
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ def delta_normal(c) -> DeltaResult:
     disk = smallest_enclosing_disk(eigs)
     value = operator_norm(c - disk.center * np.eye(c.shape[0]))
     lower = min(abs(p - disk.center) for p in disk.support)
-    return DeltaResult(value=value, minimizer=disk.center, method="disk",
-                       certified_gap=max(value - lower, 0.0))
+    return DeltaResult(value=value, minimizer=disk.center, certified_gap=max(value - lower, 0.0))
 
 
 def smallest_enclosing_disk(points) -> SpectralDisk:
@@ -135,4 +134,4 @@ def delta_grid_oracle(c, half_width: float, resolution: int) -> DeltaResult:
         raise ContractError(f"grid minimum {vals[best]:.6g} > half width {half_width:.6g}")
     spacing = float(xs[1] - xs[0])
     return DeltaResult(value=float(vals[best]), minimizer=complex(points[best]),
-                       method="grid", certified_gap=spacing)
+                       certified_gap=spacing)

@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: every subcommand, exit codes, determinism."""
 
 import base64
+import dataclasses
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from gruss_lab import (
     from_kraus,
     ginibre,
     haar_unitary,
+    harness,
     map_to_json,
     matrix_from_json,
     matrix_to_json,
@@ -293,11 +295,11 @@ def test_help_exits_zero(capsys):
     # argparse's quoting of the choice list differs between Python versions
     (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from "),
     (["verify", "theorem", "--trials", "many"], "argument --trials: invalid int value: 'many'"),
-    # argparse reads a bare -1e-3 as an option; --viol-tol=-1e-3 is the value
-    (["verify", "theorem", "--viol-tol", "-1e-3"], "argument --viol-tol: expected one argument"),
+    # each claim fixes its own violation rule: verify has no --viol-tol
+    (["verify", "theorem", "--viol-tol", "1e-3"], "unrecognized arguments: --viol-tol 1e-3"),
     # delta has one route and no --method
     (["delta", "--matrix", "id2", "--method", "disk"], "unrecognized arguments: --method disk"),
-], ids=["unknown-flag", "missing-option", "invalid-command", "non-integer", "negative-tol",
+], ids=["unknown-flag", "missing-option", "invalid-command", "non-integer", "removed-viol-tol",
         "removed-method"])
 def test_a_usage_error_is_one_json_line_with_argparse_reason(capsys, fixtures, argv, reason):
     # argparse's own usage text would be a second writer to stderr
@@ -332,10 +334,15 @@ def test_a_suite_result_holds_no_clock(capsys, argv):
     assert first["result"] == second["result"]
 
 
-def test_verify_violation_exit_code(capsys):
-    # a negative tolerance flags every trial, exercising the exit-2 path
-    code, rep = _run(capsys, ["verify", "theorem", "--dims", "2", "--trials", "3",
-                              "--seed", "1", "--viol-tol=-100"])
+def test_verify_violation_exit_code(capsys, monkeypatch):
+    # a claim that flags every trial exercises the exit-2 path
+    claim = harness._CLAIMS["theorem"]
+
+    def flagged(images, a, b, deltas):
+        return {**claim.evaluate(images, a, b, deltas), "violated": np.ones(len(a), dtype=bool)}
+
+    monkeypatch.setitem(harness._CLAIMS, "theorem", dataclasses.replace(claim, evaluate=flagged))
+    code, rep = _run(capsys, ["verify", "theorem", "--dims", "2", "--trials", "3", "--seed", "1"])
     assert code == 2
     assert rep["result"]["violations"] == 3
 
@@ -410,12 +417,17 @@ def test_kraus_operators_of_two_shapes_are_a_dimension_error(capsys, tmp_path):
         assert json.loads(captured.err)["error"]["type"] == "dimension"
 
 
-def test_non_finite_numbers_are_encoded_not_raised(capsys, tmp_path):
+def test_non_finite_numbers_are_encoded_not_raised(capsys, tmp_path, monkeypatch):
     # JSON has no infinity: the report spells it out instead of crashing
-    code, rep = _run(capsys, ["verify", "theorem", "--dims", "2", "--trials", "2",
-                              "--viol-tol", "inf"])
+    claim = harness._CLAIMS["explore"]
+
+    def unbounded(images, a, b, deltas):
+        return {**claim.evaluate(images, a, b, deltas), "ratio": np.full(len(a), np.inf)}
+
+    monkeypatch.setitem(harness._CLAIMS, "explore", dataclasses.replace(claim, evaluate=unbounded))
+    code, rep = _run(capsys, ["explore", "two-positive", "--trials", "2"])
     assert code == 0
-    assert rep["config"]["violTol"] == "inf"
+    assert rep["result"]["worstRatio"] == "inf"
 
     # a report that cannot be written is an I/O error, not a traceback
     code = route(["counterexample", "--output", str(tmp_path / "missing" / "report.json")])
@@ -471,10 +483,6 @@ def test_a_failed_decomposition_is_a_numeric_error(capsys, fixtures, monkeypatch
     ["npositive", "--map", "in-dim-text", "--n", "2"],
     ["npositive", "--map", "out-dim-text", "--n", "2"],
     ["delta", "--matrix", "bool-dims"],
-    ["verify", "theorem", "--dims", "2", "--trials", "2", "--viol-tol", "nan"],
-    ["verify", "lemma1", "--dims", "2", "--trials", "2", "--viol-tol", "1e-3"],
-    ["verify", "lemma2", "--dims", "2", "--trials", "2", "--viol-tol", "1e-3"],
-    ["verify", "corollary", "--dims", "4", "--trials", "2", "--viol-tol", "1e-3"],
     ["npositive", "--map", "unitary-conj-builtin", "--n", "2"],
     ["npositive", "--map", "name-list", "--n", "2"],
     # beyond MAX_DIM: each would request petabytes, and none may allocate
@@ -486,10 +494,8 @@ def test_a_failed_decomposition_is_a_numeric_error(capsys, fixtures, monkeypatch
 ], ids=["starts-negative", "starts-zero", "samples-negative", "trials-negative",
         "verify-seed-negative", "explore-seed-negative", "npositive-seed-negative",
         "dims-text", "builtin-dim-text", "builtin-dim-fraction", "choi-in-dim-text",
-        "choi-out-dim-text", "matrix-bool-dims", "viol-tol-nan", "viol-tol-lemma1",
-        "viol-tol-lemma2", "viol-tol-corollary", "builtin-unitary-conj",
-        "builtin-name-list", "builtin-dim-huge", "verify-dims-huge", "explore-k-huge",
-        "decompose-m-huge"])
+        "choi-out-dim-text", "matrix-bool-dims", "builtin-unitary-conj", "builtin-name-list",
+        "builtin-dim-huge", "verify-dims-huge", "explore-k-huge", "decompose-m-huge"])
 def test_invalid_counts_and_seeds_are_contract_errors(capsys, fixtures, argv):
     argv = [fixtures.get(arg, arg) for arg in argv]
     code = route(argv)
@@ -558,7 +564,7 @@ def test_a_unitary_conj_map_needs_a_unitary_u(capsys, tmp_path, fixtures, obj):
                              "--b", fixtures["b"]])
 
 
-_DELTA_KEYS = {"value", "minimizer", "method", "certifiedGap"}
+_DELTA_KEYS = {"value", "minimizer", "certifiedGap"}
 _SUMMARY_KEYS = {"check", "family", "trials", "violations", "worstMargin", "worstInstance",
                  "seed"}
 _VERDICT_KEYS = {"n", "status", "minValueFound", "witness", "starts"}

@@ -181,23 +181,6 @@ def test_check_theorem_detects_the_counterexample():
     assert rep.margin == pytest.approx(3.75 - 6.0, abs=1e-9)
 
 
-def test_nan_viol_tol_is_a_contract_error():
-    # margin < -nan never holds, so a NaN tolerance would hide the violation
-    with pytest.raises(ContractError):
-        check_theorem(transpose_map(2), A_FIXED, B_FIXED, viol_tol=float("nan"))
-    with pytest.raises(ContractError):
-        run_trials("theorem", dims=(2,), trials=1, viol_tol=float("nan"))
-    assert check_theorem(transpose_map(2), A_FIXED, B_FIXED, viol_tol=float("inf")).margin < 0
-    assert check_theorem(transpose_map(2), A_FIXED, B_FIXED, viol_tol=-1.0).violated
-
-
-@pytest.mark.parametrize("check, dims", [("lemma1", (2,)), ("lemma2", (2,)),
-                                         ("corollary", (4,))])
-def test_viol_tol_is_rejected_where_the_check_never_reads_it(check, dims):
-    with pytest.raises(ContractError):
-        run_trials(check, dims=dims, trials=1, viol_tol=1e-3)
-
-
 def test_check_theorem_requires_unital():
     with pytest.raises(ContractError):
         check_theorem(from_kraus([2.0 * np.eye(2)]), A_FIXED, B_FIXED)
@@ -268,7 +251,7 @@ def test_the_covariance_block_matches_its_seven_input_construction(monkeypatch, 
         blocks.clear()
         # the block alone, on every map of positive order: the 2-positive
         # trace-type maps (k < 4) are not admitted by the check
-        harness._check_one(harness._CLAIMS["lemma1"], phi, a, b, ())
+        harness._check_one(harness._CLAIMS["lemma1"], phi, a, b)
         scale = 1.0 + operator_norm(a) ** 2 + operator_norm(b) ** 2
         assert operator_norm(blocks[0] - want) <= 1e-13 * scale
         if family == "cp" or k >= 4:
@@ -297,8 +280,8 @@ def test_a_field_the_claim_adds_reaches_its_public_check(monkeypatch):
     # margin and verdict: a new field needs no second edit to reach it
     claim = harness._CLAIMS["lemma2"]
 
-    def with_gap(images, a, b, deltas, viol_tol):
-        out = claim.evaluate(images, a, b, deltas, viol_tol)
+    def with_gap(images, a, b, deltas):
+        out = claim.evaluate(images, a, b, deltas)
         return {**out, "gap": out["bound"] - out["lhs"]}
 
     monkeypatch.setitem(harness._CLAIMS, "lemma2", dataclasses.replace(claim, evaluate=with_gap))
@@ -515,7 +498,7 @@ def test_a_block_builds_what_the_public_samplers_build(check, family, dims):
     claim = harness._CLAIMS[check]
     families = claim.families or (family,)
     fixed = harness._fixed_maps(families, dims)
-    for group, _ in harness._run_block(claim, families, dims, fixed, 7, range(12), None):
+    for group, _ in harness._run_block(claim, families, dims, fixed, 7, range(12)):
         for i, t in enumerate(group.trials):
             phi, inputs = _public_trial(check, family, dims, 7, t)
             assert map_to_json(group.map(i)) == map_to_json(phi)
@@ -576,8 +559,8 @@ def test_tied_trials_report_the_first(monkeypatch, check, family, dims):
     # first trial is the worst, as argmin/argmax over all rows picks it
     claim = harness._CLAIMS[check]
 
-    def tied(images, a, b, deltas, viol_tol):
-        out = claim.evaluate(images, a, b, deltas, viol_tol)
+    def tied(images, a, b, deltas):
+        out = claim.evaluate(images, a, b, deltas)
         out["margin"] = np.zeros(len(a))
         if "ratio" in out:
             out["ratio"] = np.full(len(a), 0.5)
@@ -600,8 +583,8 @@ def test_a_later_group_with_a_lower_tied_trial_is_reported(monkeypatch):
     # rows picks trial 2, from the later group
     claim = harness._CLAIMS["theorem"]
 
-    def tied(images, a, b, deltas, viol_tol):
-        out = claim.evaluate(images, a, b, deltas, viol_tol)
+    def tied(images, a, b, deltas):
+        out = claim.evaluate(images, a, b, deltas)
         out["margin"] = np.full(len(a), -1.0) if a.shape[-1] == 3 else np.zeros(len(a))
         out["margin"][-1] = -1.0
         return out

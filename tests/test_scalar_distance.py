@@ -178,7 +178,6 @@ def test_add_atom_is_the_best_subset_holding_the_new_atom(layout):
 def test_delta_normal_known_values():
     res = delta_normal([[1, 2], [2, 4]])
     assert res.value == pytest.approx(2.5, abs=1e-12)
-    assert res.method == "disk"
 
     res = delta_normal(np.eye(2))
     assert res.value == pytest.approx(0.0, abs=1e-14)
@@ -319,11 +318,9 @@ def test_normal_vs_general():
 
 def test_dispatcher():
     c_normal = np.diag([1.0, 4.0])
-    assert delta(c_normal).method == "convex"
     assert is_normal(c_normal)
 
     c_general = np.array([[0, 1], [0, 0.0]])
-    assert delta(c_general).method == "convex"
     with pytest.raises(TypeError):
         delta(c_general, "disk")  # one route: delta takes no method
 
@@ -693,7 +690,6 @@ def test_nearly_normal_input_gets_an_honest_bracket():
     c = np.array([[1.0, 1e-5], [0.0, 1.0]])
     assert is_normal(c)
     res = delta(c)
-    assert res.method == "convex"
     assert res.value == pytest.approx(operator_norm(c - res.minimizer * np.eye(2)), rel=1e-12)
     assert res.certified_gap <= 1e-12 * (1 + operator_norm(c))
     assert res.value - res.certified_gap <= 1e-5 <= res.value * (1 + 1e-12)
